@@ -4,8 +4,9 @@ Configuration comes from flat ``key = value`` files with ``#`` comments;
 every key can be overridden by the matching ``--key`` flag (flags win over
 the file, the file wins over built-in defaults). All randomness flows from
 one 64-bit seed; each query's chain seed is derived as
-``seed XOR FNV-1a(query_id)``, so outputs are byte-identical across reruns
-and independent of thread count.
+``seed XOR FNV-1a(query_id)``, so outputs are byte-identical across reruns.
+``--threads`` is accepted for compatibility and has no effect: every
+command runs in one thread.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 internal invariant violation.
@@ -17,7 +18,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,15 +27,15 @@ import numpy as np
 from . import io as dataio
 from . import linear, metrics, nested
 from .core import (
+    ConcaveGain,
     QueryInstance,
-    Ranking,
     SimplexWeights,
     gain_from_spec,
     ranking_from_scores,
     weighted_average_scores,
 )
 from .io import DataError, Dataset
-from .nested import Activation
+from .nested import ACTIVATION_NAMES, SAMPLING_MODES, Activation
 from .sampler import ACCEPTANCE_RULES, ChainConfig
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_INTERNAL"]
@@ -187,13 +187,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("topk must be >= 1")
     if cfg.k2 is not None and cfg.k2 < 1:
         raise ConfigError("k2 must be >= 1")
+    if cfg.phi not in ACTIVATION_NAMES:
+        raise ConfigError(f"phi must be one of {ACTIVATION_NAMES}")
+    if cfg.sampling not in SAMPLING_MODES:
+        raise ConfigError(f"sampling must be one of {SAMPLING_MODES}")
+    try:
+        gain_from_spec(cfg.gain, capacity=1)
+    except ValueError as exc:
+        raise ConfigError(f"gain: {exc}") from None
     return cfg
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
     cfg.require("data")
     path = Path(cfg.data)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"data file not found: {path}")
     fmt = cfg.format
     if fmt == "auto":
@@ -206,12 +214,13 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return dataset
 
 
-def _parallel_map(fn, items: Sequence, threads: int) -> list:
-    """Order-preserving map; results do not depend on the thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _gain_covering(cfg: RunConfig, dataset: Dataset, positions: int) -> ConcaveGain:
+    """The configured gain; its capacity defaults to N_max and must cover ``positions``."""
+    gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
+    if gain.capacity < positions:
+        raise ConfigError(f"gain {cfg.gain!r} covers {gain.capacity} positions, "
+                          f"the data needs {positions}")
+    return gain
 
 
 def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
@@ -225,7 +234,7 @@ def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
 def cmd_train(cfg: RunConfig) -> int:
     cfg.require("data", "out")
     dataset = _load_dataset(cfg)
-    gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
+    gain = _gain_covering(cfg, dataset, dataset.n_max)
     chain = cfg.chain_config()
     out = Path(cfg.out)
     if cfg.model == "linear":
@@ -257,9 +266,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _load_model(path: str | Path):
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"model file not found: {path}")
-    head = path.read_text(encoding="utf-8").splitlines()
+    # the loaders report undecodable text; here only the format line matters
+    head = path.read_text(encoding="utf-8", errors="replace").splitlines()
     first = head[0].strip() if head else ""
     if first == f"format: {linear.MODEL_FORMAT}":
         return linear.load_linear(path)
@@ -272,6 +282,10 @@ def _scores_for(model, q: QueryInstance) -> np.ndarray:
     if isinstance(model, linear.LinearModel):
         return linear.aggregate_scores(model, q)
     return nested.aggregate_scores(model, q)
+
+
+def _average_scores(q: QueryInstance) -> np.ndarray:
+    return weighted_average_scores(q, SimplexWeights.uniform(q.k))
 
 
 def _model_k(model) -> int:
@@ -300,27 +314,13 @@ def cmd_infer(cfg: RunConfig) -> int:
             raise DataError(f"model expects K={_model_k(model)}, data has K={dataset.k}")
         score_fn = lambda q: _scores_for(model, q)
     elif baseline == "averaging":
-        score_fn = lambda q: weighted_average_scores(q, SimplexWeights.uniform(q.k))
+        score_fn = _average_scores
     else:
         raise ConfigError(f"unknown baseline {baseline!r}")
-    scores = _parallel_map(score_fn, dataset.queries, cfg.threads)
+    scores = [score_fn(q) for q in dataset.queries]
     _write_rankings_csv(Path(cfg.out), dataset, scores)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
     return EXIT_OK
-
-
-def _query_ndcg_row(q: QueryInstance, order: Ranking, ks: Sequence[int],
-                    discount) -> list[float]:
-    rel = metrics.RelevanceJudgments(q.relevance)
-    row = []
-    for k in ks:
-        kk = min(k, q.n)
-        if not rel.has_relevant():
-            # LETOR tooling convention: queries without relevant documents score 0
-            row.append(0.0)
-        else:
-            row.append(metrics.ndcg_at_k(order, rel, kk, discount))
-    return row
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -328,12 +328,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
-    discount = gain_from_spec(cfg.gain, capacity=dataset.n_max)
-    ks = list(range(1, cfg.topk + 1))
+    discount = _gain_covering(cfg, dataset, min(cfg.topk, dataset.n_max))
 
-    methods: list[tuple[str, Callable[[QueryInstance], Ranking]]] = [
-        ("averaging", metrics.baseline_average),
-        ("borda", metrics.baseline_borda),
+    methods: list[tuple[str, Callable[[QueryInstance], np.ndarray]]] = [
+        ("averaging", _average_scores),
+        ("borda", metrics.borda_points),
     ]
     for model_path in cfg.values.get("model_files") or []:
         model = _load_model(model_path)
@@ -341,21 +340,19 @@ def cmd_eval(cfg: RunConfig) -> int:
             raise DataError(f"{model_path}: model expects K={_model_k(model)}, "
                             f"data has K={dataset.k}")
         label = Path(model_path).stem
-        methods.append((label, lambda q, m=model: ranking_from_scores(_scores_for(m, q))))
+        methods.append((label, lambda q, m=model: _scores_for(m, q)))
 
+    relevance = [q.relevance for q in dataset.queries]
     rows: list[tuple[str, str, list[float]]] = []
     mean_rows: list[list[float]] = []
-    for label, rank_fn in methods:
-        orders = _parallel_map(rank_fn, dataset.queries, cfg.threads)
-        per_query = [
-            _query_ndcg_row(q, order, ks, discount)
-            for q, order in zip(dataset.queries, orders)
-        ]
+    for label, score_fn in methods:
+        ndcg = metrics.ndcg_table([score_fn(q) for q in dataset.queries], relevance,
+                                  cfg.topk, discount)
         rows.extend((label, q.query_id, vals)
-                    for q, vals in zip(dataset.queries, per_query))
-        mean_rows.append(np.mean(np.asarray(per_query), axis=0).tolist())
+                    for q, vals in zip(dataset.queries, ndcg.tolist()))
+        mean_rows.append(np.mean(ndcg, axis=0).tolist())
 
-    columns = [f"Top-{k}" for k in ks]
+    columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)
     metrics.write_metric_csv(out, columns, rows)
     table = metrics.format_table(columns, [label for label, _ in methods], mean_rows)

@@ -10,9 +10,10 @@ the LETOR format are converted at this boundary only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +32,21 @@ __all__ = [
 ]
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+def _checked(rows: Iterable, path: Path) -> Iterator:
+    """Iterate ``rows``, reporting undecodable text and CSV syntax errors as DataError."""
+    try:
+        yield from rows
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _is_grade(value: float) -> bool:
+    """Relevance grades are finite and non-negative."""
+    return 0.0 <= value < math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +98,12 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
     order: list[str] = []
     filled = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_checked(fh, path), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            if "\x00" in line:
+                raise DataError(f"{path} line {lineno}: line contains NUL")
             tokens = line.split()
             if len(tokens) < 2 or not tokens[1].startswith("qid:"):
                 raise DataError(f"{path} line {lineno}: expected '<rel> qid:<id> ...'")
@@ -95,6 +111,9 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
                 rel = float(tokens[0])
             except ValueError:
                 raise DataError(f"{path} line {lineno}: bad relevance {tokens[0]!r}") from None
+            if not _is_grade(rel):
+                raise DataError(f"{path} line {lineno}: relevance must be finite and "
+                                f"non-negative, got {tokens[0]!r}")
             qid = tokens[1][len("qid:"):]
             if not qid:
                 raise DataError(f"{path} line {lineno}: empty qid")
@@ -115,6 +134,8 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
                 features[idx] = val
             if not features:
                 raise DataError(f"{path} line {lineno}: no features")
+            if not all(map(math.isfinite, features.values())):
+                raise DataError(f"{path} line {lineno}: scores must be finite")
             if strict and sorted(features) != list(range(1, len(features) + 1)):
                 missing = sorted(set(range(1, max(features) + 1)) - set(features))
                 raise DataError(f"{path} line {lineno}: missing feature index "
@@ -180,9 +201,9 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        rows_in = _checked(csv.reader(fh), path)
         try:
-            header = next(reader)
+            header = next(rows_in)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -197,7 +218,7 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
         rows: dict[str, dict[int, tuple[list[float], float | None]]] = {}
         order: list[str] = []
         filled = False
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows_in, start=2):
             if not row:
                 continue
             if len(row) != len(header):
@@ -221,12 +242,17 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
                     values.append(float(cell))
                 except ValueError:
                     raise DataError(f"{path} line {lineno}: bad number {cell!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path} line {lineno}: scores must be finite")
             rel_value: float | None = None
             if with_relevance:
                 try:
                     rel_value = float(row[-1])
                 except ValueError:
                     raise DataError(f"{path} line {lineno}: bad relevance {row[-1]!r}") from None
+                if not _is_grade(rel_value):
+                    raise DataError(f"{path} line {lineno}: relevance must be finite and "
+                                    f"non-negative, got {row[-1]!r}")
             if qid not in rows:
                 rows[qid] = {}
                 order.append(qid)

@@ -8,9 +8,10 @@ score lists.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
     sigmoid_gain,
     weighted_average_scores,
 )
+from .io import DataError
 from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
 
 __all__ = [
@@ -230,28 +232,46 @@ def save_linear(model: LinearModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_kv_document(text: str, path: str | Path) -> dict[str, str]:
+@contextlib.contextmanager
+def _model_file_errors(path: str | Path) -> Iterator[None]:
+    """Report a missing key or a bad value in a model file as a DataError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_model_fields(path: str | Path, model_format: str) -> dict[str, str]:
+    """``key: value`` fields of a model file that declares ``model_format``."""
     fields: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise ValueError(f"{path}: malformed model line {line!r}")
+            raise ValueError(f"malformed model line {line!r}")
         fields[key.strip()] = value.strip()
+    if fields.get("format") != model_format:
+        raise ValueError(f"not a {model_format} model file")
     return fields
 
 
+def _parse_floats(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.split()], dtype=np.float64)
+
+
 def load_linear(path: str | Path) -> LinearModel:
-    fields = _parse_kv_document(Path(path).read_text(encoding="utf-8"), path)
-    if fields.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-    k = int(fields["k"])
-    gain = gain_from_spec(fields["gain"])
-    hyper = LinearHyper(mu=float(fields["mu"]), lam=float(fields["lam"]),
-                        epochs=int(fields["epochs"]))
-    w = np.array([float(tok) for tok in fields["w"].split()], dtype=np.float64)
-    if w.size != k:
-        raise ValueError(f"{path}: expected {k} weights, found {w.size}")
-    return LinearModel(SimplexWeights(w), gain, hyper)
+    """Read a model file; any malformed content raises DataError."""
+    with _model_file_errors(path):
+        fields = _read_model_fields(path, MODEL_FORMAT)
+        k = int(fields["k"])
+        gain = gain_from_spec(fields["gain"])
+        hyper = LinearHyper(mu=float(fields["mu"]), lam=float(fields["lam"]),
+                            epochs=int(fields["epochs"]))
+        w = _parse_floats(fields["w"])
+        if w.size != k:
+            raise ValueError(f"expected {k} weights, found {w.size}")
+        return LinearModel(SimplexWeights(w), gain, hyper)

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import (
     ConcaveGain,
@@ -30,11 +29,13 @@ from .core import (
 __all__ = [
     "RelevanceJudgments",
     "ndcg_at_k",
+    "ndcg_table",
     "ndcg_loss",
     "roc_auc",
     "error_rate",
     "baseline_average",
     "baseline_borda",
+    "borda_points",
     "write_metric_csv",
     "format_table",
 ]
@@ -92,6 +93,55 @@ def ndcg_at_k(sigma: Ranking, rel, k: int, discount: ConcaveGain) -> float:
     return float(judgments.r[sigma.order[:k]] @ d) / ideal
 
 
+def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
+               topk: int, discount: ConcaveGain) -> np.ndarray:
+    """NDCG@1..topk of many queries, each ranked by its own score vector.
+
+    Returns a (Q, topk) array whose entry (q, k-1) equals, bit for bit,
+    ``ndcg_at_k(ranking_from_scores(scores[q]), relevance[q], min(k, N_q),
+    discount)``; queries without relevant candidates score 0 (the LETOR
+    tooling convention). All queries are ranked by one stable argsort over
+    a padded (Q, width) block whose padding sorts last.
+    """
+    sizes = np.array([len(x) for x in scores], dtype=np.int64)
+    if sizes.size == 0 or sizes.min() < 1 or [len(r) for r in relevance] != sizes.tolist():
+        raise ValueError("need non-empty score vectors, each with relevance of equal length")
+    if topk < 1:
+        raise ValueError("topk must be >= 1")
+    if discount.capacity < min(topk, int(sizes.max())):
+        raise ValueError(f"discount covers {discount.capacity} positions, "
+                         f"need {min(topk, int(sizes.max()))}")
+    flat_scores = np.concatenate(scores).astype(np.float64, copy=False)
+    flat_rel = np.concatenate(relevance).astype(np.float64, copy=False)
+    if not np.all(np.isfinite(flat_scores)):
+        raise ValueError("scores must be finite")
+    if not np.all((flat_rel >= 0.0) & (flat_rel < np.inf)):
+        raise ValueError("relevance grades must be finite and non-negative")
+
+    filled = np.arange(max(int(sizes.max()), topk)) < sizes[:, np.newaxis]
+    negated = np.full(filled.shape, np.inf)
+    negated[filled] = -flat_scores
+    # copied so the full (Q, width) order block is freed at once
+    top = np.argsort(negated, axis=1, kind="stable")[:, :topk].copy()
+    rel = np.zeros(filled.shape)
+    rel[filled] = flat_rel
+    gains = np.take_along_axis(rel, top, axis=1)
+    rel.sort(axis=1)
+    d = np.zeros(topk)
+    d[:min(topk, discount.capacity)] = discount.increments[:topk]
+    # ndcg_at_k's numerator is a contiguous dot that BLAS may round with fused
+    # multiply-adds, which cumsum does not reproduce, so each prefix goes through
+    # the same dot kernel (matmul of 1 x k by k x 1). Its ideal is a strided dot
+    # that numpy adds left to right, exactly as cumsum does.
+    dcg = np.stack([np.matmul(gains[:, np.newaxis, :k], d[:k, np.newaxis])[:, 0, 0]
+                    for k in range(1, topk + 1)], axis=1)
+    ideal = np.cumsum(rel[:, ::-1][:, :topk] * d, axis=1)
+    ndcg = np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal > 0.0)
+    # NDCG@k of a query with N < k candidates is its NDCG@N
+    depth = np.minimum(np.arange(topk), sizes[:, np.newaxis] - 1)
+    return np.take_along_axis(ndcg, depth, axis=1)
+
+
 def ndcg_loss(sigma: Ranking, rel, discount: ConcaveGain) -> float:
     """Full-list NDCG loss 1 - NDCG(sigma); in [0, 1]."""
     return 1.0 - ndcg_at_k(sigma, rel, sigma.n, discount)
@@ -114,9 +164,21 @@ def roc_auc(scores: ScoreList | Sequence[float] | np.ndarray, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     pos_rank_sum = float(np.sum(ranks[y == 1]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks in ascending order; tied values share their mean rank."""
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size, dtype=np.float64)
+    # positions start+1..end share the rank (start + 1 + end) / 2
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def error_rate(predicted: Sequence[int], truth: Sequence[int]) -> float:
@@ -139,11 +201,15 @@ def baseline_borda(q: QueryInstance) -> Ranking:
     Every list votes through its own sorted order (ties by lower index);
     candidates are ranked by total points, ties again by lower index.
     """
-    points = np.zeros(q.n, dtype=np.float64)
-    for x in q.lists:
-        order = ranking_from_scores(x).order
-        points[order] += np.arange(q.n - 1, -1, -1, dtype=np.float64)
-    return ranking_from_scores(points)
+    return ranking_from_scores(borda_points(q))
+
+
+def borda_points(q: QueryInstance) -> np.ndarray:
+    """Total Borda points per candidate; see :func:`baseline_borda`."""
+    orders = np.argsort(-q.matrix, axis=1, kind="stable")
+    points = np.empty(q.matrix.shape)
+    np.put_along_axis(points, orders, np.arange(q.n - 1, -1, -1, dtype=np.float64), axis=1)
+    return points.sum(axis=0)
 
 
 def write_metric_csv(path: str | Path, metric_columns: Sequence[str],

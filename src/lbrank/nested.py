@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     ConcaveGain,
@@ -31,9 +30,11 @@ from .core import (
 from .linear import (
     EARLY_STOP_TOL,
     TrainingLog,
-    _parse_kv_document,
+    _model_file_errors,
+    _parse_floats,
     _queries,
     _query_cfg,
+    _read_model_fields,
     multiplicative_simplex_update,
 )
 from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
@@ -75,23 +76,28 @@ def _identity_deriv(t):
     return np.ones_like(np.asarray(t, dtype=np.float64))
 
 
+def _half_tanh(t):
+    return np.tanh(0.5 * np.asarray(t, dtype=np.float64))
+
+
 def _logistic(t):
-    return expit(np.asarray(t, dtype=np.float64))
+    # sigma(t) = (1 + tanh(t/2)) / 2; tanh saturates instead of overflowing
+    return 0.5 + 0.5 * _half_tanh(t)
 
 
 def _logistic_deriv(t):
-    s = expit(np.asarray(t, dtype=np.float64))
-    return s * (1.0 - s)
+    h = _half_tanh(t)
+    return 0.25 * (1.0 - h * h)
 
 
 def _shifted_logistic(t):
     # 2 sigma(t) - 1 = tanh(t/2); increasing, concave for t >= 0, zero at zero
-    return 2.0 * expit(np.asarray(t, dtype=np.float64)) - 1.0
+    return _half_tanh(t)
 
 
 def _shifted_logistic_deriv(t):
-    s = expit(np.asarray(t, dtype=np.float64))
-    return 2.0 * s * (1.0 - s)
+    h = _half_tanh(t)
+    return 0.5 * (1.0 - h * h)
 
 
 _ACTIVATIONS = {
@@ -414,21 +420,21 @@ def save_nested(model: NestedModel, path: str | Path) -> None:
 
 
 def load_nested(path: str | Path) -> NestedModel:
-    fields = _parse_kv_document(Path(path).read_text(encoding="utf-8"), path)
-    if fields.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-    k1 = int(fields["k1"])
-    k2 = int(fields["k2"])
-    hyper = NestedHyper(mu=float(fields["mu"]), lam1=float(fields["lam1"]),
-                        lam2=float(fields["lam2"]), epochs=int(fields["epochs"]),
-                        k2=k2, init_jitter=float(fields["init_jitter"]),
-                        sampling=fields["sampling"])
-    w2 = np.array([float(tok) for tok in fields["w2"].split()])
-    w1 = np.empty((k2, k1), dtype=np.float64)
-    for i in range(k2):
-        row = np.array([float(tok) for tok in fields[f"w1[{i}]"].split()])
-        if row.size != k1:
-            raise ValueError(f"{path}: W1 row {i} has {row.size} entries, expected {k1}")
-        w1[i] = row
-    return NestedModel(w1, SimplexWeights(w2), gain_from_spec(fields["gain"]),
-                       Activation(fields["phi1"]), Activation(fields["phi2"]), hyper)
+    """Read a model file; any malformed content raises DataError."""
+    with _model_file_errors(path):
+        fields = _read_model_fields(path, MODEL_FORMAT)
+        k1 = int(fields["k1"])
+        k2 = int(fields["k2"])
+        hyper = NestedHyper(mu=float(fields["mu"]), lam1=float(fields["lam1"]),
+                            lam2=float(fields["lam2"]), epochs=int(fields["epochs"]),
+                            k2=k2, init_jitter=float(fields["init_jitter"]),
+                            sampling=fields["sampling"])
+        w2 = _parse_floats(fields["w2"])
+        if w2.size != k2:
+            raise ValueError(f"expected {k2} W2 weights, found {w2.size}")
+        rows = [_parse_floats(fields[f"w1[{i}]"]) for i in range(k2)]
+        for i, row in enumerate(rows):
+            if row.size != k1:
+                raise ValueError(f"W1 row {i} has {row.size} entries, expected {k1}")
+        return NestedModel(np.stack(rows), SimplexWeights(w2), gain_from_spec(fields["gain"]),
+                           Activation(fields["phi1"]), Activation(fields["phi2"]), hyper)

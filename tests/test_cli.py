@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import lbrank
 from lbrank import cli
 from lbrank.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from lbrank.core import SimplexWeights, sigmoid_gain
-from lbrank.io import synth_planted, write_scores_csv
+from lbrank.io import synth_planted, write_letor, write_scores_csv
 from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
+from lbrank.nested import NestedHyper, init_nested, save_nested
 
 
 @pytest.fixture
@@ -49,6 +59,21 @@ class TestConfigHandling:
         code = run("train", "--data", synth_csv, "--out", tmp_path / "m.txt",
                    "--mu", "abc")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--gain", "--phi", "--sampling"])
+    def test_unknown_choice_is_usage_error(self, tmp_path, synth_csv, flag):
+        code = run("train", "--data", synth_csv, "--out", tmp_path / "m.txt",
+                   flag, "bogus")
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_gain_shorter_than_the_data_is_usage_error(self, tmp_path, synth_csv):
+        assert run("train", "--data", synth_csv, "--out", tmp_path / "m.txt",
+                   "--gain", "sigmoid:3") == EXIT_USAGE
+        assert run("eval", "--data", synth_csv, "--out", tmp_path / "r.csv",
+                   "--gain", "sigmoid:3", "--topk", 4) == EXIT_USAGE
+        assert run("eval", "--data", synth_csv, "--out", tmp_path / "r.csv",
+                   "--gain", "sigmoid:3", "--topk", 3) == EXIT_OK
 
 
 class TestTrain:
@@ -177,6 +202,14 @@ class TestEval:
         code = run("eval", "--data", path, "--out", tmp_path / "r.csv")
         assert code == EXIT_DATA
 
+    def test_thread_count_does_not_change_output(self, tmp_path, synth_csv):
+        model_path = tmp_path / "model.txt"
+        run("train", "--data", synth_csv, "--out", model_path, "--epochs", 1)
+        for threads in (1, 3):
+            assert run("eval", "--data", synth_csv, "--model-file", model_path,
+                       "--out", tmp_path / f"t{threads}.csv", "--threads", threads) == EXIT_OK
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t3.csv").read_bytes()
+
     def test_perfect_rankings_score_one(self, tmp_path):
         # every ranker reproduces the relevance order exactly
         data = tmp_path / "perfect.csv"
@@ -235,3 +268,154 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run("--help") == EXIT_OK
+
+
+def _write_base_files(directory: Path) -> dict[str, Path]:
+    """A small CSV, the same data as LETOR, and one linear and one nested model."""
+    dataset = synth_planted(4, 5, 3, [0.0, 0.6, 1.2], seed=4)
+    paths = {name: directory / name for name in
+             ("data.csv", "data.letor", "linear.txt", "nested.txt")}
+    write_scores_csv(dataset, paths["data.csv"])
+    write_letor(dataset, paths["data.letor"])
+    save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5), LinearHyper()),
+                paths["linear.txt"])
+    save_nested(init_nested(3, NestedHyper(k2=2), sigmoid_gain(5)), paths["nested.txt"])
+    return paths
+
+
+def _replace_line(path: Path, prefix: str, new: str | None) -> None:
+    lines = [new if line.startswith(prefix) else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+
+
+class TestMalformedInputs:
+    """Bad data and model files exit 3, never 4."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return _write_base_files(tmp_path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_csv_score(self, tmp_path, files, value, capsys):
+        _replace_line(files["data.csv"], "q00001,2,", f"q00001,2,0.5,{value},0.1,1.0")
+        assert run("infer", "--data", files["data.csv"], "--baseline", "averaging",
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1.0", "nan", "inf"])
+    def test_bad_csv_relevance(self, tmp_path, files, value):
+        _replace_line(files["data.csv"], "q00001,2,", f"q00001,2,0.5,0.2,0.1,{value}")
+        assert run("eval", "--data", files["data.csv"],
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+
+    @pytest.mark.parametrize("line", ["1 qid:q00000 1:0.5 2:nan 3:0.1",
+                                      "1 qid:q00000 1:0.5 2:-inf 3:0.1",
+                                      "-2 qid:q00000 1:0.5 2:0.2 3:0.1",
+                                      "nan qid:q00000 1:0.5 2:0.2 3:0.1",
+                                      "1 qid:q0\x00 1:0.5 2:0.2 3:0.1"])
+    def test_bad_letor_line(self, tmp_path, files, line, capsys):
+        files["data.letor"].write_text(line + "\n")
+        assert run("eval", "--data", files["data.letor"],
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.letor"])
+    # undecodable bytes, and a field beyond the csv module's size limit
+    @pytest.mark.parametrize("tail", [b"\xff\xfe\n", b'q9,0,"' + b"7" * 200_000 + b'"\n'])
+    def test_unreadable_data(self, tmp_path, files, name, tail):
+        path = files[name]
+        path.write_bytes(path.read_bytes() + tail)
+        assert run("eval", "--data", path, "--out", tmp_path / "r.csv") == EXIT_DATA
+
+    @pytest.mark.parametrize("model, prefix, new", [
+        ("linear.txt", "gain:", None),
+        ("linear.txt", "w:", "w: 0.5 0.5"),
+        ("linear.txt", "w:", "w: 0.5 0.5 0.5"),
+        ("linear.txt", "gain:", "gain: bogus:3"),
+        ("linear.txt", "mu:", "mu: -1"),
+        ("nested.txt", "w1[1]:", None),
+        ("nested.txt", "w2:", "w2: 1.0"),
+        ("nested.txt", "w1[0]:", "w1[0]: 0.5 0.5"),
+        ("nested.txt", "w1[0]:", "w1[0]: 0.5 0.5 0.5"),
+        ("nested.txt", "phi1:", "phi1: relu"),
+        ("nested.txt", "sampling:", "sampling: bogus"),
+        ("nested.txt", "k2:", "k2: many"),
+    ])
+    def test_bad_model_file(self, tmp_path, files, model, prefix, new, capsys):
+        _replace_line(files[model], prefix, new)
+        assert run("infer", "--data", files["data.csv"], "--model-file", files[model],
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_undecodable_model_file(self, tmp_path, files):
+        path = files["nested.txt"]
+        path.write_bytes(path.read_bytes().replace(b"phi1", b"\xff\xfe", 1))
+        assert run("infer", "--data", files["data.csv"], "--model-file", path,
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+
+
+# Bytes the mutations insert. No digits, so a mutated count or capacity can
+# only shrink or stop parsing, never ask for a huge allocation.
+_JUNK = [b"\x00", b"\xff", b",", b":", b"#", b'"', b" ", b"\n", b"-", b"e", b".", b"x"]
+_TOKENS = [b"nan", b"inf", b"-inf", b"-1", b"1e999", b"", b"abc", b"qid:", b"0:1"]
+
+_mutation = st.tuples(st.sampled_from(["delete", "insert", "replace", "token",
+                                       "drop_line", "copy_line"]),
+                      st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, pick in edits:
+        if kind in ("drop_line", "copy_line"):
+            lines = data.split(b"\n")
+            i = at % len(lines)
+            lines[i:i + 1] = [] if kind == "drop_line" else [lines[i], lines[i]]
+            data = b"\n".join(lines)
+            continue
+        if not data:
+            continue
+        i = at % len(data)
+        if kind == "delete":
+            data = data[:i] + data[i + 1:]
+        elif kind == "insert":
+            data = data[:i] + _JUNK[pick % len(_JUNK)] + data[i:]
+        elif kind == "replace":
+            data = data[:i] + _JUNK[pick % len(_JUNK)] + data[i + 1:]
+        else:
+            sep = b"," if pick % 2 else b" "
+            tokens = data.split(sep)
+            tokens[at % len(tokens)] = _TOKENS[pick // 2 % len(_TOKENS)]
+            data = sep.join(tokens)
+    return data
+
+
+class TestFuzzedInputs:
+    @pytest.mark.parametrize("target", ["data.csv", "data.letor", "linear.txt", "nested.txt"])
+    @given(edits=st.lists(_mutation, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_files_never_exit_internal(self, target, edits, capsys):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = _write_base_files(Path(tmp))
+            path = files[target]
+            path.write_bytes(_mutate(path.read_bytes(), edits))
+            out = Path(tmp) / "out.csv"
+            if target.startswith("data"):
+                codes = [run("eval", "--data", path, "--out", out),
+                         run("infer", "--data", path, "--baseline", "averaging", "--out", out)]
+            else:
+                codes = [run("infer", "--data", files["data.csv"], "--model-file", path,
+                             "--out", out)]
+        assert set(codes) <= {EXIT_OK, EXIT_DATA}, capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy_and_no_thread_pool():
+    src = str(Path(lbrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, lbrank.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

@@ -19,10 +19,12 @@ from lbrank.metrics import (
     RelevanceJudgments,
     baseline_average,
     baseline_borda,
+    borda_points,
     error_rate,
     format_table,
     ndcg_at_k,
     ndcg_loss,
+    ndcg_table,
     roc_auc,
     write_metric_csv,
 )
@@ -107,6 +109,57 @@ class TestNdcg:
         assert ndcg_loss(Ranking([1, 0]), rel, discount) == pytest.approx(1 - 0.3 / 0.8)
 
 
+class TestNdcgTable:
+    @staticmethod
+    def per_query(scores, rel, topk, discount):
+        rows = []
+        for x, r in zip(scores, rel):
+            judgments = RelevanceJudgments(r)
+            order = ranking_from_scores(x)
+            rows.append([ndcg_at_k(order, judgments, min(k, x.size), discount)
+                         if judgments.has_relevant() else 0.0
+                         for k in range(1, topk + 1)])
+        return np.array(rows)
+
+    def test_matches_per_query_ndcg_bit_for_bit(self, rng):
+        # ragged N on both sides of topk, ties in scores and grades, and
+        # queries without any relevant candidate
+        sizes = [1, 2, 3, 7, 12, 40, 5, 9]
+        scores = [np.round(rng.normal(size=n), 1) for n in sizes]
+        rel = [rng.integers(0, 4, size=n).astype(float) for n in sizes]
+        rel[2] = np.zeros(3)
+        rel[6] = np.zeros(5)
+        discount = sigmoid_gain(max(sizes))
+        for topk in (1, 4, 10, 45):
+            got = ndcg_table(scores, rel, topk, discount)
+            want = self.per_query(scores, rel, topk, discount)
+            assert got.shape == (len(sizes), topk)
+            np.testing.assert_array_equal(got, want)
+            assert not np.any(got[[2, 6]])
+
+    @given(st.lists(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                             min_size=1, max_size=15), min_size=1, max_size=6),
+           st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_query_ndcg_on_random_queries(self, queries, topk):
+        scores = [np.array([s for s, _ in q], dtype=float) for q in queries]
+        rel = [np.array([r for _, r in q], dtype=float) for q in queries]
+        discount = sigmoid_gain(15)
+        np.testing.assert_array_equal(ndcg_table(scores, rel, topk, discount),
+                                      self.per_query(scores, rel, topk, discount))
+
+    def test_rejects_bad_inputs(self, small_gain):
+        x = [np.array([1.0, 2.0, 3.0])]
+        with pytest.raises(ValueError, match="equal length"):
+            ndcg_table(x, [np.array([1.0, 0.0])], 2, small_gain)
+        with pytest.raises(ValueError, match="non-negative"):
+            ndcg_table(x, [np.array([1.0, -1.0, 0.0])], 2, small_gain)
+        with pytest.raises(ValueError, match="finite"):
+            ndcg_table([np.array([1.0, np.nan, 0.0])], [np.ones(3)], 2, small_gain)
+        with pytest.raises(ValueError, match="discount covers"):
+            ndcg_table([np.arange(5.0)], [np.ones(5)], 4, small_gain)
+
+
 class TestDivergenceLinkage:
     def test_scaled_divergence_equals_ndcg_loss(self, gain6, rng):
         # relevance := scores and discount := gain increments make the
@@ -164,6 +217,15 @@ class TestRocAuc:
         assert roc_auc([v * 3.0 + 7.0 for v in scores], labels) == pytest.approx(base)
         assert roc_auc(np.tanh(np.asarray(scores) / 200.0), labels) == pytest.approx(base)
 
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.booleans()), min_size=2, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tie_averaged_rank_reference(self, pairs):
+        scores = [float(s) for s, _ in pairs]
+        labels = [int(y) for _, y in pairs]
+        if len(set(labels)) < 2:
+            labels[0] = 1 - labels[0]
+        assert roc_auc(scores, labels) == oracles.roc_auc(scores, labels)
+
 
 class TestErrorRate:
     def test_all_correct(self):
@@ -209,9 +271,12 @@ class TestBaselines:
         assert baseline_borda(q).as_tuple() == (0, 1, 2)
 
     def test_borda_matches_point_recount(self, rng):
-        for _ in range(15):
-            q = make_query(rng.normal(size=(3, 6)))
+        for i in range(30):
+            # odd rounds use small integers, so lists tie within themselves
+            matrix = rng.integers(0, 3, size=(3, 6)) if i % 2 else rng.normal(size=(3, 6))
+            q = make_query(matrix)
             points = oracles.borda_points(q.matrix.tolist())
+            np.testing.assert_array_equal(borda_points(q), points)
             assert baseline_borda(q) == ranking_from_scores(points)
 
 

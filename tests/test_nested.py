@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ class TestActivations:
         for t in np.linspace(0.0, 4.0, 9):
             fd = (float(phi(t + 1e-6)) - float(phi(t - 1e-6))) / 2e-6
             assert float(phi.deriv(t)) == pytest.approx(fd, abs=1e-6)
+
+    def test_logistic_matches_reference_within_4_ulp(self):
+        # the shifted logistic is compared on the logistic scale, (1 + phi) / 2,
+        # where its absolute error is measured against the same ulp
+        grid = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-8, 1e-3, 700.0]])
+        want = np.array([oracles.logistic(t) for t in grid])
+        ulp = np.spacing(want)
+        logistic = np.asarray(Activation("logistic")(grid))
+        shifted = np.asarray(Activation("shifted_logistic")(grid))
+        assert np.max(np.abs(logistic - want) / ulp) <= 4.0
+        assert np.max(np.abs(0.5 + 0.5 * shifted - want) / ulp) <= 4.0
+
+    def test_derivatives_match_reference(self):
+        # 1 - tanh^2 cancels for large t, so the error is bounded in absolute
+        # terms: 4 ulp of the slope's maximum (1/4 and 1/2)
+        grid = np.linspace(0.0, 40.0, 4001)
+        slope = np.array([oracles.logistic_slope(t) for t in grid])
+        for name, scale in (("logistic", 1.0), ("shifted_logistic", 2.0)):
+            got = np.asarray(Activation(name).deriv(grid))
+            bound = 4.0 * np.spacing(0.25 * scale)
+            assert np.max(np.abs(got - scale * slope)) <= bound
+
+    @pytest.mark.parametrize("name", ["logistic", "shifted_logistic"])
+    def test_saturates_without_warnings(self, name):
+        phi = Activation(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.asarray(phi(np.array([-800.0, 800.0])))
+            slopes = np.asarray(phi.deriv(np.array([-800.0, 800.0])))
+        low = 0.0 if name == "logistic" else -1.0
+        np.testing.assert_array_equal(values, [low, 1.0])
+        np.testing.assert_array_equal(slopes, [0.0, 0.0])
 
     @pytest.mark.parametrize("name", ["logistic", "shifted_logistic"])
     def test_increasing_and_concave_on_nonnegatives(self, name):
