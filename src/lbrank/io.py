@@ -350,10 +350,14 @@ def normalize_minmax(q: QueryInstance) -> QueryInstance:
     """
     normalized = []
     for x in q.lists:
-        low = float(x.scores.min())
-        high = float(x.scores.max())
+        scores = x.scores
+        low = float(scores.min())
+        high = float(scores.max())
         if high == low:
             normalized.append(ScoreList(np.full(q.n, 0.5)))
-        else:
-            normalized.append(ScoreList((x.scores - low) / (high - low)))
+            continue
+        if not math.isfinite(high - low):
+            # a span past the float range (say -1e308 to 1e308) is taken at half scale
+            scores, low, high = 0.5 * scores, 0.5 * low, 0.5 * high
+        normalized.append(ScoreList((scores - low) / (high - low)))
     return q.with_lists(normalized)

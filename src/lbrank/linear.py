@@ -97,7 +97,8 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     multiplicative). The max exponent over the mass-carrying coordinates is
     subtracted before exponentiation; that leaves the normalized result
     unchanged but guarantees the denominator stays positive for any finite
-    gradient (the best active coordinate contributes w_i * exp(0)).
+    gradient (the best active coordinate contributes w_i * exp(0)). Given a
+    matrix, every row is updated on its own simplex.
     """
     w = np.asarray(w, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -107,9 +108,12 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
         raise ValueError("gradient must be finite")
     active = w > 0.0
     t = -mu * grad
+    top = np.max(t, axis=-1, keepdims=True, where=active, initial=-np.inf)
     scaled = np.zeros_like(w)
-    scaled[active] = w[active] * np.exp(t[active] - t[active].max())
-    return scaled / scaled.sum()
+    np.subtract(t, top, out=scaled, where=active)
+    np.exp(scaled, out=scaled, where=active)
+    scaled *= w
+    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 def update_weights(model: LinearModel, grad: np.ndarray) -> LinearModel:

@@ -258,11 +258,11 @@ def per_list_expectation(model: NestedModel, q: QueryInstance,
     """
     if q.k != model.k1:
         raise ValueError(f"query has K={q.k}, model has K1={model.k1}")
+    rows = np.empty((model.k2, model.k1), dtype=np.float64)
     if model.hyper.sampling == "aggregate":
         ctx = EnergyContext.from_query(q, aggregate_weights(model), model.gain)
-        v = expected_divergences(ctx, _query_cfg(cfg, q.query_id), backend)
-        return np.broadcast_to(v, (model.k2, model.k1)).copy()
-    rows = np.empty((model.k2, model.k1), dtype=np.float64)
+        rows[:] = expected_divergences(ctx, _query_cfg(cfg, q.query_id), backend)
+        return rows
     for i in range(model.k2):
         ctx = EnergyContext.from_query(q, model.w1[i], model.gain)
         unit_cfg = replace(cfg, rng_seed=chain_seed(cfg.rng_seed,
@@ -292,11 +292,7 @@ def update_w1(model: NestedModel, grad1: np.ndarray) -> NestedModel:
     grad1 = np.asarray(grad1, dtype=np.float64)
     if grad1.shape != model.w1.shape:
         raise ValueError("gradient shape does not match W1")
-    new_rows = np.stack([
-        multiplicative_simplex_update(model.w1[i], grad1[i], model.hyper.mu)
-        for i in range(model.k2)
-    ])
-    return replace(model, w1=new_rows)
+    return replace(model, w1=multiplicative_simplex_update(model.w1, grad1, model.hyper.mu))
 
 
 def output_preactivation(model: NestedModel, delta1_next: np.ndarray) -> float:

@@ -8,7 +8,9 @@ distinct positions (symmetric, full support), so the plain Metropolis
 ratio is the correct acceptance ratio.
 
 An exact enumeration backend over all N! rankings backs the sampler for
-small N; trainers accept either backend.
+small N; trainers accept either backend. Both backends produce one mean
+h-vector ``hbar = E[h_pi]``, from which every list's expected divergence
+follows as ``E[d(x_i || pi)] = sorted_i . delta - x_i . hbar``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, Ranking, ScoreList, SimplexWeights, QueryInstance
+from .core import ConcaveGain, Ranking, SimplexWeights, QueryInstance
 
 __all__ = [
     "ACCEPTANCE_RULES",
@@ -86,40 +88,30 @@ class ChainConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnergyContext:
-    """One query's score lists, effective weights and gain, preprocessed.
+    """One query's K x N score matrix, effective weights and gain, preprocessed.
 
     Precomputes per-list descending sorts and the weighted mean score
-    vector so that chain steps touch O(1) values and full energies are a
-    single dot product.
+    vector ``ybar`` so that chain steps touch O(1) values and expectations
+    are a few matrix-vector products. ``matrix`` is the read-only matrix
+    of a validated :class:`QueryInstance`; it is not copied or re-checked.
     """
 
-    lists: tuple[ScoreList, ...]
+    matrix: np.ndarray
     weights: SimplexWeights
     gain: ConcaveGain
 
     def __post_init__(self) -> None:
-        lists = tuple(self.lists)
-        if not lists:
-            raise ValueError("energy context requires at least one score list")
-        n = lists[0].n
-        if any(x.n != n for x in lists):
-            raise ValueError("score lists disagree on length")
-        if self.weights.k != len(lists):
-            raise ValueError(f"{self.weights.k} weights for {len(lists)} lists")
+        k, n = self.matrix.shape
+        if self.weights.k != k:
+            raise ValueError(f"{self.weights.k} weights for {k} lists")
         if self.gain.capacity < n:
             raise ValueError(f"gain covers {self.gain.capacity} positions, need {n}")
-        object.__setattr__(self, "lists", lists)
-        matrix = np.stack([x.scores for x in lists])
-        matrix.setflags(write=False)
-        sorted_desc = np.sort(matrix, axis=1)[:, ::-1].copy()
+        sorted_desc = np.sort(self.matrix, axis=1)[:, ::-1]
         sorted_desc.setflags(write=False)
-        delta = self.gain.increments[:n].copy()
-        delta.setflags(write=False)
-        ybar = self.weights.w @ matrix
+        ybar = self.weights.w @ self.matrix
         ybar.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_sorted", sorted_desc)
-        object.__setattr__(self, "_delta", delta)
+        object.__setattr__(self, "_delta", self.gain.increments[:n])
         object.__setattr__(self, "_ybar", ybar)
 
     @classmethod
@@ -128,22 +120,22 @@ class EnergyContext:
                    gain: ConcaveGain) -> "EnergyContext":
         if not isinstance(weights, SimplexWeights):
             weights = SimplexWeights(np.asarray(weights, dtype=np.float64))
-        return cls(q.lists, weights, gain)
+        return cls(q.matrix, weights, gain)
 
     @property
     def k(self) -> int:
-        return len(self.lists)
+        return int(self.matrix.shape[0])
 
     @property
     def n(self) -> int:
-        return self.lists[0].n
+        return int(self.matrix.shape[1])
 
 
 def per_list_divergences(ctx: EnergyContext, pi: Ranking) -> np.ndarray:
     """d(x_i || pi) for every list of the context (exact zero at each sort)."""
     if pi.n != ctx.n:
         raise ValueError(f"ranking has {pi.n} positions, context has {ctx.n}")
-    return (ctx._sorted - ctx._matrix[:, pi.order]) @ ctx._delta
+    return (ctx._sorted - ctx.matrix[:, pi.order]) @ ctx._delta
 
 
 def energy(ctx: EnergyContext, pi: Ranking) -> float:
@@ -168,7 +160,9 @@ def _chain_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     near-mode state). Each step proposes swapping two distinct positions;
     the energy change of a swap is (delta_a - delta_b) * (y_b - y_a), so
     steps cost O(1). Rejected proposals leave the state in place and the
-    repeated state is retained as usual.
+    repeated state is retained as usual. The proposals, their gain gaps
+    and which steps are retained are computed with numpy per draw block;
+    only the accept/swap walk runs in Python.
     """
     n = ctx.n
     m = cfg.num_samples
@@ -178,27 +172,30 @@ def _chain_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.rng_seed)
     state: list[int] = np.argsort(-ctx._ybar, kind="stable").tolist()
     y = ctx._ybar.tolist()
-    delta = ctx._delta.tolist()
+    delta = ctx._delta
     literal = cfg.acceptance_rule == "paper_literal"
     literal_cut = math.log(0.9)
     exp = math.exp
 
     total = cfg.burn_in + m * cfg.thinning
-    out = np.empty((m, n), dtype=np.int64)
-    taken = 0
+    kept_states: list[int] = []  # the retained states, concatenated
     done = 0
     block = 8192
     while done < total:
         size = min(block, total - done)
-        pos_a = rng.integers(0, n, size=size).tolist()
-        pos_b = rng.integers(0, n - 1, size=size).tolist()
+        pos_a = rng.integers(0, n, size=size)
+        pos_b = rng.integers(0, n - 1, size=size)
         uniforms = rng.random(size).tolist()
-        for a, b, u in zip(pos_a, pos_b, uniforms):
-            if b >= a:
-                b += 1
+        pos_b += pos_b >= pos_a
+        gaps = (delta[pos_a] - delta[pos_b]).tolist()
+        # step done + j + 1 is retained when it lies past burn-in on the thinning grid
+        past = np.arange(done + 1 - cfg.burn_in, done + size + 1 - cfg.burn_in)
+        keep = ((past > 0) & (past % cfg.thinning == 0)).tolist()
+        for a, b, gap, u, kept in zip(pos_a.tolist(), pos_b.tolist(), gaps,
+                                      uniforms, keep):
             ca = state[a]
             cb = state[b]
-            log_alpha = (delta[a] - delta[b]) * (y[cb] - y[ca])
+            log_alpha = gap * (y[cb] - y[ca])
             if literal:
                 accept = log_alpha > literal_cut and u < 0.9
             else:
@@ -206,12 +203,10 @@ def _chain_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
             if accept:
                 state[a] = cb
                 state[b] = ca
-            done += 1
-            if done > cfg.burn_in and (done - cfg.burn_in) % cfg.thinning == 0:
-                out[taken] = state
-                taken += 1
-    assert taken == m
-    return out
+            if kept:
+                kept_states += state
+        done += size
+    return np.array(kept_states, dtype=np.int64).reshape(m, n)
 
 
 def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
@@ -219,18 +214,31 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     return _chain_orders(ctx, cfg)
 
 
+def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:
+    """E[d(x_i || pi)] of every list i from the mean h-vector ``hbar = E[h_pi]``.
+
+    d(x_i || pi) = sorted_i . delta - x_i . h_pi is linear in h_pi, so its
+    expectation needs only ``hbar``. Both terms are taken relative to the
+    list minimum ``low_i``: the divergence is unchanged by adding a
+    constant to a list, and a constant list gives exactly 0.0.
+    """
+    low = ctx._sorted[:, -1:]
+    return (ctx._sorted - low) @ ctx._delta - (ctx.matrix - low) @ hbar
+
+
 def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     """Chain estimate of E[d(x_i || pi)] for every list i.
 
-    Averages the per-list divergences over the M retained states.
+    Averages the h-vectors of the M retained states into one mean h-vector
+    (``h_pi[pi[p]] = delta[p]``) and reads every list's expectation off it.
     Deterministic given the config seed.
     """
     orders = _chain_orders(ctx, cfg)
-    v = np.empty(ctx.k, dtype=np.float64)
-    for i in range(ctx.k):
-        diffs = ctx._sorted[i][np.newaxis, :] - ctx._matrix[i][orders]
-        v[i] = float(np.mean(diffs @ ctx._delta))
-    return v
+    m, n = orders.shape
+    gains = np.empty((m, n))
+    gains[:] = ctx._delta  # row r holds the gain at every position of state r
+    hbar = np.bincount(orders.ravel(), weights=gains.ravel(), minlength=n) / m
+    return _from_mean_h(ctx, hbar)
 
 
 def _all_orders(n: int) -> np.ndarray:
@@ -239,36 +247,33 @@ def _all_orders(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def _divergence_table(ctx: EnergyContext, orders: np.ndarray) -> np.ndarray:
-    """(num_orders, K) table of d(x_i || pi) for every enumerated pi."""
-    table = np.empty((orders.shape[0], ctx.k), dtype=np.float64)
-    for i in range(ctx.k):
-        diffs = ctx._sorted[i][np.newaxis, :] - ctx._matrix[i][orders]
-        table[:, i] = diffs @ ctx._delta
-    return table
+def _exact_law(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All N! orders, their (N!, N) h-vectors and their exact probabilities.
+
+    The energy is E(pi) = const - ybar . h_pi, so probabilities are
+    exp(ybar . h_pi) normalized over the full enumeration, with the
+    maximum exponent subtracted first for stability. ``ybar`` is taken
+    relative to its minimum; every h-vector sums to g(N), so that shift
+    cancels.
+    """
+    orders = _all_orders(ctx.n)
+    h = ctx._delta[np.argsort(orders, axis=1)]
+    logits = h @ (ctx._ybar - ctx._ybar.min())
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    return orders, h, probs
 
 
 def exact_distribution(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray]:
-    """All N! orders with their exact target probabilities.
-
-    Probabilities are exp(-E) normalized over the full enumeration, with
-    the minimum energy subtracted before exponentiation for stability.
-    """
-    orders = _all_orders(ctx.n)
-    energies = _divergence_table(ctx, orders) @ ctx.weights.w
-    probs = np.exp(-(energies - energies.min()))
-    probs /= probs.sum()
+    """All N! orders with their exact target probabilities."""
+    orders, _, probs = _exact_law(ctx)
     return orders, probs
 
 
 def exact_expectation(ctx: EnergyContext) -> np.ndarray:
     """E[d(x_i || pi)] for every list i by full enumeration (N <= 8)."""
-    orders = _all_orders(ctx.n)
-    table = _divergence_table(ctx, orders)
-    energies = table @ ctx.weights.w
-    probs = np.exp(-(energies - energies.min()))
-    probs /= probs.sum()
-    return probs @ table
+    _, h, probs = _exact_law(ctx)
+    return _from_mean_h(ctx, probs @ h)
 
 
 def expected_divergences(ctx: EnergyContext, cfg: ChainConfig,

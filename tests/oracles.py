@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's code paths: sorting uses
 plain Python tuples, set functions are evaluated through explicit chain
-sets, and sums use math.fsum. Slow but trustworthy for small N.
+sets, and sums use math.fsum. Slow but trustworthy for small N. The chain
+stepper and the row update keep the one-value-at-a-time form of what the
+library now computes in bulk, so results can be compared exactly.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 
 def sorted_order(scores: Sequence[float]) -> tuple[int, ...]:
@@ -144,3 +148,71 @@ def logistic_slope(t: float) -> float:
     """Derivative exp(-|t|) / (1 + exp(-|t|))^2 of the logistic, without cancellation."""
     e = math.exp(-abs(t))
     return e / ((1.0 + e) * (1.0 + e))
+
+
+def per_list_expectation(matrix: Sequence[Sequence[float]],
+                         orders: Sequence[Sequence[int]],
+                         increments: Sequence[float]) -> list[float]:
+    """Mean of d(x_i || order) over the given states, one value per list.
+
+    Each state's divergence is summed position by position from the sorted
+    scores, with no h-vectors involved.
+    """
+    out = []
+    for row in matrix:
+        top = sorted(row, reverse=True)
+        divs = [math.fsum(increments[p] * (top[p] - row[order[p]])
+                          for p in range(len(order)))
+                for order in orders]
+        out.append(math.fsum(divs) / len(divs))
+    return out
+
+
+def chain_orders(ybar: Sequence[float], increments: Sequence[float],
+                 num_samples: int, burn_in: int, thinning: int,
+                 acceptance_rule: str, seed: int) -> list[list[int]]:
+    """Retained states of the transposition chain, one scalar step at a time.
+
+    The draw order is the sampler's contract: per block of at most 8192
+    steps, ``a`` uniform over N positions, then ``b`` over N - 1 (shifted
+    past ``a``), then the uniforms, all from ``default_rng(seed)``. The walk
+    starts at the stable descending sort of ``ybar``.
+    """
+    n = len(ybar)
+    if n == 1:
+        return [[0]] * num_samples
+    rng = np.random.default_rng(seed)
+    state = sorted(range(n), key=lambda j: (-ybar[j], j))
+    total = burn_in + num_samples * thinning
+    kept: list[list[int]] = []
+    done = 0
+    while done < total:
+        size = min(8192, total - done)
+        pos_a = rng.integers(0, n, size=size).tolist()
+        pos_b = rng.integers(0, n - 1, size=size).tolist()
+        uniforms = rng.random(size).tolist()
+        for a, b, u in zip(pos_a, pos_b, uniforms):
+            if b >= a:
+                b += 1
+            ca, cb = state[a], state[b]
+            log_alpha = (increments[a] - increments[b]) * (ybar[cb] - ybar[ca])
+            if acceptance_rule == "paper_literal":
+                accept = log_alpha > math.log(0.9) and u < 0.9
+            else:
+                accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
+            if accept:
+                state[a], state[b] = cb, ca
+            done += 1
+            if done > burn_in and (done - burn_in) % thinning == 0:
+                kept.append(list(state))
+    return kept
+
+
+def simplex_update_row(w, grad, mu: float):
+    """One multiplicative simplex step on a single weight vector."""
+    w = np.asarray(w, dtype=np.float64)
+    active = w > 0.0
+    t = -mu * np.asarray(grad, dtype=np.float64)
+    scaled = np.zeros_like(w)
+    scaled[active] = w[active] * np.exp(t[active] - t[active].max())
+    return scaled / scaled.sum()

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,31 @@ class TestTrain:
         monkeypatch.setattr(cli.linear, "train", boom)
         code = run("train", "--data", synth_csv, "--out", tmp_path / "m.txt")
         assert code == EXIT_INTERNAL
+
+
+class TestNormalize:
+    def test_spans_past_the_float_range_map_onto_unit_interval(self, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("query_id,candidate_id,ranker_0,ranker_1,relevance\n"
+                        "q1,0,1e308,0.5,2\n"
+                        "q1,1,-1e308,0.2,0\n"
+                        "q1,2,3.0,0.9,1\n"
+                        "q2,0,-1.7e308,1.0,1\n"
+                        "q2,1,1.7e308,0.0,0\n")
+        rankings = tmp_path / "rankings.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--data", data, "--out", tmp_path / "m.txt",
+                       "--normalize", "true", "--epochs", 2) == EXIT_OK
+            assert run("eval", "--data", data, "--out", tmp_path / "eval.csv",
+                       "--normalize", "true", "--topk", 2) == EXIT_OK
+            assert run("infer", "--data", data, "--baseline", "averaging",
+                       "--out", rankings, "--normalize", "true") == EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        scores = [float(line.split(",")[3])
+                  for line in rankings.read_text().splitlines()[1:]]
+        assert len(scores) == 5
+        assert all(0.0 <= value <= 1.0 for value in scores)
 
 
 class TestInfer:

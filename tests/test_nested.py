@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lbrank.core import QueryInstance, SimplexWeights, ranking_from_scores, sigmoid_gain
-from lbrank.linear import LinearHyper
+from lbrank.linear import LinearHyper, multiplicative_simplex_update
 from lbrank.linear import train as train_linear
 from lbrank.metrics import baseline_average
 from lbrank.nested import (
@@ -180,6 +180,25 @@ class TestForwardPieces:
         e = math.exp(-0.1)
         np.testing.assert_allclose(out.w1[0], [e / (1 + e), 1 / (1 + e)], atol=1e-15)
         np.testing.assert_array_equal(out.w1[1], [1.0, 0.0])  # one-hot stays
+
+    def test_update_w1_equals_row_by_row_update(self, gain6, rng):
+        w1 = [[0.2, 0.3, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0],
+              [0.25, 0.25, 0.25, 0.25], [0.1, 0.0, 0.6, 0.3]]
+        model = simple_model(w1, [0.25] * 4, gain6, k2=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-3, 1.0, 1e3, 1e6, 1e300):
+                grad = rng.normal(size=(4, 4)) * scale
+                got = update_w1(model, grad).w1
+                rows = [multiplicative_simplex_update(model.w1[i], grad[i], model.hyper.mu)
+                        for i in range(4)]
+                np.testing.assert_array_equal(got, np.stack(rows))
+                np.testing.assert_array_equal(got, np.stack([
+                    oracles.simplex_update_row(model.w1[i], grad[i], model.hyper.mu)
+                    for i in range(4)]))
+        grad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            update_w1(model, grad)
 
     def test_constant_grad_keeps_rows(self, gain6):
         model = simple_model([[0.25, 0.75]], [1.0], gain6, k2=1)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lbrank.core import ConcaveGain, QueryInstance, Ranking, SimplexWeights
+from lbrank.core import ConcaveGain, QueryInstance, Ranking, SimplexWeights, sigmoid_gain
 from lbrank.sampler import (
+    ACCEPTANCE_RULES,
     ChainConfig,
     EnergyContext,
     acceptance_ratio,
@@ -154,6 +157,53 @@ class TestChain:
         empirical = np.array([counts[k] for k in keys], dtype=float) / len(chain)
         tv = 0.5 * float(np.abs(empirical - probs).sum())
         assert tv <= 0.1
+
+
+@st.composite
+def score_cases(draw):
+    """K in 1..4 lists over N in 1..8 candidates, often tied, sometimes constant."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.integers(-2, 2).map(float),
+                      st.floats(-10.0, 10.0, allow_nan=False))
+    rows = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(k)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, k - 1))] = [draw(value)] * n
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    return rows, [r / math.fsum(raw) for r in raw]
+
+
+class TestMeanHVector:
+    @given(score_cases(), st.integers(0, 2**32), st.sampled_from(ACCEPTANCE_RULES))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_list_mean_over_the_same_states(self, case, seed, rule):
+        rows, weights = case
+        increments = sigmoid_gain(8).increments.tolist()
+        ctx = context(rows, weights, increments)
+        cfg = ChainConfig(num_samples=40, burn_in=7, acceptance_rule=rule, rng_seed=seed)
+        got = sample_expectation(ctx, cfg)
+        want = oracles.per_list_expectation(rows, sample_orders(ctx, cfg).tolist(),
+                                            increments)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for value, row in zip(got, rows):
+            if len(set(row)) == 1:
+                assert value == 0.0
+
+    @pytest.mark.parametrize("rule", ACCEPTANCE_RULES)
+    def test_chain_states_match_scalar_stepper(self, rule):
+        # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192
+        matrix = [[0.9, 0.2, 0.5, 0.5, 0.1, 0.7, 0.3],
+                  [0.7, 0.4, 0.1, 0.8, 0.8, 0.0, 0.6],
+                  [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
+        weights = [0.5, 0.3, 0.2]
+        increments = sigmoid_gain(7).increments.tolist()
+        ctx = context(matrix, weights, increments)
+        cfg = ChainConfig(num_samples=2100, burn_in=3000, thinning=3,
+                          acceptance_rule=rule, rng_seed=chain_seed(5, "pin"))
+        ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
+        want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
+                                    cfg.thinning, rule, cfg.rng_seed)
+        np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
 
 
 class TestExactBackend:
