@@ -265,24 +265,38 @@ class SimplexWeights:
 
 @dataclass(frozen=True, eq=False)
 class QueryInstance:
-    """A query id plus K aligned score lists over one shared candidate set.
+    """A query id plus its K x N score matrix over one shared candidate set.
 
-    ``relevance`` carries optional graded judgments, used by evaluation only;
-    training never reads it.
+    Row i of ``matrix`` holds ranker i's scores. The matrix is validated
+    and stored once, as a read-only C-ordered float64 copy; ``lists``
+    derives per-ranker :class:`ScoreList` views from its rows on demand.
+    ``relevance`` carries optional graded judgments, used by evaluation
+    only; training never reads it.
     """
 
     query_id: str
-    lists: tuple[ScoreList, ...]
+    matrix: np.ndarray
     relevance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        lists = tuple(as_score_list(x) for x in self.lists)
-        if not lists:
+        try:
+            # C order: BLAS rounds w @ X by memory layout, and a transposed
+            # (Fortran-ordered) input would change the last digit of scores
+            mat = np.array(self.matrix, dtype=np.float64, order="C")
+        except ValueError:
+            raise ValueError(f"query {self.query_id!r}: score lists disagree on length "
+                             "or hold non-numbers") from None
+        if mat.ndim != 2:
+            raise ValueError("score matrix must be 2-D (K x N)")
+        k, n = mat.shape
+        if k == 0:
             raise ValueError("query requires at least one score list")
-        n = lists[0].n
-        if any(x.n != n for x in lists):
-            raise ValueError(f"query {self.query_id!r}: score lists disagree on length")
-        object.__setattr__(self, "lists", lists)
+        if n == 0:
+            raise ValueError("empty ground set")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("scores must be finite (no NaN or infinity)")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
         if self.relevance is not None:
             rel = np.array(self.relevance, dtype=np.float64)
             if rel.shape != (n,):
@@ -291,34 +305,24 @@ class QueryInstance:
                 raise ValueError("relevance grades must be finite and non-negative")
             rel.setflags(write=False)
             object.__setattr__(self, "relevance", rel)
-        matrix = np.stack([x.scores for x in lists])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
 
     @classmethod
     def from_matrix(cls, query_id: str, matrix, relevance=None) -> "QueryInstance":
         """Build from a K x N score matrix (row i is ranker i)."""
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValueError("score matrix must be 2-D (K x N)")
-        return cls(query_id, tuple(ScoreList(row) for row in mat), relevance)
+        return cls(query_id, matrix, relevance)
 
     @property
     def k(self) -> int:
-        return len(self.lists)
+        return int(self.matrix.shape[0])
 
     @property
     def n(self) -> int:
-        return self.lists[0].n
+        return int(self.matrix.shape[1])
 
     @property
-    def matrix(self) -> np.ndarray:
-        """Read-only K x N matrix view of the score lists."""
-        return self._matrix
-
-    def with_lists(self, lists: Sequence[ScoreList]) -> "QueryInstance":
-        """Same query id and relevance, replaced score lists."""
-        return QueryInstance(self.query_id, tuple(lists), self.relevance)
+    def lists(self) -> tuple[ScoreList, ...]:
+        """Per-ranker score lists, built from the matrix rows on each call."""
+        return tuple(ScoreList(row) for row in self.matrix)
 
 
 def ranking_from_scores(x: ScoreList | Sequence[float] | np.ndarray) -> Ranking:

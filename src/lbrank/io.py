@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import QueryInstance, ScoreList
+from .core import QueryInstance
 
 __all__ = [
     "DataError",
@@ -162,7 +162,7 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
         if any(len(f) != k for _, f in entries):
             filled = True
         rel = np.array([rel for rel, _ in entries], dtype=np.float64)
-        queries.append(QueryInstance.from_matrix(qid, matrix, relevance=rel))
+        queries.append(QueryInstance(qid, matrix, rel))
     provenance = f"letor:{path}"
     if filled:
         provenance += " (missing scores zero-filled)"
@@ -273,7 +273,7 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
         rel = None
         if with_relevance:
             rel = np.array([by_cand[c][1] for c in range(n)], dtype=np.float64)
-        queries.append(QueryInstance.from_matrix(qid, matrix, relevance=rel))
+        queries.append(QueryInstance(qid, matrix, rel))
     provenance = f"csv:{path}"
     if filled:
         provenance += " (missing scores zero-filled)"
@@ -337,7 +337,7 @@ def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,
             grades = rng.integers(0, 5, size=n_candidates).astype(np.float64)
         noise = rng.standard_normal((n_rankers, n_candidates))
         matrix = grades[np.newaxis, :] + levels[:, np.newaxis] * noise
-        queries.append(QueryInstance.from_matrix(f"q{qi:05d}", matrix, relevance=grades))
+        queries.append(QueryInstance(f"q{qi:05d}", matrix, grades))
     return Dataset(tuple(queries),
                    f"synthetic:planted(seed={seed},n={n_candidates},k={n_rankers})")
 
@@ -345,19 +345,17 @@ def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,
 def normalize_minmax(q: QueryInstance) -> QueryInstance:
     """Map every score list affinely onto [0, 1]; constant lists become 0.5.
 
-    Per-list rankings are unchanged (the map is affine with positive
-    scale wherever the list is not constant).
+    The map is monotone, so it never reverses the order of two scores, but
+    distinct scores can round to the same value when a list's span dwarfs
+    the gaps between them: ``[1e20, -1e20, 3.0, 2.0]`` maps both 3.0 and
+    2.0 to 0.5. A list whose span is past the float range (say -1e308 to
+    1e308) is scaled by 0.5 before the subtraction.
     """
-    normalized = []
-    for x in q.lists:
-        scores = x.scores
-        low = float(scores.min())
-        high = float(scores.max())
-        if high == low:
-            normalized.append(ScoreList(np.full(q.n, 0.5)))
-            continue
-        if not math.isfinite(high - low):
-            # a span past the float range (say -1e308 to 1e308) is taken at half scale
-            scores, low, high = 0.5 * scores, 0.5 * low, 0.5 * high
-        normalized.append(ScoreList((scores - low) / (high - low)))
-    return q.with_lists(normalized)
+    x = q.matrix
+    low = x.min(axis=1, keepdims=True)
+    high = x.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isfinite(high - low), 1.0, 0.5)
+    out = np.divide(x * scale - low * scale, high * scale - low * scale,
+                    out=np.full(x.shape, 0.5), where=high != low)
+    return QueryInstance(q.query_id, out, q.relevance)

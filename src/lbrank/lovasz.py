@@ -10,7 +10,7 @@ minimizer (sort the scores).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import ConcaveGain, Ranking, ScoreList, as_score_list
 __all__ = [
     "HVector",
     "h_vector",
-    "h_vector_chain",
     "lb_divergence",
     "lb_bound",
     "ndcg_loss_from_divergence",
@@ -57,25 +56,6 @@ def h_vector(sigma: Ranking, gain: ConcaveGain) -> HVector:
     delta = _check_gain(gain, sigma.n)
     values = np.empty(sigma.n, dtype=np.float64)
     values[sigma.order] = delta
-    return HVector(values)
-
-
-def h_vector_chain(sigma: Ranking,
-                   set_function: Callable[[frozenset[int]], float]) -> HVector:
-    """h-vector via explicit chain differences of an arbitrary set function.
-
-    Reference path kept for validation: builds every prefix set S_i of the
-    ranking and evaluates f(S_i) - f(S_{i-1}) directly. O(N) set builds, so
-    only suitable for small N; production code uses :func:`h_vector`.
-    """
-    values = np.empty(sigma.n, dtype=np.float64)
-    prefix: frozenset[int] = frozenset()
-    previous = set_function(prefix)
-    for i in range(sigma.n):
-        prefix = prefix | {int(sigma.order[i])}
-        current = set_function(prefix)
-        values[sigma.order[i]] = current - previous
-        previous = current
     return HVector(values)
 
 

@@ -41,7 +41,6 @@ from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergence
 
 __all__ = [
     "Activation",
-    "activation",
     "ACTIVATION_NAMES",
     "NestedHyper",
     "NestedModel",
@@ -131,10 +130,6 @@ class Activation:
 
     def deriv(self, t):
         return _ACTIVATIONS[self.name][1](t)
-
-
-def activation(name: str) -> Activation:
-    return Activation(name)
 
 
 def default_hidden_units(k1: int) -> int:

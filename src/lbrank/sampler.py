@@ -22,15 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, Ranking, SimplexWeights, QueryInstance
+from .core import ConcaveGain, SimplexWeights, QueryInstance
 
 __all__ = [
     "ACCEPTANCE_RULES",
     "ChainConfig",
     "EnergyContext",
-    "energy",
-    "per_list_divergences",
-    "acceptance_ratio",
     "sample_orders",
     "sample_expectation",
     "exact_distribution",
@@ -131,30 +128,8 @@ class EnergyContext:
         return int(self.matrix.shape[1])
 
 
-def per_list_divergences(ctx: EnergyContext, pi: Ranking) -> np.ndarray:
-    """d(x_i || pi) for every list of the context (exact zero at each sort)."""
-    if pi.n != ctx.n:
-        raise ValueError(f"ranking has {pi.n} positions, context has {ctx.n}")
-    return (ctx._sorted - ctx.matrix[:, pi.order]) @ ctx._delta
-
-
-def energy(ctx: EnergyContext, pi: Ranking) -> float:
-    """Weighted divergence sum sum_i w_i d(x_i || pi); non-negative."""
-    return float(ctx.weights.w @ per_list_divergences(ctx, pi))
-
-
-def acceptance_ratio(ctx: EnergyContext, current: Ranking, proposed: Ranking) -> float:
-    """Metropolis ratio exp(E(current) - E(proposed)).
-
-    Computed from the energy difference only; the normalizer cancels.
-    Returns +inf when the difference would overflow a double.
-    """
-    diff = energy(ctx, current) - energy(ctx, proposed)
-    return math.exp(diff) if diff < 709.0 else math.inf
-
-
-def _chain_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
-    """Run one chain; return the retained states as an (M, N) index array.
+def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
+    """Run one chain; return the retained states as an (M, N) array of permutations.
 
     The walk starts at the sort of the weighted mean score vector (a cheap
     near-mode state). Each step proposes swapping two distinct positions;
@@ -209,11 +184,6 @@ def _chain_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     return np.array(kept_states, dtype=np.int64).reshape(m, n)
 
 
-def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
-    """Retained chain states as an (M, N) array; each row is a permutation."""
-    return _chain_orders(ctx, cfg)
-
-
 def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:
     """E[d(x_i || pi)] of every list i from the mean h-vector ``hbar = E[h_pi]``.
 
@@ -233,7 +203,7 @@ def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     (``h_pi[pi[p]] = delta[p]``) and reads every list's expectation off it.
     Deterministic given the config seed.
     """
-    orders = _chain_orders(ctx, cfg)
+    orders = sample_orders(ctx, cfg)
     m, n = orders.shape
     gains = np.empty((m, n))
     gains[:] = ctx._delta  # row r holds the gain at every position of state r

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's code paths: sorting uses
 plain Python tuples, set functions are evaluated through explicit chain
 sets, and sums use math.fsum. Slow but trustworthy for small N. The chain
 stepper and the row update keep the one-value-at-a-time form of what the
-library now computes in bulk, so results can be compared exactly.
+library now computes in bulk, so results can be compared exactly. The
+energy functions read only a sampler context's stored sorts, gain and
+weights, so tests can check that precomputation against the oracles above.
 """
 
 from __future__ import annotations
@@ -166,6 +168,24 @@ def per_list_expectation(matrix: Sequence[Sequence[float]],
                 for order in orders]
         out.append(math.fsum(divs) / len(divs))
     return out
+
+
+def per_list_divergences(ctx, pi) -> np.ndarray:
+    """d(x_i || pi) of every list of a sampler context (exact zero at each sort)."""
+    if pi.n != ctx.n:
+        raise ValueError(f"ranking has {pi.n} positions, context has {ctx.n}")
+    return (ctx._sorted - ctx.matrix[:, pi.order]) @ ctx._delta
+
+
+def energy(ctx, pi) -> float:
+    """Weighted divergence sum sum_i w_i d(x_i || pi); non-negative."""
+    return float(ctx.weights.w @ per_list_divergences(ctx, pi))
+
+
+def acceptance_ratio(ctx, current, proposed) -> float:
+    """Metropolis ratio exp(E(current) - E(proposed)), +inf past a double's range."""
+    diff = energy(ctx, current) - energy(ctx, proposed)
+    return math.exp(diff) if diff < 709.0 else math.inf
 
 
 def chain_orders(ybar: Sequence[float], increments: Sequence[float],

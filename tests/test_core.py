@@ -177,17 +177,17 @@ class TestSimplexWeights:
 class TestQueryInstance:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
-            QueryInstance("q", (ScoreList([1.0, 2.0]), ScoreList([1.0])))
+            QueryInstance("q", [[1.0, 2.0], [1.0]])
 
     def test_needs_a_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            QueryInstance("q", ())
+            QueryInstance("q", np.empty((0, 2)))
 
     def test_relevance_validated(self):
         with pytest.raises(ValueError, match="length"):
-            QueryInstance("q", (ScoreList([1.0, 2.0]),), relevance=[1.0])
+            QueryInstance("q", [[1.0, 2.0]], relevance=[1.0])
         with pytest.raises(ValueError, match="non-negative"):
-            QueryInstance("q", (ScoreList([1.0, 2.0]),), relevance=[1.0, -1.0])
+            QueryInstance("q", [[1.0, 2.0]], relevance=[1.0, -1.0])
 
     def test_matrix_layout(self, two_list_query):
         np.testing.assert_array_equal(

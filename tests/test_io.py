@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lbrank.core import ranking_from_scores
+from lbrank.core import QueryInstance, ranking_from_scores
 from lbrank.io import (
     DataError,
     Dataset,
@@ -281,6 +283,67 @@ class TestNormalizeMinmax:
         q = make_query([[0.0, 5.0]], relevance=[1.0, 0.0])
         out = normalize_minmax(q)
         np.testing.assert_array_equal(out.relevance, [1.0, 0.0])
+
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.sampled_from([1e20, -1e20, 1e308, -1e308]),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_never_reverses_a_pair(self, row):
+        x = np.array(row)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = normalize_minmax(make_query([row])).matrix[0]
+        assert np.all((y >= 0.0) & (y <= 1.0))
+        assert np.all((y[:, None] >= y[None, :])[x[:, None] > x[None, :]])
+        assert np.all((y[:, None] == y[None, :])[x[:, None] == x[None, :]])
+
+    def test_huge_span_rounds_distinct_scores_to_a_tie(self):
+        # 3 + 1e20 and 2 + 1e20 both round to 1e20, so 3.0 and 2.0 tie at 0.5:
+        # the order is not reversed, but the two scores are no longer distinct
+        out = normalize_minmax(make_query([[1e20, -1e20, 3.0, 2.0]]))
+        np.testing.assert_array_equal(out.matrix[0], [1.0, 0.0, 0.5, 0.5])
+
+
+class TestMatrixLayout:
+    """Every query matrix is C-ordered and read-only.
+
+    BLAS rounds ``w @ X`` by memory layout, so a Fortran-ordered matrix
+    (a CSV parse assembles the transpose) would change the last digit of
+    aggregated scores against a contiguous copy.
+    """
+
+    K, N = 8, 50
+
+    def check(self, q: QueryInstance) -> None:
+        assert q.matrix.flags.c_contiguous
+        assert not q.matrix.flags.writeable
+        w = np.random.default_rng(3).dirichlet(np.ones(q.k))
+        assert (w @ q.matrix).tobytes() == (w @ np.ascontiguousarray(q.matrix)).tobytes()
+
+    def dataset(self, rng) -> Dataset:
+        return Dataset(tuple(
+            make_query(rng.normal(size=(self.K, self.N)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=self.N))
+            for i in range(3)))
+
+    def test_from_matrix_of_a_transpose(self, rng):
+        transposed = rng.normal(size=(self.N, self.K)).T
+        assert not transposed.flags.c_contiguous
+        self.check(QueryInstance.from_matrix("q", transposed))
+
+    def test_parse_scores_csv(self, tmp_path, rng):
+        write_scores_csv(self.dataset(rng), tmp_path / "s.csv")
+        for q in parse_scores_csv(tmp_path / "s.csv").queries:
+            self.check(q)
+
+    def test_parse_letor(self, tmp_path, rng):
+        write_letor(self.dataset(rng), tmp_path / "s.letor")
+        for q in parse_letor(tmp_path / "s.letor").queries:
+            self.check(q)
+
+    def test_normalize_minmax(self, rng):
+        for q in self.dataset(rng).queries:
+            self.check(normalize_minmax(q))
 
 
 class TestDataset:

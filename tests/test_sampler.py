@@ -12,20 +12,18 @@ from lbrank.sampler import (
     ACCEPTANCE_RULES,
     ChainConfig,
     EnergyContext,
-    acceptance_ratio,
     chain_seed,
-    energy,
     exact_distribution,
     exact_expectation,
     expected_divergences,
     fnv1a64,
-    per_list_divergences,
     sample_expectation,
     sample_orders,
 )
 
 import oracles
 from conftest import make_query
+from oracles import acceptance_ratio, energy
 
 
 def context(matrix, weights, increments) -> EnergyContext:
