@@ -12,6 +12,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -323,6 +324,15 @@ class QueryInstance:
     def lists(self) -> tuple[ScoreList, ...]:
         """Per-ranker score lists, built from the matrix rows on each call."""
         return tuple(ScoreList(row) for row in self.matrix)
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Values the sampler derives from this query, created on first use.
+
+        The query is immutable, so an entry never goes stale; the sampler
+        keys each one by the value (or the held object) it depends on.
+        """
+        return {}
 
 
 def ranking_from_scores(x: ScoreList | Sequence[float] | np.ndarray) -> Ranking:

@@ -27,7 +27,13 @@ from .core import (
     weighted_average_scores,
 )
 from .io import DataError
-from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
+from .sampler import (
+    ChainConfig,
+    EnergyContext,
+    chain_seed,
+    expected_divergences,
+    query_config,
+)
 
 __all__ = [
     "EARLY_STOP_TOL",
@@ -132,10 +138,6 @@ def _queries(data) -> tuple[QueryInstance, ...]:
     return queries
 
 
-def _query_cfg(cfg: ChainConfig, query_id: str) -> ChainConfig:
-    return replace(cfg, rng_seed=chain_seed(cfg.rng_seed, query_id))
-
-
 def sgd_gradient(model: LinearModel, q: QueryInstance, cfg: ChainConfig,
                  backend: str = "mh") -> np.ndarray:
     """Per-query stochastic gradient: estimated E[d(x_i || pi)] + lam * w_i.
@@ -146,7 +148,7 @@ def sgd_gradient(model: LinearModel, q: QueryInstance, cfg: ChainConfig,
     if q.k != model.k:
         raise ValueError(f"query has K={q.k}, model has K={model.k}")
     ctx = EnergyContext.from_query(q, model.weights, model.gain)
-    v = expected_divergences(ctx, _query_cfg(cfg, q.query_id), backend)
+    v = expected_divergences(ctx, query_config(q, cfg), backend)
     return v + model.hyper.lam * model.weights.w
 
 
@@ -160,7 +162,7 @@ def objective(model: LinearModel, data: Iterable[QueryInstance],
     total = 0.0
     for q in queries:
         ctx = EnergyContext.from_query(q, model.weights, model.gain)
-        v = expected_divergences(ctx, _query_cfg(cfg, q.query_id), backend)
+        v = expected_divergences(ctx, query_config(q, cfg), backend)
         total += float(w @ v)
     return total / len(queries) + 0.5 * model.hyper.lam * float(w @ w)
 
@@ -178,6 +180,13 @@ def train(data,
     as soon as no weight moved more than ``EARLY_STOP_TOL`` in a full pass.
     The objective recorded per epoch is evaluated with the same per-query
     seeds, so a rerun with the same configuration reproduces the log.
+
+    Every chain of one query uses the same derived config, so all of them
+    (the gradient and objective passes of every epoch) see the same random
+    numbers: common random numbers across weight vectors. The query's
+    proposal stream is drawn on its first chain and replayed afterwards,
+    and its derived config and weight-free divergence terms are computed
+    once; all three are memoised on the query (see ``sample_orders``).
     """
     queries = _queries(data)
     hyper = hyper or LinearHyper()

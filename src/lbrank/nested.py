@@ -11,6 +11,7 @@ reduces exactly to the linear trainer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -33,11 +34,16 @@ from .linear import (
     _model_file_errors,
     _parse_floats,
     _queries,
-    _query_cfg,
     _read_model_fields,
     multiplicative_simplex_update,
 )
-from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
+from .sampler import (
+    ChainConfig,
+    EnergyContext,
+    chain_seed,
+    expected_divergences,
+    query_config,
+)
 
 __all__ = [
     "Activation",
@@ -256,13 +262,11 @@ def per_list_expectation(model: NestedModel, q: QueryInstance,
     rows = np.empty((model.k2, model.k1), dtype=np.float64)
     if model.hyper.sampling == "aggregate":
         ctx = EnergyContext.from_query(q, aggregate_weights(model), model.gain)
-        rows[:] = expected_divergences(ctx, _query_cfg(cfg, q.query_id), backend)
+        rows[:] = expected_divergences(ctx, query_config(q, cfg), backend)
         return rows
     for i in range(model.k2):
         ctx = EnergyContext.from_query(q, model.w1[i], model.gain)
-        unit_cfg = replace(cfg, rng_seed=chain_seed(cfg.rng_seed,
-                                                    f"{q.query_id}|unit-{i}"))
-        rows[i] = expected_divergences(ctx, unit_cfg, backend)
+        rows[i] = expected_divergences(ctx, query_config(q, cfg, i), backend)
     return rows
 
 
@@ -305,9 +309,17 @@ def top_gradient(model: NestedModel, delta2: float,
 
 
 def update_w2(model: NestedModel, grad2: np.ndarray) -> NestedModel:
+    """Multiplicative simplex update of the output layer.
+
+    The new model shares the old one's W1 array: it was validated when it
+    entered a model and the update leaves it unchanged, so it is neither
+    copied nor checked again.
+    """
     new_w2 = multiplicative_simplex_update(model.w2.w, np.asarray(grad2, float),
                                            model.hyper.mu)
-    return replace(model, w2=SimplexWeights(new_w2))
+    updated = copy.copy(model)  # skips __post_init__ and its W1 copy
+    object.__setattr__(updated, "w2", SimplexWeights(new_w2))
+    return updated
 
 
 def objective(model: NestedModel, data: Iterable[QueryInstance],

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "ACCEPTANCE_RULES",
     "ChainConfig",
     "EnergyContext",
+    "query_config",
     "sample_orders",
     "sample_expectation",
     "exact_distribution",
@@ -83,19 +85,40 @@ class ChainConfig:
             raise ValueError("rng_seed must fit in 64 unsigned bits")
 
 
+def query_config(q: QueryInstance, cfg: ChainConfig, unit: int | None = None) -> ChainConfig:
+    """``cfg`` reseeded for the chain of query ``q``, or of one nested hidden unit.
+
+    The seed is ``chain_seed(cfg.rng_seed, label)`` with the label
+    ``query_id``, or ``f"{query_id}|unit-{unit}"`` for hidden unit ``unit``.
+    The derived config is memoised on the query, keyed by ``cfg`` and ``unit``.
+    """
+    key = ("config", cfg, unit)
+    derived = q._memo.get(key)
+    if derived is None:
+        label = q.query_id if unit is None else f"{q.query_id}|unit-{unit}"
+        derived = replace(cfg, rng_seed=chain_seed(cfg.rng_seed, label))
+        q._memo[key] = derived
+    return derived
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyContext:
     """One query's K x N score matrix, effective weights and gain, preprocessed.
 
-    Precomputes per-list descending sorts and the weighted mean score
-    vector ``ybar`` so that chain steps touch O(1) values and expectations
-    are a few matrix-vector products. ``matrix`` is the read-only matrix
-    of a validated :class:`QueryInstance`; it is not copied or re-checked.
+    Holds the weighted mean score vector ``ybar``, the only term that
+    depends on the weights, so that chain steps touch O(1) values and
+    expectations are a few matrix-vector products. The weight-free terms
+    (each list's minimum ``low_i`` and ``(sorted_i - low_i) . delta``)
+    and the chains' proposal streams live in ``memo``; ``from_query``
+    passes the query's own memo, so they are computed once per query and
+    gain. ``matrix`` is the read-only matrix of a validated
+    :class:`QueryInstance`; it is not copied or re-checked.
     """
 
     matrix: np.ndarray
     weights: SimplexWeights
     gain: ConcaveGain
+    memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         k, n = self.matrix.shape
@@ -103,12 +126,20 @@ class EnergyContext:
             raise ValueError(f"{self.weights.k} weights for {k} lists")
         if self.gain.capacity < n:
             raise ValueError(f"gain covers {self.gain.capacity} positions, need {n}")
-        sorted_desc = np.sort(self.matrix, axis=1)[:, ::-1]
-        sorted_desc.setflags(write=False)
+        # keyed by the gain object itself: the entry holds it, so it stays unique
+        key = ("terms", self.gain)
+        terms = self.memo.get(key)
+        if terms is None:
+            delta = self.gain.increments[:n]
+            low = self.matrix.min(axis=1, keepdims=True)
+            top = (np.sort(self.matrix, axis=1)[:, ::-1] - low) @ delta
+            top.setflags(write=False)
+            terms = self.memo[key] = (delta, low, top)
         ybar = self.weights.w @ self.matrix
         ybar.setflags(write=False)
-        object.__setattr__(self, "_sorted", sorted_desc)
-        object.__setattr__(self, "_delta", self.gain.increments[:n])
+        object.__setattr__(self, "_delta", terms[0])
+        object.__setattr__(self, "_low", terms[1])
+        object.__setattr__(self, "_top", terms[2])
         object.__setattr__(self, "_ybar", ybar)
 
     @classmethod
@@ -117,7 +148,7 @@ class EnergyContext:
                    gain: ConcaveGain) -> "EnergyContext":
         if not isinstance(weights, SimplexWeights):
             weights = SimplexWeights(np.asarray(weights, dtype=np.float64))
-        return cls(q.matrix, weights, gain)
+        return cls(q.matrix, weights, gain, q._memo)
 
     @property
     def k(self) -> int:
@@ -128,6 +159,35 @@ class EnergyContext:
         return int(self.matrix.shape[1])
 
 
+def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array, ...]:
+    """The whole chain's proposals: a, b, gain gap, uniform and retained flag per step.
+
+    Per block of at most 8192 steps, ``a`` is drawn uniform over N
+    positions, then ``b`` over N - 1 (shifted past ``a``), then the
+    uniforms, all from ``default_rng(cfg.rng_seed)``. Step j + 1 is
+    retained when it lies past burn-in on the thinning grid. The columns
+    are typed arrays, 25 bytes a step, which iterate as Python numbers.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    total = cfg.burn_in + cfg.num_samples * cfg.thinning
+    blocks = []
+    for done in range(0, total, 8192):
+        size = min(8192, total - done)
+        pos_a = rng.integers(0, n, size=size)
+        pos_b = rng.integers(0, n - 1, size=size)
+        uniforms = rng.random(size)
+        pos_b += pos_b >= pos_a
+        blocks.append((pos_a, pos_b, uniforms))
+    pos_a, pos_b, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
+    past = np.arange(1 - cfg.burn_in, total + 1 - cfg.burn_in)
+    keep = (past > 0) & (past % cfg.thinning == 0)
+    return (array("i", pos_a.astype(np.intc).tobytes()),
+            array("i", pos_b.astype(np.intc).tobytes()),
+            array("d", (delta[pos_a] - delta[pos_b]).tobytes()),
+            array("d", uniforms.tobytes()),
+            array("B", keep.tobytes()))
+
+
 def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     """Run one chain; return the retained states as an (M, N) array of permutations.
 
@@ -135,53 +195,46 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     near-mode state). Each step proposes swapping two distinct positions;
     the energy change of a swap is (delta_a - delta_b) * (y_b - y_a), so
     steps cost O(1). Rejected proposals leave the state in place and the
-    repeated state is retained as usual. The proposals, their gain gaps
-    and which steps are retained are computed with numpy per draw block;
-    only the accept/swap walk runs in Python.
+    repeated state is retained as usual.
+
+    The proposals do not depend on the weights: a chain's stream (the
+    position pairs, their gain gaps, the uniforms and which steps are
+    retained) is a function of ``cfg``, the gain and N alone. It is drawn
+    on a context's first chain with that config and gain and kept in the
+    context's memo; later chains replay it, so every chain of one query
+    and config sees the same random numbers. Only the accept/swap walk
+    runs per call.
     """
     n = ctx.n
     m = cfg.num_samples
     if n == 1:
         return np.zeros((m, 1), dtype=np.int64)
 
-    rng = np.random.default_rng(cfg.rng_seed)
+    key = ("stream", cfg, ctx.gain)
+    stream = ctx.memo.get(key)
+    if stream is None:
+        stream = ctx.memo[key] = _proposal_stream(cfg, ctx._delta, n)
     state: list[int] = np.argsort(-ctx._ybar, kind="stable").tolist()
     y = ctx._ybar.tolist()
-    delta = ctx._delta
     literal = cfg.acceptance_rule == "paper_literal"
     literal_cut = math.log(0.9)
     exp = math.exp
 
-    total = cfg.burn_in + m * cfg.thinning
     kept_states: list[int] = []  # the retained states, concatenated
-    done = 0
-    block = 8192
-    while done < total:
-        size = min(block, total - done)
-        pos_a = rng.integers(0, n, size=size)
-        pos_b = rng.integers(0, n - 1, size=size)
-        uniforms = rng.random(size).tolist()
-        pos_b += pos_b >= pos_a
-        gaps = (delta[pos_a] - delta[pos_b]).tolist()
-        # step done + j + 1 is retained when it lies past burn-in on the thinning grid
-        past = np.arange(done + 1 - cfg.burn_in, done + size + 1 - cfg.burn_in)
-        keep = ((past > 0) & (past % cfg.thinning == 0)).tolist()
-        for a, b, gap, u, kept in zip(pos_a.tolist(), pos_b.tolist(), gaps,
-                                      uniforms, keep):
-            ca = state[a]
-            cb = state[b]
-            log_alpha = gap * (y[cb] - y[ca])
-            if literal:
-                accept = log_alpha > literal_cut and u < 0.9
-            else:
-                accept = log_alpha >= 0.0 or u < exp(log_alpha)
-            if accept:
-                state[a] = cb
-                state[b] = ca
-            if kept:
-                kept_states += state
-        done += size
-    return np.array(kept_states, dtype=np.int64).reshape(m, n)
+    for a, b, gap, u, kept in zip(*stream):
+        ca = state[a]
+        cb = state[b]
+        log_alpha = gap * (y[cb] - y[ca])
+        if literal:
+            accept = log_alpha > literal_cut and u < 0.9
+        else:
+            accept = log_alpha >= 0.0 or u < exp(log_alpha)
+        if accept:
+            state[a] = cb
+            state[b] = ca
+        if kept:
+            kept_states += state
+    return np.fromiter(kept_states, np.int64, m * n).reshape(m, n)
 
 
 def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:
@@ -190,10 +243,10 @@ def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:
     d(x_i || pi) = sorted_i . delta - x_i . h_pi is linear in h_pi, so its
     expectation needs only ``hbar``. Both terms are taken relative to the
     list minimum ``low_i``: the divergence is unchanged by adding a
-    constant to a list, and a constant list gives exactly 0.0.
+    constant to a list, and a constant list gives exactly 0.0. The first
+    term is the context's weight-free ``_top``.
     """
-    low = ctx._sorted[:, -1:]
-    return (ctx._sorted - low) @ ctx._delta - (ctx.matrix - low) @ hbar
+    return ctx._top - (ctx.matrix - ctx._low) @ hbar
 
 
 def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:

@@ -5,8 +5,8 @@ plain Python tuples, set functions are evaluated through explicit chain
 sets, and sums use math.fsum. Slow but trustworthy for small N. The chain
 stepper and the row update keep the one-value-at-a-time form of what the
 library now computes in bulk, so results can be compared exactly. The
-energy functions read only a sampler context's stored sorts, gain and
-weights, so tests can check that precomputation against the oracles above.
+energy functions read only a sampler context's matrix, gain increments and
+weights, and sort the lists themselves.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def per_list_divergences(ctx, pi) -> np.ndarray:
     """d(x_i || pi) of every list of a sampler context (exact zero at each sort)."""
     if pi.n != ctx.n:
         raise ValueError(f"ranking has {pi.n} positions, context has {ctx.n}")
-    return (ctx._sorted - ctx.matrix[:, pi.order]) @ ctx._delta
+    top = np.sort(ctx.matrix, axis=1)[:, ::-1]
+    return (top - ctx.matrix[:, pi.order]) @ ctx._delta
 
 
 def energy(ctx, pi) -> float:

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from lbrank import cli
+from lbrank import linear as linear_module
+from lbrank import nested as nested_module
 from lbrank.core import (
     ConcaveGain,
     QueryInstance,
@@ -396,3 +398,39 @@ def test_criterion_11_complexity_smoke(tmp_path):
             ratios.append(float(ratio))
     assert len(ratios) == 9  # three doublings per axis
     assert all(r <= 2.5 for r in ratios), f"ratios {ratios}"
+
+
+@criterion(11, "chains and chain steps per bench epoch do not grow with N, K, K1*K2")
+def test_criterion_11_chain_work_per_epoch(tmp_path, monkeypatch):
+    # deterministic complement of the wall-clock gate above: count the work
+    counts = {"calls": 0, "steps": 0}
+
+    def counting(expected_divergences):
+        def wrapper(ctx, cfg, backend="mh"):
+            counts["calls"] += 1
+            counts["steps"] += cfg.burn_in + cfg.num_samples * cfg.thinning
+            return expected_divergences(ctx, cfg, backend)
+        return wrapper
+
+    for module in (linear_module, nested_module):
+        monkeypatch.setattr(module, "expected_divergences",
+                            counting(module.expected_divergences))
+    epochs = []
+    time_epoch = cli._time_epoch
+
+    def counted_epoch(*args):
+        before = dict(counts)
+        seconds = time_epoch(*args)
+        epochs.append((counts["calls"] - before["calls"], counts["steps"] - before["steps"]))
+        return seconds
+
+    monkeypatch.setattr(cli, "_time_epoch", counted_epoch)
+    queries, samples, burn_in = 8, 50, 100
+    assert cli.main(["bench", "--out", str(tmp_path / "bench.csv"), "--bench-doublings", "3",
+                     "--bench-queries", str(queries), "--bench-base-n", "32",
+                     "--bench-base-k", "4", "--bench-repeats", "1",
+                     "--samples", str(samples), "--burn-in", str(burn_in),
+                     "--seed", "1011"]) == 0
+    assert len(epochs) == 12  # three axes, base size plus three doublings each
+    # one gradient and one objective chain per query, each of a fixed length
+    assert set(epochs) == {(2 * queries, 2 * queries * (burn_in + samples))}

@@ -105,6 +105,16 @@ class TestGradientAndObjective:
         want = np.asarray(expectations) + 0.01 * model.weights.w
         np.testing.assert_allclose(grad, want, atol=1e-12)
 
+    def test_gradient_on_a_warm_query_equals_a_fresh_query(self, gain6, rng):
+        q = make_query(rng.uniform(0, 1, size=(3, 6)), query_id="warm")
+        cfg = ChainConfig(rng_seed=5)
+        for w in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1]):
+            sgd_gradient(model_with(w, gain6), q, cfg)  # fills the query's memo
+        model = model_with([0.5, 0.25, 0.25], gain6)
+        fresh = QueryInstance(q.query_id, q.matrix)
+        np.testing.assert_array_equal(sgd_gradient(model, q, cfg),
+                                      sgd_gradient(model, fresh, cfg))
+
     def test_objective_zero_for_constant_lists(self, small_gain):
         q = make_query([[2.0, 2.0, 2.0]])
         model = model_with([1.0], small_gain, lam=0.0)

@@ -245,6 +245,7 @@ class TestForwardPieces:
         out = update_w2(model, np.array([1.0, 0.0]))
         e = math.exp(-0.1)
         np.testing.assert_allclose(out.w2.w, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
+        assert out.w1 is model.w1
 
 
 class TestGradientFidelity:
@@ -330,6 +331,17 @@ class TestTrain:
         np.testing.assert_allclose(model.w1.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(model.w1 >= 0)
         assert abs(model.w2.w.sum() - 1.0) <= 1e-9
+
+    def test_per_unit_table_on_a_warm_query_equals_a_fresh_query(self, gain6, rng):
+        q = make_query(rng.uniform(0, 1, size=(3, 5)), query_id="warm")
+        model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
+                            gain6, seed=2)
+        cfg = ChainConfig(rng_seed=4, num_samples=30)
+        per_list_expectation(model, q, cfg)  # one stream per hidden unit
+        model = update_w1(model, np.full((3, 3), 0.5) + np.eye(3))
+        fresh = make_query(q.matrix, query_id="warm")
+        np.testing.assert_array_equal(per_list_expectation(model, q, cfg),
+                                      per_list_expectation(model, fresh, cfg))
 
     def test_per_unit_sampling_mode_runs(self, rng):
         queries = [make_query(rng.uniform(0, 1, size=(3, 4)), query_id=f"q{i}")

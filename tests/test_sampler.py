@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbrank.core import ConcaveGain, QueryInstance, Ranking, SimplexWeights, sigmoid_gain
+from lbrank.core import (
+    ConcaveGain,
+    QueryInstance,
+    Ranking,
+    SimplexWeights,
+    log2_gain,
+    sigmoid_gain,
+)
 from lbrank.sampler import (
     ACCEPTANCE_RULES,
     ChainConfig,
@@ -17,6 +25,7 @@ from lbrank.sampler import (
     exact_expectation,
     expected_divergences,
     fnv1a64,
+    query_config,
     sample_expectation,
     sample_orders,
 )
@@ -189,19 +198,56 @@ class TestMeanHVector:
 
     @pytest.mark.parametrize("rule", ACCEPTANCE_RULES)
     def test_chain_states_match_scalar_stepper(self, rule):
-        # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192
+        # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192;
+        # after the first chain, each one replays the query's memoised stream
         matrix = [[0.9, 0.2, 0.5, 0.5, 0.1, 0.7, 0.3],
                   [0.7, 0.4, 0.1, 0.8, 0.8, 0.0, 0.6],
                   [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
-        weights = [0.5, 0.3, 0.2]
         increments = sigmoid_gain(7).increments.tolist()
-        ctx = context(matrix, weights, increments)
+        q = make_query(matrix)
+        gain = ConcaveGain(increments)
         cfg = ChainConfig(num_samples=2100, burn_in=3000, thinning=3,
                           acceptance_rule=rule, rng_seed=chain_seed(5, "pin"))
+        for weights in ([0.5, 0.3, 0.2], [0.1, 0.7, 0.2], [0.5, 0.3, 0.2]):
+            ctx = EnergyContext.from_query(q, weights, gain)
+            ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
+            want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
+                                        cfg.thinning, rule, cfg.rng_seed)
+            np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+
+
+class TestQueryMemo:
+    def test_configs_and_gains_never_share_an_entry(self):
+        matrix = [[0.9, 0.2, 0.5, 0.4, 0.1, 0.7], [0.7, 0.4, 0.1, 0.8, 0.3, 0.0]]
+        weights = [0.6, 0.4]
         ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
-        want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
-                                    cfg.thinning, rule, cfg.rng_seed)
-        np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+        q = make_query(matrix)
+        base = ChainConfig(num_samples=30, burn_in=20, rng_seed=7)
+        configs = [base, replace(base, rng_seed=8), replace(base, burn_in=21),
+                   replace(base, num_samples=31), replace(base, thinning=3),
+                   replace(base, acceptance_rule="paper_literal")]
+        gains = [sigmoid_gain(6), log2_gain(6)]
+        for _ in range(2):  # the second round replays every entry of the first
+            for gain in gains:
+                for cfg in configs:
+                    ctx = EnergyContext.from_query(q, weights, gain)
+                    want = oracles.chain_orders(ybar, gain.increments.tolist(),
+                                                cfg.num_samples, cfg.burn_in, cfg.thinning,
+                                                cfg.acceptance_rule, cfg.rng_seed)
+                    np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+                    fresh = EnergyContext.from_query(make_query(matrix), weights, gain)
+                    np.testing.assert_array_equal(sample_expectation(ctx, cfg),
+                                                  sample_expectation(fresh, cfg))
+
+    def test_query_config_is_memoised_with_unchanged_seeds(self):
+        q = make_query([[1.0, 2.0]], query_id="q9")
+        cfg = ChainConfig(rng_seed=12345)
+        derived = query_config(q, cfg)
+        assert derived == replace(cfg, rng_seed=chain_seed(12345, "q9"))
+        assert query_config(q, cfg) is derived
+        assert query_config(q, replace(cfg, burn_in=5)).rng_seed == derived.rng_seed
+        assert query_config(q, cfg, 3) == replace(cfg, rng_seed=chain_seed(12345, "q9|unit-3"))
+        assert query_config(q, replace(cfg, rng_seed=1)).rng_seed == chain_seed(1, "q9")
 
 
 class TestExactBackend:
