@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .core import (
 )
 from .io import DataError, Dataset
 from .nested import ACTIVATION_NAMES, SAMPLING_MODES, Activation
-from .sampler import ACCEPTANCE_RULES, ChainConfig
+from .sampler import ACCEPTANCE_RULES, MAX_ENUMERATION_N, ChainConfig
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_INTERNAL"]
 
@@ -160,11 +161,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = flag_value
 
     cfg = RunConfig(merged)
-    if not cfg.mu > 0.0:
-        raise ConfigError("mu must be > 0")
+    if not 0.0 < cfg.mu < math.inf:
+        raise ConfigError("mu must be finite and > 0")
     for key in ("lam", "lam1", "lam2"):
-        if merged[key] < 0.0:
-            raise ConfigError(f"{key} must be >= 0")
+        if not 0.0 <= merged[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
     if cfg.burn_in < 0 or cfg.thinning < 1:
@@ -173,7 +174,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("epochs must be >= 1")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
-    if cfg.seed < 0:
+    if not 0 <= cfg.seed < 2 ** 64:
         raise ConfigError("seed must be a non-negative 64-bit integer")
     if cfg.model not in ("linear", "nested"):
         raise ConfigError("model must be linear or nested")
@@ -235,6 +236,9 @@ def cmd_train(cfg: RunConfig) -> int:
     cfg.require("data", "out")
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
+    if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
+        raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
+                          f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")
     chain = cfg.chain_config()
     out = Path(cfg.out)
     if cfg.model == "linear":

@@ -1,8 +1,11 @@
 """Core domain types for score-based rank aggregation.
 
 Candidates of a query are indexed 0..N-1. A :class:`Ranking` is an
-order-based permutation (position -> candidate index); a :class:`ScoreList`
-is one ranker's numeric scores over the same candidates. A concave gain
+order-based permutation (position -> candidate index); one ranker's scores
+over the same candidates (a score list) is a 1-D float array, and a
+:class:`QueryInstance` holds the K lists of a query as one K x N matrix.
+:class:`SimplexWeights` is a validated weight vector on the simplex;
+trainers carry plain arrays and build it once, at the end. A concave gain
 function g, stored through its increments delta_g(i) = g(i) - g(i-1), drives
 both the divergence engine and the positional discount used for NDCG.
 
@@ -22,7 +25,6 @@ __all__ = [
     "SIMPLEX_TOL",
     "ConcaveGain",
     "Ranking",
-    "ScoreList",
     "SimplexWeights",
     "QueryInstance",
     "sigmoid_gain",
@@ -191,39 +193,20 @@ class Ranking:
         return hash(self.as_tuple())
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreList:
-    """One ranker's numeric scores over the N candidates of a single query."""
+def _simplex_rows(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` made read-only after checking that each row lies on the simplex.
 
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.scores, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("scores must be a flat sequence")
-        if arr.size == 0:
-            raise ValueError("empty ground set")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("scores must be finite (no NaN or infinity)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.scores.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreList):
-            return NotImplemented
-        return np.array_equal(self.scores, other.scores)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.scores.tolist()))
-
-
-def as_score_list(x: ScoreList | Sequence[float] | np.ndarray) -> ScoreList:
-    """Coerce raw sequences to :class:`ScoreList`, validating on the way."""
-    return x if isinstance(x, ScoreList) else ScoreList(np.asarray(x, dtype=np.float64))
+    A row is the last axis: a vector is one row, a matrix is checked row by
+    row. ``name`` starts the error messages.
+    """
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError(f"{name} must be non-negative")
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
+        raise ValueError(f"{name} must sum to 1 within {SIMPLEX_TOL}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +219,7 @@ class SimplexWeights:
         arr = np.array(self.w, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a non-empty sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("weights must be non-negative")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
+        object.__setattr__(self, "w", _simplex_rows(arr, "weights"))
 
     @classmethod
     def uniform(cls, k: int) -> "SimplexWeights":
@@ -269,10 +245,9 @@ class QueryInstance:
     """A query id plus its K x N score matrix over one shared candidate set.
 
     Row i of ``matrix`` holds ranker i's scores. The matrix is validated
-    and stored once, as a read-only C-ordered float64 copy; ``lists``
-    derives per-ranker :class:`ScoreList` views from its rows on demand.
-    ``relevance`` carries optional graded judgments, used by evaluation
-    only; training never reads it.
+    and stored once, as a read-only C-ordered float64 copy. ``relevance``
+    carries optional graded judgments, used by evaluation only; training
+    never reads it.
     """
 
     query_id: str
@@ -320,11 +295,6 @@ class QueryInstance:
     def n(self) -> int:
         return int(self.matrix.shape[1])
 
-    @property
-    def lists(self) -> tuple[ScoreList, ...]:
-        """Per-ranker score lists, built from the matrix rows on each call."""
-        return tuple(ScoreList(row) for row in self.matrix)
-
     @functools.cached_property
     def _memo(self) -> dict:
         """Values the sampler derives from this query, created on first use.
@@ -335,14 +305,26 @@ class QueryInstance:
         return {}
 
 
-def ranking_from_scores(x: ScoreList | Sequence[float] | np.ndarray) -> Ranking:
+def _score_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """One score list as a float64 array: flat, non-empty and finite."""
+    scores = np.asarray(x, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError("scores must be a flat sequence")
+    if scores.size == 0:
+        raise ValueError("empty ground set")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite (no NaN or infinity)")
+    return scores
+
+
+def ranking_from_scores(x: Sequence[float] | np.ndarray) -> Ranking:
     """Ranking that sorts scores in non-increasing order.
 
     Ties are broken by the lower candidate index, so the result is
     deterministic and invariant under adding a constant or scaling all
     scores by a positive factor.
     """
-    scores = as_score_list(x).scores
+    scores = _score_vector(x)
     # stable sort of the negated scores: equal scores keep index order
     return Ranking(np.argsort(-scores, kind="stable"))
 

@@ -26,7 +26,6 @@ __all__ = [
     "write_letor",
     "parse_scores_csv",
     "write_scores_csv",
-    "pairwise_feature_transform",
     "synth_planted",
     "normalize_minmax",
 ]
@@ -295,21 +294,6 @@ def write_scores_csv(dataset: Dataset, path: str | Path) -> None:
                 if with_relevance:
                     row.append(repr(float(q.relevance[cand])))
                 writer.writerow(row)
-
-
-def pairwise_feature_transform(xa, xb) -> np.ndarray:
-    """Combined pairwise feature log(1 + a) - log(1 + b), elementwise.
-
-    Requires non-negative inputs; antisymmetric under swapping the two
-    sides and exactly zero where they agree.
-    """
-    a = np.asarray(xa, dtype=np.float64)
-    b = np.asarray(xb, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("pairwise inputs must share a shape")
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise ValueError("pairwise features must be non-negative")
-    return np.log1p(a) - np.log1p(b)
 
 
 def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,

@@ -2,16 +2,20 @@
 
 Training minimizes the sampled expectation of the weighted divergences plus
 an L2 penalty, using per-query stochastic gradients and a multiplicative
-simplex update. Inference has a closed form: sort the weighted mean of the
-score lists.
+simplex update. The step functions take and return plain arrays; the epoch
+loop they run in (visit order, objective log, snapshots and stop rule) is
+shared with the nested trainer, and a :class:`LinearModel` is built and
+validated once, when training ends. Inference has a closed form: sort the
+weighted mean of the score lists.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -66,10 +70,10 @@ class LinearHyper:
     epochs: int = 20
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError("learning rate mu must be > 0")
-        if self.lam < 0.0:
-            raise ValueError("regularization lam must be >= 0")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("learning rate mu must be finite and > 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("regularization lam must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -122,10 +126,9 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
-def update_weights(model: LinearModel, grad: np.ndarray) -> LinearModel:
-    """One multiplicative step on the model weights."""
-    new_w = multiplicative_simplex_update(model.weights.w, grad, model.hyper.mu)
-    return replace(model, weights=SimplexWeights(new_w))
+def update_weights(w: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
+    """One multiplicative step on the linear weights."""
+    return multiplicative_simplex_update(w, grad, mu)
 
 
 def _queries(data) -> tuple[QueryInstance, ...]:
@@ -138,33 +141,60 @@ def _queries(data) -> tuple[QueryInstance, ...]:
     return queries
 
 
-def sgd_gradient(model: LinearModel, q: QueryInstance, cfg: ChainConfig,
-                 backend: str = "mh") -> np.ndarray:
+def sgd_gradient(w: np.ndarray, gain: ConcaveGain, lam: float, q: QueryInstance,
+                 cfg: ChainConfig, backend: str = "mh") -> np.ndarray:
     """Per-query stochastic gradient: estimated E[d(x_i || pi)] + lam * w_i.
 
     The chain for query q is seeded with the global seed XOR FNV-1a of the
     query id, so gradients are reproducible and independent of query order.
     """
-    if q.k != model.k:
-        raise ValueError(f"query has K={q.k}, model has K={model.k}")
-    ctx = EnergyContext.from_query(q, model.weights, model.gain)
+    ctx = EnergyContext.from_query(q, w, gain)
     v = expected_divergences(ctx, query_config(q, cfg), backend)
-    return v + model.hyper.lam * model.weights.w
+    return v + lam * w
 
 
-def objective(model: LinearModel, data: Iterable[QueryInstance],
+def objective(w: np.ndarray, gain: ConcaveGain, lam: float, data: Iterable[QueryInstance],
               cfg: ChainConfig, backend: str = "mh") -> float:
     """Sampled objective: mean over queries of w . E[d] plus the L2 penalty."""
     queries = _queries(data)
-    if queries[0].k != model.k:
-        raise ValueError(f"dataset has K={queries[0].k}, model has K={model.k}")
-    w = model.weights.w
     total = 0.0
     for q in queries:
-        ctx = EnergyContext.from_query(q, model.weights, model.gain)
+        ctx = EnergyContext.from_query(q, w, gain)
         v = expected_divergences(ctx, query_config(q, cfg), backend)
         total += float(w @ v)
-    return total / len(queries) + 0.5 * model.hyper.lam * float(w @ w)
+    return total / len(queries) + 0.5 * lam * float(w @ w)
+
+
+def _run_epochs(queries: tuple[QueryInstance, ...], weights: tuple[np.ndarray, ...],
+                step: Callable[..., tuple[np.ndarray, ...]],
+                objective_of: Callable[..., float],
+                epochs: int, seed: int, shuffle: bool
+                ) -> tuple[tuple[np.ndarray, ...], TrainingLog]:
+    """The epoch loop of both trainers, on a tuple of weight arrays.
+
+    Each epoch visits the queries in dataset order (or a permutation drawn
+    from ``chain_seed(seed, "shuffle-epoch-<epoch>")``) and replaces the
+    weights by ``step(q, *weights)``. It then logs ``objective_of(*weights)``
+    and a copy of every array, and stops early once no weight moved more
+    than ``EARLY_STOP_TOL`` in the pass.
+    """
+    log = TrainingLog()
+    for epoch in range(epochs):
+        before = weights
+        order = range(len(queries))
+        if shuffle:
+            rng = np.random.default_rng(chain_seed(seed, f"shuffle-epoch-{epoch}"))
+            order = rng.permutation(len(queries)).tolist()
+        for qi in order:
+            weights = step(queries[qi], *weights)
+        log.objectives.append(objective_of(*weights))
+        log.snapshots.append(tuple(w.copy() for w in weights))
+        log.epochs_run = epoch + 1
+        moved = max(float(np.max(np.abs(w - b))) for w, b in zip(weights, before))
+        if moved < EARLY_STOP_TOL:
+            log.converged = True
+            break
+    return weights, log
 
 
 def train(data,
@@ -179,7 +209,9 @@ def train(data,
     seeded shuffle per epoch), and stops after ``hyper.epochs`` passes or
     as soon as no weight moved more than ``EARLY_STOP_TOL`` in a full pass.
     The objective recorded per epoch is evaluated with the same per-query
-    seeds, so a rerun with the same configuration reproduces the log.
+    seeds, so a rerun with the same configuration reproduces the log. The
+    weights are a plain array throughout; the model is built once, at the
+    end, and each snapshot is the weight array after its epoch.
 
     Every chain of one query uses the same derived config, so all of them
     (the gradient and objective passes of every epoch) see the same random
@@ -193,25 +225,17 @@ def train(data,
     cfg = cfg or ChainConfig()
     if gain is None:
         gain = sigmoid_gain(max(q.n for q in queries))
-    k = queries[0].k
-    model = LinearModel(SimplexWeights.uniform(k), gain, hyper)
-    log = TrainingLog()
-    for epoch in range(hyper.epochs):
-        w_before = model.weights.w
-        order = list(range(len(queries)))
-        if shuffle:
-            rng = np.random.default_rng(chain_seed(cfg.rng_seed, f"shuffle-epoch-{epoch}"))
-            order = rng.permutation(len(queries)).tolist()
-        for qi in order:
-            grad = sgd_gradient(model, queries[qi], cfg, backend)
-            model = update_weights(model, grad)
-        log.objectives.append(objective(model, queries, cfg, backend))
-        log.snapshots.append(model.weights.w.copy())
-        log.epochs_run = epoch + 1
-        if float(np.max(np.abs(model.weights.w - w_before))) < EARLY_STOP_TOL:
-            log.converged = True
-            break
-    return model, log
+
+    def step(q, w):
+        grad = sgd_gradient(w, gain, hyper.lam, q, cfg, backend)
+        return (update_weights(w, grad, hyper.mu),)
+
+    (w,), log = _run_epochs(
+        queries, (SimplexWeights.uniform(queries[0].k).w,), step,
+        lambda w: objective(w, gain, hyper.lam, queries, cfg, backend),
+        hyper.epochs, cfg.rng_seed, shuffle)
+    log.snapshots = [snapshot for (snapshot,) in log.snapshots]
+    return LinearModel(SimplexWeights(w), gain, hyper), log
 
 
 def aggregate_scores(model: LinearModel, q: QueryInstance) -> np.ndarray:

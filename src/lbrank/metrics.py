@@ -1,4 +1,4 @@
-"""Evaluation stack: NDCG, ROC/AUC, error rate, and unsupervised baselines.
+"""Evaluation stack: NDCG, ROC/AUC and unsupervised baselines.
 
 The NDCG discount defaults to the configured gain increments, which makes
 the scaled divergence of a ranking coincide with its NDCG loss when the
@@ -19,9 +19,8 @@ from .core import (
     ConcaveGain,
     QueryInstance,
     Ranking,
-    ScoreList,
     SimplexWeights,
-    as_score_list,
+    _score_vector,
     ranking_from_scores,
     weighted_average_scores,
 )
@@ -30,9 +29,7 @@ __all__ = [
     "RelevanceJudgments",
     "ndcg_at_k",
     "ndcg_table",
-    "ndcg_loss",
     "roc_auc",
-    "error_rate",
     "baseline_average",
     "baseline_borda",
     "borda_points",
@@ -142,19 +139,14 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
     return np.take_along_axis(ndcg, depth, axis=1)
 
 
-def ndcg_loss(sigma: Ranking, rel, discount: ConcaveGain) -> float:
-    """Full-list NDCG loss 1 - NDCG(sigma); in [0, 1]."""
-    return 1.0 - ndcg_at_k(sigma, rel, sigma.n, discount)
-
-
-def roc_auc(scores: ScoreList | Sequence[float] | np.ndarray, labels) -> float:
+def roc_auc(scores: Sequence[float] | np.ndarray, labels) -> float:
     """Area under the ROC curve as the Mann-Whitney statistic.
 
     P(score_pos > score_neg) + 0.5 P(tie), computed from tie-averaged
     ranks. Both classes must be present. Invariant under any strictly
     increasing transform of the scores.
     """
-    s = as_score_list(scores).scores
+    s = _score_vector(scores)
     y = np.asarray(labels)
     if y.shape != s.shape:
         raise ValueError("labels length does not match scores")
@@ -179,15 +171,6 @@ def _average_ranks(s: np.ndarray) -> np.ndarray:
     # positions start+1..end share the rank (start + 1 + end) / 2
     ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     return ranks
-
-
-def error_rate(predicted: Sequence[int], truth: Sequence[int]) -> float:
-    """Top-1 mismatch fraction between two index sequences."""
-    pred = np.asarray(predicted)
-    true = np.asarray(truth)
-    if pred.shape != true.shape or pred.size == 0:
-        raise ValueError("predicted and truth must be non-empty and aligned")
-    return float(np.mean(pred != true))
 
 
 def baseline_average(q: QueryInstance) -> Ranking:

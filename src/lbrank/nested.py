@@ -7,12 +7,17 @@ with the same multiplicative simplex update as the linear framework: the
 hidden layer updates first, then its refreshed activations drive the output
 layer update. With one hidden unit and identity activations the procedure
 reduces exactly to the linear trainer.
+
+The step functions take and return plain arrays (W1 as a K2 x K1 matrix,
+W2 as a vector); training runs them in the linear trainer's epoch loop,
+and a :class:`NestedModel` is built and validated at initialisation and
+once more when training ends.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -23,18 +28,19 @@ from .core import (
     QueryInstance,
     Ranking,
     SimplexWeights,
+    _simplex_rows,
     gain_from_spec,
     gain_spec,
     ranking_from_scores,
     sigmoid_gain,
 )
 from .linear import (
-    EARLY_STOP_TOL,
     TrainingLog,
     _model_file_errors,
     _parse_floats,
     _queries,
     _read_model_fields,
+    _run_epochs,
     multiplicative_simplex_update,
 )
 from .sampler import (
@@ -156,10 +162,10 @@ class NestedHyper:
     sampling: str = "aggregate"
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError("learning rate mu must be > 0")
-        if self.lam1 < 0.0 or self.lam2 < 0.0:
-            raise ValueError("regularization terms must be >= 0")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("learning rate mu must be finite and > 0")
+        if not (0.0 <= self.lam1 < math.inf and 0.0 <= self.lam2 < math.inf):
+            raise ValueError("regularization terms must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.k2 is not None and self.k2 < 1:
@@ -168,19 +174,6 @@ class NestedHyper:
             raise ValueError("init_jitter must be in [0, 1)")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
-
-
-def _validated_rows(w1) -> np.ndarray:
-    arr = np.array(w1, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("W1 must be a K2 x K1 matrix")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("W1 entries must be finite and non-negative")
-    row_err = np.abs(arr.sum(axis=1) - 1.0)
-    if np.any(row_err > 1e-9):
-        raise ValueError("every W1 row must sum to 1 within 1e-9")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +186,12 @@ class NestedModel:
     hyper: NestedHyper = field(default_factory=NestedHyper)
 
     def __post_init__(self) -> None:
-        arr = _validated_rows(self.w1)
+        arr = np.array(self.w1, dtype=np.float64)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("W1 must be a K2 x K1 matrix")
         if self.w2.k != arr.shape[0]:
             raise ValueError("W2 length must equal the number of W1 rows")
-        object.__setattr__(self, "w1", arr)
+        object.__setattr__(self, "w1", _simplex_rows(arr, "every W1 row"))
 
     @property
     def k1(self) -> int:
@@ -243,13 +238,14 @@ def init_nested(k1: int,
                        hyper)
 
 
-def aggregate_weights(model: NestedModel) -> np.ndarray:
+def aggregate_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Effective per-ranker weights W2 @ W1; a convex mix of simplex rows."""
-    return model.w2.w @ model.w1
+    return w2 @ w1
 
 
-def per_list_expectation(model: NestedModel, q: QueryInstance,
-                         cfg: ChainConfig, backend: str = "mh") -> np.ndarray:
+def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
+                         sampling: str, q: QueryInstance, cfg: ChainConfig,
+                         backend: str = "mh") -> np.ndarray:
     """K2 x K1 table of expected divergences; row i feeds hidden unit i.
 
     In ``aggregate`` mode one chain per query is drawn under the aggregate
@@ -257,82 +253,70 @@ def per_list_expectation(model: NestedModel, q: QueryInstance,
     each hidden unit runs its own chain under its W1 row (K2 chains per
     query, seeded per unit).
     """
-    if q.k != model.k1:
-        raise ValueError(f"query has K={q.k}, model has K1={model.k1}")
-    rows = np.empty((model.k2, model.k1), dtype=np.float64)
-    if model.hyper.sampling == "aggregate":
-        ctx = EnergyContext.from_query(q, aggregate_weights(model), model.gain)
+    rows = np.empty(w1.shape, dtype=np.float64)
+    if sampling == "aggregate":
+        ctx = EnergyContext.from_query(q, aggregate_weights(w1, w2), gain)
         rows[:] = expected_divergences(ctx, query_config(q, cfg), backend)
         return rows
-    for i in range(model.k2):
-        ctx = EnergyContext.from_query(q, model.w1[i], model.gain)
+    for i in range(w1.shape[0]):
+        ctx = EnergyContext.from_query(q, w1[i], gain)
         rows[i] = expected_divergences(ctx, query_config(q, cfg, i), backend)
     return rows
 
 
-def hidden_preactivation(model: NestedModel, div_means: np.ndarray) -> np.ndarray:
+def hidden_preactivation(w1: np.ndarray, div_means: np.ndarray) -> np.ndarray:
     """delta1(i) = sum_j W1(i, j) E[d(x_j || pi)], one value per hidden unit."""
     div_means = np.asarray(div_means, dtype=np.float64)
-    if div_means.shape != model.w1.shape:
+    if div_means.shape != w1.shape:
         raise ValueError("divergence table shape does not match W1")
-    return np.einsum("ij,ij->i", model.w1, div_means)
+    return np.einsum("ij,ij->i", w1, div_means)
 
 
-def bottom_gradient(model: NestedModel, div_means: np.ndarray,
-                    delta1: np.ndarray) -> np.ndarray:
+def bottom_gradient(w1: np.ndarray, phi1: Activation, lam1: float,
+                    div_means: np.ndarray, delta1: np.ndarray) -> np.ndarray:
     """grad1(i, j) = phi1'(delta1(i)) E[d(x_j || pi)] + lam1 W1(i, j)."""
     div_means = np.asarray(div_means, dtype=np.float64)
-    slopes = model.phi1.deriv(np.asarray(delta1, dtype=np.float64))
-    return slopes[:, np.newaxis] * div_means + model.hyper.lam1 * model.w1
+    slopes = phi1.deriv(np.asarray(delta1, dtype=np.float64))
+    return slopes[:, np.newaxis] * div_means + lam1 * w1
 
 
-def update_w1(model: NestedModel, grad1: np.ndarray) -> NestedModel:
+def update_w1(w1: np.ndarray, grad1: np.ndarray, mu: float) -> np.ndarray:
     """Row-wise multiplicative simplex update of the hidden layer."""
-    grad1 = np.asarray(grad1, dtype=np.float64)
-    if grad1.shape != model.w1.shape:
-        raise ValueError("gradient shape does not match W1")
-    return replace(model, w1=multiplicative_simplex_update(model.w1, grad1, model.hyper.mu))
+    return multiplicative_simplex_update(w1, grad1, mu)
 
 
-def output_preactivation(model: NestedModel, delta1_next: np.ndarray) -> float:
+def output_preactivation(w2: np.ndarray, phi1: Activation,
+                         delta1_next: np.ndarray) -> float:
     """delta2 = sum_i W2(i) phi1(delta1(i)), the activated hidden mix."""
-    activated = model.phi1(np.asarray(delta1_next, dtype=np.float64))
-    return float(model.w2.w @ activated)
+    activated = phi1(np.asarray(delta1_next, dtype=np.float64))
+    return float(w2 @ activated)
 
 
-def top_gradient(model: NestedModel, delta2: float,
-                 delta1_next: np.ndarray) -> np.ndarray:
+def top_gradient(w2: np.ndarray, phi1: Activation, phi2: Activation, lam2: float,
+                 delta2: float, delta1_next: np.ndarray) -> np.ndarray:
     """grad2(i) = phi2'(delta2) phi1(delta1(i)) + lam2 W2(i)."""
-    activated = model.phi1(np.asarray(delta1_next, dtype=np.float64))
-    slope = float(model.phi2.deriv(delta2))
-    return slope * activated + model.hyper.lam2 * model.w2.w
+    activated = phi1(np.asarray(delta1_next, dtype=np.float64))
+    slope = float(phi2.deriv(delta2))
+    return slope * activated + lam2 * w2
 
 
-def update_w2(model: NestedModel, grad2: np.ndarray) -> NestedModel:
-    """Multiplicative simplex update of the output layer.
-
-    The new model shares the old one's W1 array: it was validated when it
-    entered a model and the update leaves it unchanged, so it is neither
-    copied nor checked again.
-    """
-    new_w2 = multiplicative_simplex_update(model.w2.w, np.asarray(grad2, float),
-                                           model.hyper.mu)
-    updated = copy.copy(model)  # skips __post_init__ and its W1 copy
-    object.__setattr__(updated, "w2", SimplexWeights(new_w2))
-    return updated
+def update_w2(w2: np.ndarray, grad2: np.ndarray, mu: float) -> np.ndarray:
+    """Multiplicative simplex update of the output layer."""
+    return multiplicative_simplex_update(w2, grad2, mu)
 
 
-def objective(model: NestedModel, data: Iterable[QueryInstance],
+def objective(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain, phi1: Activation,
+              phi2: Activation, hyper: NestedHyper, data: Iterable[QueryInstance],
               cfg: ChainConfig, backend: str = "mh") -> float:
     """Sampled two-layer objective plus both Frobenius penalties."""
     queries = _queries(data)
     total = 0.0
     for q in queries:
-        table = per_list_expectation(model, q, cfg, backend)
-        delta1 = hidden_preactivation(model, table)
-        total += float(model.phi2(output_preactivation(model, delta1)))
-    reg1 = 0.5 * model.hyper.lam1 * float(np.sum(model.w1 * model.w1))
-    reg2 = 0.5 * model.hyper.lam2 * float(model.w2.w @ model.w2.w)
+        table = per_list_expectation(w1, w2, gain, hyper.sampling, q, cfg, backend)
+        delta1 = hidden_preactivation(w1, table)
+        total += float(phi2(output_preactivation(w2, phi1, delta1)))
+    reg1 = 0.5 * hyper.lam1 * float(np.sum(w1 * w1))
+    reg2 = 0.5 * hyper.lam2 * float(w2 @ w2)
     return total / len(queries) + reg1 + reg2
 
 
@@ -349,7 +333,9 @@ def train(data,
     Per query: estimate the divergence table once, update every W1 row, then
     recompute the hidden preactivations with the fresh W1 and update W2.
     Stops after the epoch budget or when no weight in either layer moved
-    more than ``EARLY_STOP_TOL`` across a full pass.
+    more than ``EARLY_STOP_TOL`` across a full pass. W1 and W2 are plain
+    arrays between the validated initial model and the final one; each
+    snapshot is a ``(W1, W2)`` pair of arrays.
     """
     queries = _queries(data)
     hyper = hyper or NestedHyper()
@@ -357,31 +343,23 @@ def train(data,
     if gain is None:
         gain = sigmoid_gain(max(q.n for q in queries))
     model = init_nested(queries[0].k, hyper, gain, phi1, phi2, seed=cfg.rng_seed)
-    log = TrainingLog()
-    for epoch in range(hyper.epochs):
-        w1_before = model.w1
-        w2_before = model.w2.w
-        order = list(range(len(queries)))
-        if shuffle:
-            rng = np.random.default_rng(chain_seed(cfg.rng_seed, f"shuffle-epoch-{epoch}"))
-            order = rng.permutation(len(queries)).tolist()
-        for qi in order:
-            q = queries[qi]
-            table = per_list_expectation(model, q, cfg, backend)
-            delta1 = hidden_preactivation(model, table)
-            model = update_w1(model, bottom_gradient(model, table, delta1))
-            delta1_next = hidden_preactivation(model, table)
-            delta2 = output_preactivation(model, delta1_next)
-            model = update_w2(model, top_gradient(model, delta2, delta1_next))
-        log.objectives.append(objective(model, queries, cfg, backend))
-        log.snapshots.append((model.w1.copy(), model.w2.w.copy()))
-        log.epochs_run = epoch + 1
-        moved = max(float(np.max(np.abs(model.w1 - w1_before))),
-                    float(np.max(np.abs(model.w2.w - w2_before))))
-        if moved < EARLY_STOP_TOL:
-            log.converged = True
-            break
-    return model, log
+    phi1, phi2 = model.phi1, model.phi2
+
+    def step(q, w1, w2):
+        table = per_list_expectation(w1, w2, gain, hyper.sampling, q, cfg, backend)
+        delta1 = hidden_preactivation(w1, table)
+        w1 = update_w1(w1, bottom_gradient(w1, phi1, hyper.lam1, table, delta1), hyper.mu)
+        delta1_next = hidden_preactivation(w1, table)
+        delta2 = output_preactivation(w2, phi1, delta1_next)
+        w2 = update_w2(w2, top_gradient(w2, phi1, phi2, hyper.lam2, delta2, delta1_next),
+                       hyper.mu)
+        return w1, w2
+
+    (w1, w2), log = _run_epochs(
+        queries, (model.w1, model.w2.w), step,
+        lambda w1, w2: objective(w1, w2, gain, phi1, phi2, hyper, queries, cfg, backend),
+        hyper.epochs, cfg.rng_seed, shuffle)
+    return NestedModel(w1, SimplexWeights(w2), gain, phi1, phi2, hyper), log
 
 
 def aggregate_scores(model: NestedModel, q: QueryInstance) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, SimplexWeights, QueryInstance
+from .core import ConcaveGain, QueryInstance
 
 __all__ = [
     "ACCEPTANCE_RULES",
@@ -112,18 +112,20 @@ class EnergyContext:
     and the chains' proposal streams live in ``memo``; ``from_query``
     passes the query's own memo, so they are computed once per query and
     gain. ``matrix`` is the read-only matrix of a validated
-    :class:`QueryInstance`; it is not copied or re-checked.
+    :class:`QueryInstance` and ``weights`` a float64 array of length K;
+    only their shapes are checked here. The trainers' weights stay on the
+    simplex by construction and are validated when the model is built.
     """
 
     matrix: np.ndarray
-    weights: SimplexWeights
+    weights: np.ndarray
     gain: ConcaveGain
     memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         k, n = self.matrix.shape
-        if self.weights.k != k:
-            raise ValueError(f"{self.weights.k} weights for {k} lists")
+        if self.weights.shape != (k,):
+            raise ValueError(f"weights of shape {self.weights.shape} for {k} lists")
         if self.gain.capacity < n:
             raise ValueError(f"gain covers {self.gain.capacity} positions, need {n}")
         # keyed by the gain object itself: the entry holds it, so it stays unique
@@ -135,7 +137,7 @@ class EnergyContext:
             top = (np.sort(self.matrix, axis=1)[:, ::-1] - low) @ delta
             top.setflags(write=False)
             terms = self.memo[key] = (delta, low, top)
-        ybar = self.weights.w @ self.matrix
+        ybar = self.weights @ self.matrix
         ybar.setflags(write=False)
         object.__setattr__(self, "_delta", terms[0])
         object.__setattr__(self, "_low", terms[1])
@@ -143,12 +145,9 @@ class EnergyContext:
         object.__setattr__(self, "_ybar", ybar)
 
     @classmethod
-    def from_query(cls, q: QueryInstance,
-                   weights: SimplexWeights | np.ndarray | Sequence[float],
+    def from_query(cls, q: QueryInstance, weights: np.ndarray | Sequence[float],
                    gain: ConcaveGain) -> "EnergyContext":
-        if not isinstance(weights, SimplexWeights):
-            weights = SimplexWeights(np.asarray(weights, dtype=np.float64))
-        return cls(q.matrix, weights, gain, q._memo)
+        return cls(q.matrix, np.asarray(weights, dtype=np.float64), gain, q._memo)
 
     @property
     def k(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lbrank.core import ConcaveGain, QueryInstance, ScoreList
+from lbrank.core import ConcaveGain, QueryInstance
 
 
 @pytest.fixture

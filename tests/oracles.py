@@ -7,6 +7,13 @@ stepper and the row update keep the one-value-at-a-time form of what the
 library now computes in bulk, so results can be compared exactly. The
 energy functions read only a sampler context's matrix, gain increments and
 weights, and sort the lists themselves.
+
+Two groups are the exception. The reference trainers (``train_linear``,
+``train_nested``) re-run training one written-out step at a time on the
+library's own expectation backend and simplex update, so their results
+are comparable bit for bit with the trainers'. The formula-level helpers
+at the end (NDCG loss and its divergence form, the top-1 error rate and
+the pairwise feature transform) have no caller in the library.
 """
 
 from __future__ import annotations
@@ -180,7 +187,7 @@ def per_list_divergences(ctx, pi) -> np.ndarray:
 
 def energy(ctx, pi) -> float:
     """Weighted divergence sum sum_i w_i d(x_i || pi); non-negative."""
-    return float(ctx.weights.w @ per_list_divergences(ctx, pi))
+    return float(ctx.weights @ per_list_divergences(ctx, pi))
 
 
 def acceptance_ratio(ctx, current, proposed) -> float:
@@ -237,3 +244,133 @@ def simplex_update_row(w, grad, mu: float):
     scaled = np.zeros_like(w)
     scaled[active] = w[active] * np.exp(t[active] - t[active].max())
     return scaled / scaled.sum()
+
+
+def _visit_order(n_queries: int, seed: int, epoch: int, shuffle: bool) -> list[int]:
+    if not shuffle:
+        return list(range(n_queries))
+    from lbrank.sampler import chain_seed
+
+    rng = np.random.default_rng(chain_seed(seed, f"shuffle-epoch-{epoch}"))
+    return rng.permutation(n_queries).tolist()
+
+
+def _expectation(q, weights, gain, cfg, backend, unit=None) -> np.ndarray:
+    """The library's E[d(x_i || pi)] for one query under ``weights``."""
+    from lbrank.sampler import EnergyContext, expected_divergences, query_config
+
+    ctx = EnergyContext.from_query(q, weights, gain)
+    return expected_divergences(ctx, query_config(q, cfg, unit), backend)
+
+
+def train_linear(queries, hyper, cfg, gain, backend="mh", shuffle=False):
+    """Reference linear training: (final w, per-epoch objectives, snapshots).
+
+    Per query in visit order: gradient E[d] + lam w, then the multiplicative
+    simplex step. After each epoch: the sampled objective and a copy of w;
+    stop once no weight moved 1e-5 or more in the epoch.
+    """
+    from lbrank.linear import multiplicative_simplex_update
+
+    w = np.full(queries[0].k, 1.0 / queries[0].k)
+    objectives, snapshots = [], []
+    for epoch in range(hyper.epochs):
+        start = w
+        for qi in _visit_order(len(queries), cfg.rng_seed, epoch, shuffle):
+            grad = _expectation(queries[qi], w, gain, cfg, backend) + hyper.lam * w
+            w = multiplicative_simplex_update(w, grad, hyper.mu)
+        total = 0.0
+        for q in queries:
+            total += float(w @ _expectation(q, w, gain, cfg, backend))
+        objectives.append(total / len(queries) + 0.5 * hyper.lam * float(w @ w))
+        snapshots.append(w.copy())
+        if np.max(np.abs(w - start)) < 1e-5:
+            break
+    return w, objectives, snapshots
+
+
+def _divergence_table(q, w1, w2, gain, sampling, cfg, backend) -> np.ndarray:
+    if sampling == "aggregate":
+        row = _expectation(q, w2 @ w1, gain, cfg, backend)
+        return np.tile(row, (w1.shape[0], 1))
+    return np.stack([_expectation(q, w1[i], gain, cfg, backend, unit=i)
+                     for i in range(w1.shape[0])])
+
+
+def train_nested(queries, model, cfg, backend="mh", shuffle=False):
+    """Reference nested training from ``model``: (W1, W2, objectives, snapshots).
+
+    Per query in visit order: the divergence table, the W1 step on
+    phi1'(delta1) E[d] + lam1 W1, the hidden preactivations again under the
+    new W1, then the W2 step on phi2'(delta2) phi1(delta1) + lam2 W2.
+    """
+    from lbrank.linear import multiplicative_simplex_update
+
+    hyper, gain, phi1, phi2 = model.hyper, model.gain, model.phi1, model.phi2
+    w1, w2 = model.w1, model.w2.w
+    objectives, snapshots = [], []
+    for epoch in range(hyper.epochs):
+        start1, start2 = w1, w2
+        for qi in _visit_order(len(queries), cfg.rng_seed, epoch, shuffle):
+            table = _divergence_table(queries[qi], w1, w2, gain, hyper.sampling, cfg, backend)
+            delta1 = np.einsum("ij,ij->i", w1, table)
+            grad1 = phi1.deriv(delta1)[:, np.newaxis] * table + hyper.lam1 * w1
+            w1 = multiplicative_simplex_update(w1, grad1, hyper.mu)
+            activated = phi1(np.einsum("ij,ij->i", w1, table))
+            delta2 = float(w2 @ activated)
+            grad2 = float(phi2.deriv(delta2)) * activated + hyper.lam2 * w2
+            w2 = multiplicative_simplex_update(w2, grad2, hyper.mu)
+        total = 0.0
+        for q in queries:
+            table = _divergence_table(q, w1, w2, gain, hyper.sampling, cfg, backend)
+            total += float(phi2(float(w2 @ phi1(np.einsum("ij,ij->i", w1, table)))))
+        objectives.append(total / len(queries)
+                          + 0.5 * hyper.lam1 * float(np.sum(w1 * w1))
+                          + 0.5 * hyper.lam2 * float(w2 @ w2))
+        snapshots.append((w1.copy(), w2.copy()))
+        moved = max(np.max(np.abs(w1 - start1)), np.max(np.abs(w2 - start2)))
+        if moved < 1e-5:
+            break
+    return w1, w2, objectives, snapshots
+
+
+def ndcg_loss(sigma, rel, discount) -> float:
+    """Full-list NDCG loss 1 - NDCG of a Ranking against RelevanceJudgments."""
+    r = rel.r.tolist()
+    return 1.0 - ndcg(sigma.as_tuple(), r, discount.increments.tolist(), len(r))
+
+
+def ndcg_loss_from_divergence(d: float, x: Sequence[float], gain) -> float:
+    """A divergence scaled by the ideal discounted mass Z of its score vector.
+
+    Z = sum_i x_sorted(i) * delta_g(i). With relevance grades equal to the
+    scores and discount equal to the gain increments, the result is exactly
+    the NDCG loss of the ranking the divergence was computed against.
+    """
+    top = sorted((float(v) for v in x), reverse=True)
+    z = math.fsum(v * g for v, g in zip(top, gain.increments.tolist()))
+    if z <= 0.0:
+        raise ValueError("degenerate normalizer: ideal discounted mass is not positive")
+    return d / z
+
+
+def error_rate(predicted: Sequence[int], truth: Sequence[int]) -> float:
+    """Top-1 mismatch fraction between two aligned, non-empty index sequences."""
+    if len(predicted) != len(truth) or not truth:
+        raise ValueError("predicted and truth must be non-empty and aligned")
+    return sum(p != t for p, t in zip(predicted, truth)) / len(truth)
+
+
+def pairwise_feature_transform(xa, xb) -> np.ndarray:
+    """Combined pairwise feature log(1 + a) - log(1 + b) of non-negative inputs.
+
+    The feature of the paper's pairwise-preference (influencer) task:
+    antisymmetric under swapping the two sides and zero where they agree.
+    """
+    a = np.asarray(xa, dtype=np.float64)
+    b = np.asarray(xb, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError("pairwise inputs must share a shape")
+    if np.any(a < 0.0) or np.any(b < 0.0):
+        raise ValueError("pairwise features must be non-negative")
+    return np.log1p(a) - np.log1p(b)

@@ -187,7 +187,7 @@ def test_criterion_05_gradient_fidelity():
         w = rng.dirichlet(np.ones(k))
         lam = float(rng.uniform(0.0, 0.05))
         model = LinearModel(SimplexWeights(w), gain, LinearHyper(lam=lam))
-        grad = sgd_gradient(model, q, cfg, backend="exact")
+        grad = sgd_gradient(model.weights.w, gain, lam, q, cfg, backend="exact")
         frozen = oracles.exact_expectations(q.matrix.tolist(), w.tolist(),
                                             gain.increments[:n].tolist())
 
@@ -212,10 +212,11 @@ def test_criterion_05_gradient_fidelity():
                             Activation("shifted_logistic"),
                             Activation("shifted_logistic"),
                             NestedHyper(lam1=lam1, lam2=lam2, k2=k2))
-        table = per_list_expectation(model, q, cfg, backend="exact")
-        delta1 = hidden_preactivation(model, table)
-        grad1 = bottom_gradient(model, table, delta1)
+        table = per_list_expectation(model.w1, model.w2.w, gain, "aggregate", q, cfg,
+                                     backend="exact")
+        delta1 = hidden_preactivation(model.w1, table)
         phi1, phi2 = model.phi1, model.phi2
+        grad1 = bottom_gradient(model.w1, phi1, lam1, table, delta1)
 
         for i in range(k2):
             def hidden_term(row, i=i):
@@ -226,8 +227,8 @@ def test_criterion_05_gradient_fidelity():
                 fd = oracles.central_difference(hidden_term, model.w1[i].tolist(), j)
                 assert abs(fd - grad1[i, j]) / max(abs(grad1[i, j]), 1e-12) <= 1e-4
 
-        delta2 = output_preactivation(model, delta1)
-        grad2 = top_gradient(model, delta2, delta1)
+        delta2 = output_preactivation(model.w2.w, phi1, delta1)
+        grad2 = top_gradient(model.w2.w, phi1, phi2, lam2, delta2, delta1)
         activated = np.asarray(phi1(delta1))
 
         def output_term(w2vec):
@@ -253,19 +254,20 @@ def test_criterion_06_simplex_preservation():
         w = multiplicative_simplex_update(w, grad, mu=0.1)
         check(w)
 
-    gain = sigmoid_gain(4)
-    model = NestedModel(np.full((3, 5), 0.2), SimplexWeights.uniform(3), gain,
-                        hyper=NestedHyper(k2=3))
+    w1 = np.full((3, 5), 0.2)
     for _ in range(3000):  # hidden-layer row updates
         grad1 = rng.normal(scale=rng.choice([0.5, 10.0, 1e3]), size=(3, 5))
-        model = update_w1(model, grad1)
-        for row in model.w1:
+        w1 = update_w1(w1, grad1, mu=0.1)
+        for row in w1:
             check(row)
 
+    w2 = np.full(3, 1.0 / 3.0)
     for _ in range(3000):  # output-layer updates
         grad2 = rng.normal(scale=rng.choice([0.5, 10.0, 1e3]), size=3)
-        model = update_w2(model, grad2)
-        check(model.w2.w)
+        w2 = update_w2(w2, grad2, mu=0.1)
+        check(w2)
+    # the trained arrays are accepted as a model
+    NestedModel(w1, SimplexWeights(w2), sigmoid_gain(4), hyper=NestedHyper(k2=3))
 
 
 @criterion(7, "one-hidden-unit nested training reproduces the linear trajectory")
@@ -305,7 +307,7 @@ def test_criterion_08_planted_recovery():
 
     aggregated = mean_ndcg5(lambda q: linear_infer(model, q))
     best_single = max(
-        mean_ndcg5(lambda q, i=i: ranking_from_scores(q.lists[i]))
+        mean_ndcg5(lambda q, i=i: ranking_from_scores(q.matrix[i]))
         for i in range(5)
     )
     assert aggregated >= best_single - 0.01

@@ -316,11 +316,26 @@ def _replace_line(path: Path, prefix: str, new: str | None) -> None:
 
 
 class TestMalformedInputs:
-    """Bad data and model files exit 3, never 4."""
+    """Bad data and model files exit 3 and bad options exit 2, never 4."""
 
     @pytest.fixture
     def files(self, tmp_path):
         return _write_base_files(tmp_path)
+
+    @pytest.mark.parametrize("n, args, named", [
+        (5, ["--mu", "inf"], "mu must be finite"),
+        (5, ["--lam", "inf"], "lam must be finite"),
+        (5, ["--model", "nested", "--lam2", "inf"], "lam2 must be finite"),
+        (5, ["--seed", str(2 ** 64)], "seed must be a non-negative 64-bit integer"),
+        (9, ["--backend", "exact"], "limited to N <= 8"),
+    ])
+    def test_bad_training_option(self, tmp_path, n, args, named, capsys):
+        data = tmp_path / "data.csv"
+        write_scores_csv(synth_planted(3, n, 3, [0.0, 0.6, 1.2], seed=4), data)
+        assert run("train", "--data", data, "--out", tmp_path / "m.txt",
+                   "--epochs", 1, *args) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_csv_score(self, tmp_path, files, value, capsys):

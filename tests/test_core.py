@@ -9,7 +9,6 @@ from lbrank.core import (
     ConcaveGain,
     QueryInstance,
     Ranking,
-    ScoreList,
     SimplexWeights,
     gain_from_spec,
     gain_spec,
@@ -19,6 +18,9 @@ from lbrank.core import (
     sigmoid_gain,
     weighted_average_scores,
 )
+
+from lbrank.lovasz import lb_bound, lb_divergence
+from lbrank.metrics import roc_auc
 
 import oracles
 
@@ -89,20 +91,29 @@ class TestRanking:
 
 
 class TestScoreList:
+    # one ranker's scores: a flat float array, checked by every function
+    # that takes one and stored read-only as a row of the query matrix
+    SCORE_FUNCTIONS = (ranking_from_scores,
+                       lambda x: lb_divergence(x, Ranking([0]), ConcaveGain([1.0])),
+                       lambda x: lb_bound(x, ConcaveGain([1.0])),
+                       lambda x: roc_auc(x, [1]))
+
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoreList([1.0, float("nan")])
-        with pytest.raises(ValueError, match="finite"):
-            ScoreList([float("inf")])
+        for fn in self.SCORE_FUNCTIONS:
+            with pytest.raises(ValueError, match="finite"):
+                fn([float("nan")])
+            with pytest.raises(ValueError, match="finite"):
+                fn([float("inf")])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty ground set"):
-            ScoreList([])
+        for fn in self.SCORE_FUNCTIONS:
+            with pytest.raises(ValueError, match="empty ground set"):
+                fn([])
 
     def test_immutable(self):
-        x = ScoreList([1.0, 2.0])
+        q = QueryInstance("q", [[1.0, 2.0]])
         with pytest.raises(ValueError):
-            x.scores[0] = 9.0
+            q.matrix[0][0] = 9.0
 
 
 class TestConcaveGain:

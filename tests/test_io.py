@@ -10,7 +10,6 @@ from lbrank.io import (
     DataError,
     Dataset,
     normalize_minmax,
-    pairwise_feature_transform,
     parse_letor,
     parse_scores_csv,
     synth_planted,
@@ -23,6 +22,7 @@ from lbrank.sampler import ChainConfig
 from lbrank.core import sigmoid_gain
 
 from conftest import make_query
+from oracles import pairwise_feature_transform
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -230,7 +230,7 @@ class TestSynthPlanted:
         ds = synth_planted(20, 8, 3, [0.0, 0.7, 1.4], seed=2)
         for q in ds.queries:
             truth = ranking_from_scores(q.relevance)
-            assert ranking_from_scores(q.lists[0]) == truth
+            assert ranking_from_scores(q.matrix[0]) == truth
 
     def test_deterministic(self):
         a = synth_planted(5, 6, 2, [0.0, 1.0], seed=42)
@@ -247,7 +247,7 @@ class TestSynthPlanted:
             vals = []
             for q in ds.queries:
                 rel = RelevanceJudgments(q.relevance)
-                vals.append(ndcg_at_k(ranking_from_scores(q.lists[i]), rel, 5, gain))
+                vals.append(ndcg_at_k(ranking_from_scores(q.matrix[i]), rel, 5, gain))
             means.append(float(np.mean(vals)))
         assert abs(means[0] - means[1]) <= 0.02
 
@@ -276,7 +276,7 @@ class TestNormalizeMinmax:
         for _ in range(20):
             q = make_query(rng.normal(size=(3, 7)) * rng.uniform(0.1, 50))
             out = normalize_minmax(q)
-            for before, after in zip(q.lists, out.lists):
+            for before, after in zip(q.matrix, out.matrix):
                 assert ranking_from_scores(before) == ranking_from_scores(after)
 
     def test_relevance_preserved(self):

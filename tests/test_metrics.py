@@ -14,16 +14,14 @@ from lbrank.core import (
 )
 from lbrank.linear import LinearHyper, LinearModel
 from lbrank.linear import infer as linear_infer
-from lbrank.lovasz import lb_bound, lb_divergence, ndcg_loss_from_divergence
+from lbrank.lovasz import lb_bound, lb_divergence
 from lbrank.metrics import (
     RelevanceJudgments,
     baseline_average,
     baseline_borda,
     borda_points,
-    error_rate,
     format_table,
     ndcg_at_k,
-    ndcg_loss,
     ndcg_table,
     roc_auc,
     write_metric_csv,
@@ -31,6 +29,7 @@ from lbrank.metrics import (
 
 import oracles
 from conftest import make_query
+from oracles import error_rate, ndcg_loss, ndcg_loss_from_divergence
 
 
 class TestRelevanceJudgments:
@@ -249,7 +248,7 @@ class TestErrorRate:
 class TestBaselines:
     def test_average_single_list(self, rng):
         q = make_query(rng.normal(size=(1, 5)))
-        assert baseline_average(q) == ranking_from_scores(q.lists[0])
+        assert baseline_average(q) == ranking_from_scores(q.matrix[0])
 
     def test_average_opposite_lists_tie_to_index_order(self):
         q = make_query([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
@@ -264,7 +263,7 @@ class TestBaselines:
 
     def test_borda_single_list(self, rng):
         q = make_query(rng.normal(size=(1, 5)))
-        assert baseline_borda(q) == ranking_from_scores(q.lists[0])
+        assert baseline_borda(q) == ranking_from_scores(q.matrix[0])
 
     def test_borda_reversed_pair_ties_to_index_order(self):
         q = make_query([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])

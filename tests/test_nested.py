@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ from conftest import make_query
 def simple_model(w1, w2, gain, phi1="identity", phi2="identity", **hyper) -> NestedModel:
     return NestedModel(np.asarray(w1, float), SimplexWeights(w2), gain,
                        Activation(phi1), Activation(phi2), NestedHyper(**hyper))
+
+
+def table_of(model: NestedModel, q, cfg, backend="mh") -> np.ndarray:
+    return per_list_expectation(model.w1, model.w2.w, model.gain, model.hyper.sampling,
+                                q, cfg, backend)
 
 
 class TestActivations:
@@ -139,15 +145,15 @@ class TestForwardPieces:
     def test_hidden_preactivation_constant_lists_is_zero(self, gain6):
         q = make_query([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
         model = simple_model([[0.5, 0.5], [0.2, 0.8]], [0.5, 0.5], gain6, k2=2)
-        table = per_list_expectation(model, q, ChainConfig(rng_seed=0), backend="exact")
-        np.testing.assert_array_equal(hidden_preactivation(model, table), [0.0, 0.0])
+        table = table_of(model, q, ChainConfig(rng_seed=0), backend="exact")
+        np.testing.assert_array_equal(hidden_preactivation(model.w1, table), [0.0, 0.0])
 
     def test_one_hot_row_reduces_to_sampler_output(self, gain6, rng):
         q = make_query(rng.uniform(0, 1, size=(2, 4)))
         model = simple_model([[1.0, 0.0]], [1.0], gain6, k2=1)
-        table = per_list_expectation(model, q, ChainConfig(rng_seed=0), backend="exact")
-        delta1 = hidden_preactivation(model, table)
-        ctx = EnergyContext.from_query(q, aggregate_weights(model), gain6)
+        table = table_of(model, q, ChainConfig(rng_seed=0), backend="exact")
+        delta1 = hidden_preactivation(model.w1, table)
+        ctx = EnergyContext.from_query(q, aggregate_weights(model.w1, model.w2.w), gain6)
         np.testing.assert_allclose(delta1, [exact_expectation(ctx)[0]], atol=1e-14)
 
     def test_sampled_preactivation_close_to_enumeration(self, gain6, rng):
@@ -155,31 +161,31 @@ class TestForwardPieces:
         w1 = rng.dirichlet(np.ones(3), size=2)
         model = simple_model(w1, [0.5, 0.5], gain6, k2=2)
         cfg = ChainConfig(num_samples=20_000, burn_in=1000, rng_seed=3)
-        sampled = hidden_preactivation(
-            model, per_list_expectation(model, q, cfg, backend="mh"))
-        exact = hidden_preactivation(
-            model, per_list_expectation(model, q, cfg, backend="exact"))
+        sampled = hidden_preactivation(model.w1, table_of(model, q, cfg, backend="mh"))
+        exact = hidden_preactivation(model.w1, table_of(model, q, cfg, backend="exact"))
         np.testing.assert_allclose(sampled, exact, rtol=0.02)
 
     def test_bottom_gradient_arithmetic(self, gain6):
         # logistic slope at 0 is 1/4: 0.25 * 0.5 + 0.01 * 0.5 = 0.13
         model = simple_model([[0.5, 0.5]], [1.0], gain6,
                              phi1="logistic", lam1=0.01, k2=1)
-        grad = bottom_gradient(model, np.array([[0.5, 0.5]]), np.array([0.0]))
+        grad = bottom_gradient(model.w1, model.phi1, model.hyper.lam1,
+                               np.array([[0.5, 0.5]]), np.array([0.0]))
         np.testing.assert_allclose(grad, [[0.13, 0.13]], atol=1e-15)
 
     def test_bottom_gradient_zero_case(self, gain6):
         model = simple_model([[0.5, 0.5]], [1.0], gain6, lam1=0.0, k2=1)
-        grad = bottom_gradient(model, np.zeros((1, 2)), np.array([0.0]))
+        grad = bottom_gradient(model.w1, model.phi1, model.hyper.lam1,
+                               np.zeros((1, 2)), np.array([0.0]))
         np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
     def test_update_w1_row_behaviour(self, gain6):
         model = simple_model([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5], gain6, k2=2)
         grad = np.array([[1.0, 0.0], [9.0, -9.0]])
-        out = update_w1(model, grad)
+        out = update_w1(model.w1, grad, model.hyper.mu)
         e = math.exp(-0.1)
-        np.testing.assert_allclose(out.w1[0], [e / (1 + e), 1 / (1 + e)], atol=1e-15)
-        np.testing.assert_array_equal(out.w1[1], [1.0, 0.0])  # one-hot stays
+        np.testing.assert_allclose(out[0], [e / (1 + e), 1 / (1 + e)], atol=1e-15)
+        np.testing.assert_array_equal(out[1], [1.0, 0.0])  # one-hot stays
 
     def test_update_w1_equals_row_by_row_update(self, gain6, rng):
         w1 = [[0.2, 0.3, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0],
@@ -189,7 +195,7 @@ class TestForwardPieces:
             warnings.simplefilter("error")
             for scale in (1e-3, 1.0, 1e3, 1e6, 1e300):
                 grad = rng.normal(size=(4, 4)) * scale
-                got = update_w1(model, grad).w1
+                got = update_w1(model.w1, grad, model.hyper.mu)
                 rows = [multiplicative_simplex_update(model.w1[i], grad[i], model.hyper.mu)
                         for i in range(4)]
                 np.testing.assert_array_equal(got, np.stack(rows))
@@ -198,30 +204,30 @@ class TestForwardPieces:
                     for i in range(4)]))
         grad[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            update_w1(model, grad)
+            update_w1(model.w1, grad, model.hyper.mu)
 
     def test_constant_grad_keeps_rows(self, gain6):
         model = simple_model([[0.25, 0.75]], [1.0], gain6, k2=1)
-        out = update_w1(model, np.array([[2.0, 2.0]]))
-        np.testing.assert_array_equal(out.w1, model.w1)
+        out = update_w1(model.w1, np.array([[2.0, 2.0]]), model.hyper.mu)
+        np.testing.assert_array_equal(out, model.w1)
 
     def test_output_preactivation_one_hot(self, gain6):
         model = simple_model([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], gain6,
                              phi1="shifted_logistic", k2=2)
         delta1 = np.array([0.3, 0.9])
-        got = output_preactivation(model, delta1)
+        got = output_preactivation(model.w2.w, model.phi1, delta1)
         assert got == pytest.approx(float(model.phi1(0.9)), abs=1e-15)
 
     def test_output_preactivation_constant_hidden(self, gain6):
         model = simple_model([[0.5, 0.5]] * 3, [0.2, 0.3, 0.5], gain6,
                              phi1="shifted_logistic", k2=3)
-        got = output_preactivation(model, np.array([0.4, 0.4, 0.4]))
+        got = output_preactivation(model.w2.w, model.phi1, np.array([0.4, 0.4, 0.4]))
         assert got == pytest.approx(float(model.phi1(0.4)), abs=1e-15)
 
     def test_output_preactivation_golden_value(self):
         model = simple_model([[0.6, 0.4], [0.2, 0.8]], [0.3, 0.7], sigmoid_gain(4),
                              phi1="shifted_logistic", k2=2)
-        got = output_preactivation(model, np.array([0.2, 0.5]))
+        got = output_preactivation(model.w2.w, model.phi1, np.array([0.2, 0.5]))
         assert got == pytest.approx(0.2013434620700832, abs=1e-15)
 
     def test_top_gradient_zero_case(self, gain6):
@@ -229,23 +235,24 @@ class TestForwardPieces:
         model = simple_model([[0.5, 0.5]] * 2, [0.5, 0.5], gain6,
                              phi1="shifted_logistic", phi2="shifted_logistic",
                              lam2=0.0, k2=2)
-        grad = top_gradient(model, 0.0, np.zeros(2))
+        grad = top_gradient(model.w2.w, model.phi1, model.phi2, model.hyper.lam2,
+                            0.0, np.zeros(2))
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_top_gradient_arithmetic(self, gain6):
         # phi2 logistic slope at 0 is 1/4; identity phi1 passes delta1 through
         model = simple_model([[1.0]] * 2, [0.5, 0.5], gain6,
                              phi1="identity", phi2="logistic", lam2=0.01, k2=2)
-        grad = top_gradient(model, 0.0, np.array([0.4, 0.8]))
+        grad = top_gradient(model.w2.w, model.phi1, model.phi2, model.hyper.lam2,
+                            0.0, np.array([0.4, 0.8]))
         np.testing.assert_allclose(grad, [0.25 * 0.4 + 0.005, 0.25 * 0.8 + 0.005],
                                    atol=1e-15)
 
     def test_update_w2(self, gain6):
         model = simple_model([[1.0]] * 2, [0.5, 0.5], gain6, k2=2)
-        out = update_w2(model, np.array([1.0, 0.0]))
+        out = update_w2(model.w2.w, np.array([1.0, 0.0]), model.hyper.mu)
         e = math.exp(-0.1)
-        np.testing.assert_allclose(out.w2.w, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
-        assert out.w1 is model.w1
+        np.testing.assert_allclose(out, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
 
 
 class TestGradientFidelity:
@@ -259,10 +266,10 @@ class TestGradientFidelity:
             model = simple_model(w1, w2, gain6, phi1="shifted_logistic",
                                  phi2="shifted_logistic", lam1=0.01, lam2=0.01,
                                  k2=k2)
-            table = per_list_expectation(model, q, ChainConfig(rng_seed=2),
+            table = table_of(model, q, ChainConfig(rng_seed=2),
                                          backend="exact")
-            delta1 = hidden_preactivation(model, table)
-            grad1 = bottom_gradient(model, table, delta1)
+            delta1 = hidden_preactivation(model.w1, table)
+            grad1 = bottom_gradient(model.w1, model.phi1, model.hyper.lam1, table, delta1)
             phi1 = model.phi1
 
             # the hidden-layer update target: phi1 of the unit preactivation
@@ -278,9 +285,10 @@ class TestGradientFidelity:
                     rel = abs(fd - grad1[i, j]) / max(abs(grad1[i, j]), 1e-12)
                     assert rel < 1e-4
 
-            delta1_next = hidden_preactivation(model, table)
-            delta2 = output_preactivation(model, delta1_next)
-            grad2 = top_gradient(model, delta2, delta1_next)
+            delta1_next = hidden_preactivation(model.w1, table)
+            delta2 = output_preactivation(model.w2.w, model.phi1, delta1_next)
+            grad2 = top_gradient(model.w2.w, model.phi1, model.phi2, model.hyper.lam2,
+                                 delta2, delta1_next)
             phi2 = model.phi2
             activated = np.asarray(phi1(delta1_next))
 
@@ -321,7 +329,7 @@ class TestTrain:
         from lbrank.io import synth_planted
         data = synth_planted(40, 6, 3, [0.0, 1.0, 2.0], seed=9)
         model, _ = train(data, NestedHyper(epochs=5, k2=4), ChainConfig(rng_seed=21))
-        column_mass = aggregate_weights(model)
+        column_mass = aggregate_weights(model.w1, model.w2.w)
         assert int(np.argmax(column_mass)) == 0
 
     def test_simplex_invariants_after_training(self, rng):
@@ -337,11 +345,12 @@ class TestTrain:
         model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
                             gain6, seed=2)
         cfg = ChainConfig(rng_seed=4, num_samples=30)
-        per_list_expectation(model, q, cfg)  # one stream per hidden unit
-        model = update_w1(model, np.full((3, 3), 0.5) + np.eye(3))
+        table_of(model, q, cfg)  # one stream per hidden unit
+        model = replace(model, w1=update_w1(model.w1, np.full((3, 3), 0.5) + np.eye(3),
+                                            model.hyper.mu))
         fresh = make_query(q.matrix, query_id="warm")
-        np.testing.assert_array_equal(per_list_expectation(model, q, cfg),
-                                      per_list_expectation(model, fresh, cfg))
+        np.testing.assert_array_equal(table_of(model, q, cfg),
+                                      table_of(model, fresh, cfg))
 
     def test_per_unit_sampling_mode_runs(self, rng):
         queries = [make_query(rng.uniform(0, 1, size=(3, 4)), query_id=f"q{i}")
@@ -357,7 +366,7 @@ class TestInfer:
         q = make_query(rng.normal(size=(3, 6)))
         model = simple_model([[0.0, 1.0, 0.0]] * 4, [0.25] * 4, gain6,
                              phi1="shifted_logistic", phi2="shifted_logistic", k2=4)
-        assert infer(model, q) == ranking_from_scores(q.lists[1])
+        assert infer(model, q) == ranking_from_scores(q.matrix[1])
 
     def test_uniform_everything_matches_averaging(self, gain6, rng):
         q = make_query(rng.normal(size=(4, 6)))

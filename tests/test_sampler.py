@@ -12,7 +12,6 @@ from lbrank.core import (
     ConcaveGain,
     QueryInstance,
     Ranking,
-    SimplexWeights,
     log2_gain,
     sigmoid_gain,
 )
@@ -62,10 +61,6 @@ class TestEnergyContext:
     def test_weight_length_checked(self, small_gain):
         with pytest.raises(ValueError, match="weights"):
             context([[1.0, 2.0, 3.0]], [0.5, 0.5], [1.0, 0.5, 0.25])
-
-    def test_weights_must_be_simplex(self, small_gain):
-        with pytest.raises(ValueError, match="sum to 1"):
-            context([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], [0.9, 0.9], [1.0, 0.5, 0.25])
 
     def test_gain_capacity_checked(self):
         with pytest.raises(ValueError, match="gain covers"):
