@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,8 +34,9 @@ from .core import (
     weighted_average_scores,
 )
 from .io import DataError, Dataset
-from .nested import ACTIVATION_NAMES, SAMPLING_MODES, Activation
-from .sampler import ACCEPTANCE_RULES, MAX_ENUMERATION_N, ChainConfig
+from .linear import LinearHyper
+from .nested import Activation, NestedHyper
+from .sampler import BACKENDS, MAX_ENUMERATION_N, ChainConfig
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_INTERNAL"]
 
@@ -65,9 +64,11 @@ def _parse_floats(text: str) -> list[float]:
 
 
 # key -> (converter from string, default). New keys are added here once and
-# become available both in config files and as --key flags.
+# become available both in config files and as --key flags. A value the
+# library reads takes its default from the library type that reads it, and
+# that type's constructor checks it (see build_config).
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
-    "seed": (int, 0),
+    "seed": (int, ChainConfig.rng_seed),
     "threads": (int, 1),
     "model": (str, "linear"),
     "data": (str, None),
@@ -75,19 +76,19 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "model_file": (str, None),
     "format": (str, "auto"),
     "gain": (str, "sigmoid"),
-    "phi": (str, "shifted_logistic"),
-    "mu": (float, 0.1),
-    "lam": (float, 0.01),
-    "lam1": (float, 0.01),
-    "lam2": (float, 0.01),
-    "epochs": (int, 20),
-    "samples": (int, 50),
-    "burn_in": (int, 100),
-    "thinning": (int, 1),
-    "acceptance_rule": (str, "standard_metropolis"),
-    "k2": (int, None),
-    "init_jitter": (float, 0.01),
-    "sampling": (str, "aggregate"),
+    "phi": (str, Activation.name),
+    "mu": (float, LinearHyper.mu),
+    "lam": (float, LinearHyper.lam),
+    "lam1": (float, NestedHyper.lam1),
+    "lam2": (float, NestedHyper.lam2),
+    "epochs": (int, LinearHyper.epochs),
+    "samples": (int, ChainConfig.num_samples),
+    "burn_in": (int, ChainConfig.burn_in),
+    "thinning": (int, ChainConfig.thinning),
+    "acceptance_rule": (str, ChainConfig.acceptance_rule),
+    "k2": (int, NestedHyper.k2),
+    "init_jitter": (float, NestedHyper.init_jitter),
+    "sampling": (str, NestedHyper.sampling),
     "backend": (str, "mh"),
     "normalize": (_parse_bool, False),
     "strict": (_parse_bool, True),
@@ -120,32 +121,21 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-@dataclass
-class RunConfig:
-    """Typed, validated view of the merged configuration."""
-
-    values: dict
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-    def chain_config(self) -> ChainConfig:
-        return ChainConfig(num_samples=self.samples, burn_in=self.burn_in,
-                           thinning=self.thinning,
-                           acceptance_rule=self.acceptance_rule,
-                           rng_seed=self.seed)
-
-    def require(self, *keys: str) -> None:
-        for key in keys:
-            if self.values.get(key) is None:
-                raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+def _require(cfg: argparse.Namespace, *keys: str) -> None:
+    for key in keys:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file and explicit flags, then validate."""
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults, config file and explicit flags; build the library objects.
+
+    Returns a copy of ``args`` holding every ``_SCHEMA`` key plus ``chain``
+    (:class:`ChainConfig`), ``linear_hyper``, ``nested_hyper``, ``activation``
+    and the parsed ``bench_axes`` list. Each value the library reads is
+    checked by the constructor that takes it, whose ``ValueError`` becomes a
+    :class:`ConfigError`; the values only the CLI reads are checked here.
+    """
     merged = {key: default for key, (_, default) in _SCHEMA.items()}
     if getattr(args, "config", None):
         for key, text in parse_config_file(args.config).items():
@@ -159,48 +149,42 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+    cfg = argparse.Namespace(**{**vars(args), **merged})
 
-    cfg = RunConfig(merged)
-    if not 0.0 < cfg.mu < math.inf:
-        raise ConfigError("mu must be finite and > 0")
-    for key in ("lam", "lam1", "lam2"):
-        if not 0.0 <= merged[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.burn_in < 0 or cfg.thinning < 1:
-        raise ConfigError("burn_in must be >= 0 and thinning >= 1")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError("seed must be a non-negative 64-bit integer")
-    if cfg.model not in ("linear", "nested"):
-        raise ConfigError("model must be linear or nested")
-    if cfg.acceptance_rule not in ACCEPTANCE_RULES:
-        raise ConfigError(f"acceptance_rule must be one of {ACCEPTANCE_RULES}")
-    if cfg.backend not in ("mh", "exact"):
-        raise ConfigError("backend must be mh or exact")
-    if cfg.format not in ("auto", "letor", "csv"):
-        raise ConfigError("format must be auto, letor or csv")
-    if cfg.topk < 1:
-        raise ConfigError("topk must be >= 1")
-    if cfg.k2 is not None and cfg.k2 < 1:
-        raise ConfigError("k2 must be >= 1")
-    if cfg.phi not in ACTIVATION_NAMES:
-        raise ConfigError(f"phi must be one of {ACTIVATION_NAMES}")
-    if cfg.sampling not in SAMPLING_MODES:
-        raise ConfigError(f"sampling must be one of {SAMPLING_MODES}")
+    try:
+        cfg.chain = ChainConfig(num_samples=cfg.samples, burn_in=cfg.burn_in,
+                                thinning=cfg.thinning,
+                                acceptance_rule=cfg.acceptance_rule, rng_seed=cfg.seed)
+        cfg.linear_hyper = LinearHyper(mu=cfg.mu, lam=cfg.lam, epochs=cfg.epochs)
+        cfg.nested_hyper = NestedHyper(mu=cfg.mu, lam1=cfg.lam1, lam2=cfg.lam2,
+                                       epochs=cfg.epochs, k2=cfg.k2,
+                                       init_jitter=cfg.init_jitter, sampling=cfg.sampling)
+        cfg.activation = Activation(cfg.phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         gain_from_spec(cfg.gain, capacity=1)
     except ValueError as exc:
         raise ConfigError(f"gain: {exc}") from None
+
+    for key, low in (("threads", 1), ("topk", 1), ("bench_queries", 1), ("bench_base_n", 1),
+                     ("bench_base_k", 1), ("bench_repeats", 1), ("bench_doublings", 0)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    if cfg.model not in ("linear", "nested"):
+        raise ConfigError("model must be linear or nested")
+    if cfg.backend not in BACKENDS:
+        raise ConfigError(f"backend must be one of {BACKENDS}")
+    if cfg.format not in ("auto", "letor", "csv"):
+        raise ConfigError("format must be auto, letor or csv")
+    cfg.bench_axes = [a.strip() for a in cfg.bench_axes.split(",") if a.strip()]
+    if not cfg.bench_axes or not set(cfg.bench_axes) <= {"n", "k", "k1k2"}:
+        raise ConfigError("bench_axes must be a comma-separated list of n, k and k1k2")
     return cfg
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
-    cfg.require("data")
+def _load_dataset(cfg: argparse.Namespace) -> Dataset:
+    _require(cfg, "data")
     path = Path(cfg.data)
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
@@ -215,7 +199,7 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return dataset
 
 
-def _gain_covering(cfg: RunConfig, dataset: Dataset, positions: int) -> ConcaveGain:
+def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) -> ConcaveGain:
     """The configured gain; its capacity defaults to N_max and must cover ``positions``."""
     gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
     if gain.capacity < positions:
@@ -232,29 +216,23 @@ def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    cfg.require("data", "out")
+def cmd_train(cfg: argparse.Namespace) -> int:
+    _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")
-    chain = cfg.chain_config()
     out = Path(cfg.out)
     if cfg.model == "linear":
-        hyper = linear.LinearHyper(mu=cfg.mu, lam=cfg.lam, epochs=cfg.epochs)
-        model, log = linear.train(dataset, hyper, chain, gain,
+        model, log = linear.train(dataset, cfg.linear_hyper, cfg.chain, gain,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         linear.save_linear(model, out)
         weight_lines = ["w " + " ".join(repr(v) for v in w.tolist())
                         for w in log.snapshots]
     else:
-        hyper = nested.NestedHyper(mu=cfg.mu, lam1=cfg.lam1, lam2=cfg.lam2,
-                                   epochs=cfg.epochs, k2=cfg.k2,
-                                   init_jitter=cfg.init_jitter,
-                                   sampling=cfg.sampling)
-        phi = Activation(cfg.phi)
-        model, log = nested.train(dataset, hyper, chain, gain, phi, phi,
+        model, log = nested.train(dataset, cfg.nested_hyper, cfg.chain, gain,
+                                  cfg.activation, cfg.activation,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         nested.save_nested(model, out)
         weight_lines = [
@@ -307,28 +285,25 @@ def _write_rankings_csv(path: Path, dataset: Dataset,
                 writer.writerow([q.query_id, rank, cand, repr(float(scores[cand]))])
 
 
-def cmd_infer(cfg: RunConfig) -> int:
-    cfg.require("data", "out")
+def cmd_infer(cfg: argparse.Namespace) -> int:
+    _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
-    baseline = cfg.values.get("baseline")
-    if baseline is None:
-        cfg.require("model_file")
+    if cfg.baseline is None:  # argparse admits only "averaging" otherwise
+        _require(cfg, "model_file")
         model = _load_model(cfg.model_file)
         if _model_k(model) != dataset.k:
             raise DataError(f"model expects K={_model_k(model)}, data has K={dataset.k}")
         score_fn = lambda q: _scores_for(model, q)
-    elif baseline == "averaging":
-        score_fn = _average_scores
     else:
-        raise ConfigError(f"unknown baseline {baseline!r}")
+        score_fn = _average_scores
     scores = [score_fn(q) for q in dataset.queries]
     _write_rankings_csv(Path(cfg.out), dataset, scores)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    cfg.require("data", "out")
+def cmd_eval(cfg: argparse.Namespace) -> int:
+    _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
@@ -338,7 +313,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         ("averaging", _average_scores),
         ("borda", metrics.borda_points),
     ]
-    for model_path in cfg.values.get("model_files") or []:
+    for model_path in cfg.model_files or []:
         model = _load_model(model_path)
         if _model_k(model) != dataset.k:
             raise DataError(f"{model_path}: model expects K={_model_k(model)}, "
@@ -365,15 +340,16 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    cfg.require("out")
+def cmd_synth(cfg: argparse.Namespace) -> int:
+    _require(cfg, "out")
     levels = cfg.noise_levels
     if levels is None:
         levels = [0.5 * i for i in range(cfg.n_rankers)]
-    if len(levels) != cfg.n_rankers:
-        raise ConfigError(f"noise_levels needs {cfg.n_rankers} entries")
-    dataset = dataio.synth_planted(cfg.n_queries, cfg.n_candidates, cfg.n_rankers,
-                                   levels, seed=cfg.seed)
+    try:
+        dataset = dataio.synth_planted(cfg.n_queries, cfg.n_candidates, cfg.n_rankers,
+                                       levels, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dataio.write_scores_csv(dataset, cfg.out)
     print(f"wrote synthetic dataset ({cfg.n_queries} queries, N={cfg.n_candidates}, "
           f"K={cfg.n_rankers}) to {cfg.out}")
@@ -394,15 +370,11 @@ def _time_epoch(dataset: Dataset, chain: ChainConfig, kind: str, k2: int,
     return best
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    cfg.require("out")
-    chain = cfg.chain_config()
-    axes = [a.strip() for a in cfg.bench_axes.split(",") if a.strip()]
+def cmd_bench(cfg: argparse.Namespace) -> int:
+    _require(cfg, "out")
     growth_limit = 2.5
     report_rows: list[tuple[str, int, float, float | None, str]] = []
-    for axis in axes:
-        if axis not in ("n", "k", "k1k2"):
-            raise ConfigError(f"unknown bench axis {axis!r}")
+    for axis in cfg.bench_axes:
         times: list[float] = []
         sizes: list[int] = []
         for step in range(cfg.bench_doublings + 1):
@@ -413,7 +385,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             dataset = dataio.synth_planted(cfg.bench_queries, n, k,
                                            [0.5] * k, seed=cfg.seed)
             kind = "nested" if axis == "k1k2" else "linear"
-            seconds = _time_epoch(dataset, chain, kind, k2, cfg.bench_repeats)
+            seconds = _time_epoch(dataset, cfg.chain, kind, k2, cfg.bench_repeats)
             sizes.append(n * k * (k2 if axis == "k1k2" else 1))
             times.append(seconds)
         for idx, seconds in enumerate(times):
@@ -503,12 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        cfg = build_config(args)
-        if args.command == "infer":
-            cfg.values["baseline"] = args.baseline
-        if args.command == "eval":
-            cfg.values["model_files"] = args.model_files
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](build_config(args))
     except ConfigError as exc:
         print(f"lbrank: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

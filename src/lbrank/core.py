@@ -9,8 +9,10 @@ trainers carry plain arrays and build it once, at the end. A concave gain
 function g, stored through its increments delta_g(i) = g(i) - g(i-1), drives
 both the divergence engine and the positional discount used for NDCG.
 
-All types are immutable after construction and safe to share between
-concurrent workers.
+All types are immutable after construction, with one exception: a
+query's ``_memo``, where the sampler caches the values it derives from
+the query. The memo only grows, and each entry is fixed by the query and
+its key, so sharing a query never changes what a reader computes.
 """
 
 from __future__ import annotations

@@ -306,13 +306,15 @@ def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,
     the ground-truth order on every query, which is what the recovery
     checks rely on. Deterministic given the seed.
     """
-    if n_queries < 1 or n_candidates < 1:
-        raise ValueError("need at least one query and one candidate")
+    for name, count in (("n_queries", n_queries), ("n_candidates", n_candidates),
+                        ("n_rankers", n_rankers)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     levels = np.asarray(noise_levels, dtype=np.float64)
     if levels.shape != (n_rankers,):
         raise ValueError(f"need {n_rankers} noise levels, got {levels.shape}")
-    if np.any(levels < 0.0):
-        raise ValueError("noise levels must be non-negative")
+    if not np.all(np.isfinite(levels) & (levels >= 0.0)):
+        raise ValueError("noise levels must be finite and non-negative")
     rng = np.random.default_rng(seed)
     queries = []
     for qi in range(n_queries):

@@ -130,7 +130,7 @@ class Activation:
     activation and is the default.
     """
 
-    name: str
+    name: str = "shifted_logistic"
 
     def __post_init__(self) -> None:
         if self.name not in _ACTIVATIONS:
@@ -164,8 +164,10 @@ class NestedHyper:
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < math.inf:
             raise ValueError("learning rate mu must be finite and > 0")
-        if not (0.0 <= self.lam1 < math.inf and 0.0 <= self.lam2 < math.inf):
-            raise ValueError("regularization terms must be finite and >= 0")
+        if not 0.0 <= self.lam1 < math.inf:
+            raise ValueError("regularization lam1 must be finite and >= 0")
+        if not 0.0 <= self.lam2 < math.inf:
+            raise ValueError("regularization lam2 must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.k2 is not None and self.k2 < 1:
@@ -181,8 +183,8 @@ class NestedModel:
     w1: np.ndarray
     w2: SimplexWeights
     gain: ConcaveGain
-    phi1: Activation = field(default_factory=lambda: Activation("shifted_logistic"))
-    phi2: Activation = field(default_factory=lambda: Activation("shifted_logistic"))
+    phi1: Activation = field(default_factory=Activation)
+    phi2: Activation = field(default_factory=Activation)
     hyper: NestedHyper = field(default_factory=NestedHyper)
 
     def __post_init__(self) -> None:
@@ -232,10 +234,7 @@ def init_nested(k1: int,
     rng = np.random.default_rng(chain_seed(seed, "nested-init"))
     w1 = np.stack([_jittered_simplex(rng, k1, hyper.init_jitter) for _ in range(k2)])
     w2 = SimplexWeights(_jittered_simplex(rng, k2, hyper.init_jitter))
-    return NestedModel(w1, w2, gain,
-                       phi1 or Activation("shifted_logistic"),
-                       phi2 or Activation("shifted_logistic"),
-                       hyper)
+    return NestedModel(w1, w2, gain, phi1 or Activation(), phi2 or Activation(), hyper)
 
 
 def aggregate_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

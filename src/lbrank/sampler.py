@@ -27,6 +27,7 @@ from .core import ConcaveGain, QueryInstance
 
 __all__ = [
     "ACCEPTANCE_RULES",
+    "BACKENDS",
     "ChainConfig",
     "EnergyContext",
     "query_config",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 ACCEPTANCE_RULES = ("standard_metropolis", "paper_literal")
+
+# Expectation backends of ``expected_divergences``: a chain estimate, or
+# full enumeration of the N! rankings.
+BACKENDS = ("mh", "exact")
 
 # Enumeration is N! work; past 8 candidates it stops being a test oracle.
 MAX_ENUMERATION_N = 8
@@ -82,7 +87,7 @@ class ChainConfig:
         if self.acceptance_rule not in ACCEPTANCE_RULES:
             raise ValueError(f"acceptance_rule must be one of {ACCEPTANCE_RULES}")
         if not 0 <= int(self.rng_seed) <= _MASK64:
-            raise ValueError("rng_seed must fit in 64 unsigned bits")
+            raise ValueError("rng_seed must be a non-negative 64-bit integer")
 
 
 def query_config(q: QueryInstance, cfg: ChainConfig, unit: int | None = None) -> ChainConfig:
@@ -305,4 +310,4 @@ def expected_divergences(ctx: EnergyContext, cfg: ChainConfig,
         return sample_expectation(ctx, cfg)
     if backend == "exact":
         return exact_expectation(ctx)
-    raise ValueError(f"unknown expectation backend {backend!r}")
+    raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")

@@ -13,12 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lbrank
-from lbrank import cli
+from lbrank import cli, linear, nested
 from lbrank.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from lbrank.core import SimplexWeights, sigmoid_gain
-from lbrank.io import synth_planted, write_letor, write_scores_csv
+from lbrank.io import parse_scores_csv, synth_planted, write_letor, write_scores_csv
 from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
 from lbrank.nested import NestedHyper, init_nested, save_nested
+from lbrank.sampler import ChainConfig
 
 
 @pytest.fixture
@@ -108,6 +109,25 @@ class TestTrain:
         nest = dict(line.split(": ", 1) for line in
                     (tmp_path / "nest.txt").read_text().splitlines())
         assert nest["w1[0]"] == lin["w"]
+
+    @pytest.mark.parametrize("model", ["linear", "nested"])
+    def test_defaults_match_the_library(self, tmp_path, synth_csv, model):
+        # the CLI's defaults are the library's: same model bytes, same objectives
+        out = tmp_path / "cli.txt"
+        assert run("train", "--model", model, "--data", synth_csv, "--out", out) == EXIT_OK
+        dataset = parse_scores_csv(synth_csv)
+        gain = sigmoid_gain(dataset.n_max)
+        if model == "linear":
+            fitted, log = linear.train(dataset, LinearHyper(), ChainConfig(), gain)
+            linear.save_linear(fitted, tmp_path / "lib.txt")
+        else:
+            fitted, log = nested.train(dataset, NestedHyper(), ChainConfig(), gain)
+            nested.save_nested(fitted, tmp_path / "lib.txt")
+        assert out.read_bytes() == (tmp_path / "lib.txt").read_bytes()
+        logged = [float(line.split()[3])
+                  for line in (tmp_path / "cli.txt.log").read_text().splitlines()
+                  if line.startswith("epoch ")]
+        assert logged == log.objectives
 
     def test_missing_data_file(self, tmp_path):
         code = run("train", "--data", tmp_path / "nope.csv",
@@ -328,6 +348,8 @@ class TestMalformedInputs:
         (5, ["--model", "nested", "--lam2", "inf"], "lam2 must be finite"),
         (5, ["--seed", str(2 ** 64)], "seed must be a non-negative 64-bit integer"),
         (9, ["--backend", "exact"], "limited to N <= 8"),
+        (5, ["--init-jitter", "-0.5"], "init_jitter must be in [0, 1)"),
+        (5, ["--model", "nested", "--init-jitter", "2"], "init_jitter must be in [0, 1)"),
     ])
     def test_bad_training_option(self, tmp_path, n, args, named, capsys):
         data = tmp_path / "data.csv"
@@ -336,6 +358,40 @@ class TestMalformedInputs:
                    "--epochs", 1, *args) == EXIT_USAGE
         assert named in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_bad_option_in_config_file(self, tmp_path, files, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("init_jitter = 2\n")
+        assert run("train", "--config", config, "--model", "nested", "--epochs", 1,
+                   "--data", files["data.csv"], "--out", tmp_path / "m.txt") == EXIT_USAGE
+        assert "init_jitter must be in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("command, args, named", [
+        ("synth", ["--n-queries", "0"], "n_queries must be >= 1"),
+        ("synth", ["--n-candidates", "0"], "n_candidates must be >= 1"),
+        ("synth", ["--n-rankers", "0"], "n_rankers must be >= 1"),
+        ("synth", ["--n-rankers", "2", "--noise-levels=-1,0"], "noise levels must be finite"),
+        ("synth", ["--n-rankers", "2", "--noise-levels=nan,0"], "noise levels must be finite"),
+        ("bench", ["--bench-queries", "0"], "bench_queries must be >= 1"),
+        ("bench", ["--bench-base-n", "0"], "bench_base_n must be >= 1"),
+        ("bench", ["--bench-base-k", "0"], "bench_base_k must be >= 1"),
+        ("bench", ["--bench-repeats", "0"], "bench_repeats must be >= 1"),
+        ("bench", ["--bench-doublings", "-1"], "bench_doublings must be >= 0"),
+        ("bench", ["--bench-axes", "n,bogus"], "bench_axes must be"),
+    ])
+    def test_bad_synth_or_bench_option(self, tmp_path, command, args, named, capsys,
+                                       monkeypatch):
+        epochs = []
+        monkeypatch.setattr(cli, "_time_epoch", lambda *a: epochs.append(a) or 1.0)
+        small_bench = ["--bench-doublings", "0", "--bench-queries", "2",
+                       "--bench-base-n", "4", "--bench-base-k", "2", "--bench-repeats", "1"]
+        out = tmp_path / "out.csv"
+        assert run(command, "--out", out, *(small_bench if command == "bench" else []),
+                   *args) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        assert not epochs  # rejected before any bench work
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_csv_score(self, tmp_path, files, value, capsys):

@@ -27,3 +27,21 @@ def test_package_all_matches_what_init_imports():
     assert sorted(lbrank.__all__) == sorted(imported | {"__version__"})
     missing = [name for name in lbrank.__all__ if not hasattr(lbrank, name)]
     assert not missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for path in sorted(Path(lbrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported = set(ast.literal_eval(node.value))
+        unused = sorted(imported - used - exported)
+        assert not unused, f"{path.name} imports {unused} and never uses them"
