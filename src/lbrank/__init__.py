@@ -11,7 +11,6 @@ gradients and multiplicative simplex updates; inference is closed form
 from .core import (
     ConcaveGain,
     QueryInstance,
-    Ranking,
     SimplexWeights,
     gain_from_spec,
     gain_spec,
@@ -24,7 +23,7 @@ from .core import (
 from .io import Dataset, DataError, parse_letor, parse_scores_csv, synth_planted
 from .linear import LinearHyper, LinearModel, load_linear, save_linear
 from .lovasz import lb_bound, lb_divergence
-from .metrics import RelevanceJudgments, baseline_average, baseline_borda, ndcg_at_k, roc_auc
+from .metrics import baseline_average, baseline_borda, ndcg_at_k, roc_auc
 from .nested import Activation, NestedHyper, NestedModel, load_nested, save_nested
 from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
 
@@ -32,13 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ConcaveGain", "QueryInstance", "Ranking", "SimplexWeights",
+    "ConcaveGain", "QueryInstance", "SimplexWeights",
     "gain_from_spec", "gain_spec", "linear_gain", "log2_gain", "sigmoid_gain",
     "ranking_from_scores", "weighted_average_scores",
     "Dataset", "DataError", "parse_letor", "parse_scores_csv", "synth_planted",
     "LinearHyper", "LinearModel", "load_linear", "save_linear",
     "lb_bound", "lb_divergence",
-    "RelevanceJudgments", "baseline_average", "baseline_borda", "ndcg_at_k", "roc_auc",
+    "baseline_average", "baseline_borda", "ndcg_at_k", "roc_auc",
     "Activation", "NestedHyper", "NestedModel", "load_nested", "save_nested",
     "ChainConfig", "EnergyContext", "chain_seed", "expected_divergences",
 ]

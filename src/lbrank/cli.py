@@ -109,8 +109,12 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` pairs; blank lines and ``#`` comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -280,7 +284,7 @@ def _write_rankings_csv(path: Path, dataset: Dataset,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["query_id", "rank", "candidate_id", "aggregated_score"])
         for q, scores in zip(dataset.queries, scores_by_query):
-            order = ranking_from_scores(scores).order
+            order = ranking_from_scores(scores)
             for rank, cand in enumerate(order.tolist(), start=1):
                 writer.writerow([q.query_id, rank, cand, repr(float(scores[cand]))])
 

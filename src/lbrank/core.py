@@ -1,9 +1,11 @@
 """Core domain types for score-based rank aggregation.
 
-Candidates of a query are indexed 0..N-1. A :class:`Ranking` is an
-order-based permutation (position -> candidate index); one ranker's scores
-over the same candidates (a score list) is a 1-D float array, and a
-:class:`QueryInstance` holds the K lists of a query as one K x N matrix.
+Candidates of a query are indexed 0..N-1. A ranking is an int64 order
+array, a permutation with ``order[i]`` the candidate ranked i-th; one
+ranker's scores over the same candidates (a score list) and the relevance
+grades of a query are 1-D float arrays, and a :class:`QueryInstance` holds
+the K lists of a query as one K x N matrix. Each kind of array is checked
+by one private helper where it enters the library.
 :class:`SimplexWeights` is a validated weight vector on the simplex;
 trainers carry plain arrays and build it once, at the end. A concave gain
 function g, stored through its increments delta_g(i) = g(i) - g(i-1), drives
@@ -26,7 +28,6 @@ import numpy as np
 __all__ = [
     "SIMPLEX_TOL",
     "ConcaveGain",
-    "Ranking",
     "SimplexWeights",
     "QueryInstance",
     "sigmoid_gain",
@@ -40,13 +41,6 @@ __all__ = [
 
 # Tolerance on |sum(w) - 1| for simplex-constrained weight vectors.
 SIMPLEX_TOL = 1e-9
-
-
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """Copy ``values`` into a read-only 1-D array."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,37 +158,6 @@ def gain_spec(gain: ConcaveGain) -> str:
     return "custom:" + ",".join(repr(v) for v in gain.increments.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class Ranking:
-    """Order-based permutation: ``order[i]`` is the candidate ranked i-th."""
-
-    order: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.order, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("ranking must be a non-empty index sequence")
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-            raise ValueError("ranking must be a permutation of 0..N-1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "order", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.order.size)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.order.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ranking):
-            return NotImplemented
-        return np.array_equal(self.order, other.order)
-
-    def __hash__(self) -> int:
-        return hash(self.as_tuple())
-
-
 def _simplex_rows(arr: np.ndarray, name: str) -> np.ndarray:
     """``arr`` made read-only after checking that each row lies on the simplex.
 
@@ -276,11 +239,9 @@ class QueryInstance:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         if self.relevance is not None:
-            rel = np.array(self.relevance, dtype=np.float64)
-            if rel.shape != (n,):
+            rel = _grade_vector(np.array(self.relevance, dtype=np.float64))
+            if rel.size != n:
                 raise ValueError(f"query {self.query_id!r}: relevance length != N")
-            if not np.all(np.isfinite(rel)) or np.any(rel < 0.0):
-                raise ValueError("relevance grades must be finite and non-negative")
             rel.setflags(write=False)
             object.__setattr__(self, "relevance", rel)
 
@@ -319,8 +280,28 @@ def _score_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return scores
 
 
-def ranking_from_scores(x: Sequence[float] | np.ndarray) -> Ranking:
-    """Ranking that sorts scores in non-increasing order.
+def _order_vector(order: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """A ranking of n candidates as an int64 array: a permutation of 0..n-1."""
+    arr = np.asarray(order, dtype=np.int64)
+    if arr.shape != (n,):
+        raise ValueError(f"ranking has {arr.size} entries, need a flat sequence of {n}")
+    if not np.array_equal(np.sort(arr), np.arange(n)):
+        raise ValueError("ranking must be a permutation of 0..N-1")
+    return arr
+
+
+def _grade_vector(r: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Relevance grades as a float64 array: flat, non-empty, finite, >= 0."""
+    grades = np.asarray(r, dtype=np.float64)
+    if grades.ndim != 1 or grades.size == 0:
+        raise ValueError("relevance must be a non-empty sequence")
+    if not np.all((grades >= 0.0) & (grades < np.inf)):
+        raise ValueError("relevance grades must be finite and non-negative")
+    return grades
+
+
+def ranking_from_scores(x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Order array that sorts scores in non-increasing order.
 
     Ties are broken by the lower candidate index, so the result is
     deterministic and invariant under adding a constant or scaling all
@@ -328,7 +309,7 @@ def ranking_from_scores(x: Sequence[float] | np.ndarray) -> Ranking:
     """
     scores = _score_vector(x)
     # stable sort of the negated scores: equal scores keep index order
-    return Ranking(np.argsort(-scores, kind="stable"))
+    return np.argsort(-scores, kind="stable")
 
 
 def weighted_average_scores(q: QueryInstance,

@@ -136,9 +136,9 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
             if not all(map(math.isfinite, features.values())):
                 raise DataError(f"{path} line {lineno}: scores must be finite")
             if strict and sorted(features) != list(range(1, len(features) + 1)):
-                missing = sorted(set(range(1, max(features) + 1)) - set(features))
-                raise DataError(f"{path} line {lineno}: missing feature index "
-                                f"{missing[0] if missing else '?'}")
+                # n distinct indices >= 1 that are not 1..n leave a gap at or below n
+                missing = next(i for i in range(1, len(features) + 1) if i not in features)
+                raise DataError(f"{path} line {lineno}: missing feature index {missing}")
             if qid not in per_query:
                 per_query[qid] = []
                 order.append(qid)

@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     ConcaveGain,
     QueryInstance,
-    Ranking,
     SimplexWeights,
     gain_from_spec,
     gain_spec,
@@ -245,7 +244,7 @@ def aggregate_scores(model: LinearModel, q: QueryInstance) -> np.ndarray:
     return weighted_average_scores(q, model.weights)
 
 
-def infer(model: LinearModel, q: QueryInstance) -> Ranking:
+def infer(model: LinearModel, q: QueryInstance) -> np.ndarray:
     """Closed-form inference: sort the weighted mean of the score lists.
 
     The result attains the minimum weighted divergence over all N!

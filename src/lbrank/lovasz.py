@@ -1,10 +1,11 @@
 """Lovász-Bregman divergence for cardinality gains f(X) = g(|X|).
 
 The divergence d(x || sigma) = <x, h_sorted(x) - h_sigma> measures how far a
-ranking sigma is from sorting the score vector x. For cardinality gains the
-h-vector h_sigma places delta_g(i) on the candidate ranked i-th, which
-reduces the divergence to a difference of discounted sums and yields a
-closed-form minimizer (sort the scores). The sampler builds the h-vectors
+ranking sigma (an int64 order array, position -> candidate) is from sorting
+the score vector x. For cardinality gains the h-vector h_sigma places
+delta_g(i) on the candidate ranked i-th, which reduces the divergence to a
+difference of discounted sums and yields a closed-form minimizer (sort the
+scores). The sampler builds the h-vectors
 it needs itself; this module holds the divergence of one score list and its
 ranking-independent bound.
 """
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, Ranking, _score_vector
+from .core import ConcaveGain, _order_vector, _score_vector
 
 __all__ = [
     "lb_divergence",
@@ -29,7 +30,7 @@ def _check_gain(gain: ConcaveGain, n: int) -> np.ndarray:
     return gain.increments[:n]
 
 
-def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Ranking,
+def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Sequence[int] | np.ndarray,
                   gain: ConcaveGain) -> float:
     """Divergence between a score vector and a ranking, always >= 0.
 
@@ -38,11 +39,10 @@ def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Ranking,
     each term then compares identical values.
     """
     scores = _score_vector(x)
-    if scores.size != sigma.n:
-        raise ValueError(f"scores have {scores.size} entries, ranking has {sigma.n}")
+    order = _order_vector(sigma, scores.size)
     delta = _check_gain(gain, scores.size)
     sorted_desc = np.sort(scores)[::-1]
-    return float(delta @ (sorted_desc - scores[sigma.order]))
+    return float(delta @ (sorted_desc - scores[order]))
 
 
 def lb_bound(x: Sequence[float] | np.ndarray, gain: ConcaveGain) -> float:

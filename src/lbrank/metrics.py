@@ -1,5 +1,9 @@
 """Evaluation stack: NDCG, ROC/AUC and unsupervised baselines.
 
+Rankings are int64 order arrays (position -> candidate) and relevance
+grades are float arrays, checked where they enter by the helpers in
+:mod:`lbrank.core`; the baselines return order arrays like inference does.
+
 The NDCG discount defaults to the configured gain increments, which makes
 the scaled divergence of a ranking coincide with its NDCG loss when the
 relevance grades equal the scores. The classic 1/log2(i+1) discount stays
@@ -9,7 +13,6 @@ available for comparability with LETOR conventions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,15 +21,15 @@ import numpy as np
 from .core import (
     ConcaveGain,
     QueryInstance,
-    Ranking,
     SimplexWeights,
+    _grade_vector,
+    _order_vector,
     _score_vector,
     ranking_from_scores,
     weighted_average_scores,
 )
 
 __all__ = [
-    "RelevanceJudgments",
     "ndcg_at_k",
     "ndcg_table",
     "roc_auc",
@@ -38,56 +41,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class RelevanceJudgments:
-    """Graded relevance over the N candidates of a query."""
-
-    r: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.r, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("relevance must be a non-empty sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("relevance grades must be finite and non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "r", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.r.size)
-
-    @property
-    def ideal_order(self) -> Ranking:
-        """Ground-truth ranking: grades sorted descending, ties by index."""
-        return ranking_from_scores(self.r)
-
-    def has_relevant(self) -> bool:
-        return bool(np.any(self.r > 0.0))
-
-
-def _as_judgments(rel) -> RelevanceJudgments:
-    return rel if isinstance(rel, RelevanceJudgments) else RelevanceJudgments(np.asarray(rel, float))
-
-
-def ndcg_at_k(sigma: Ranking, rel, k: int, discount: ConcaveGain) -> float:
+def ndcg_at_k(sigma: Sequence[int] | np.ndarray, rel: Sequence[float] | np.ndarray,
+              k: int, discount: ConcaveGain) -> float:
     """NDCG truncated at k with the truncated-ideal normalizer.
 
+    ``sigma`` is an order array over the candidates that ``rel`` grades.
     Value in [0, 1]; exactly 1 when the top k of ``sigma`` matches a
     relevance-descending order up to ties among equal grades.
     """
-    judgments = _as_judgments(rel)
-    if sigma.n != judgments.n:
-        raise ValueError("ranking and relevance lengths differ")
-    if not 1 <= k <= sigma.n:
-        raise ValueError(f"k={k} outside 1..{sigma.n}")
+    grades = _grade_vector(rel)
+    order = _order_vector(sigma, grades.size)
+    if not 1 <= k <= grades.size:
+        raise ValueError(f"k={k} outside 1..{grades.size}")
     if discount.capacity < k:
         raise ValueError(f"discount covers {discount.capacity} positions, need {k}")
     d = discount.increments[:k]
-    ideal = float(np.sort(judgments.r)[::-1][:k] @ d)
+    ideal = float(np.sort(grades)[::-1][:k] @ d)
     if ideal == 0.0:
         raise ValueError("no relevant candidates")
-    return float(judgments.r[sigma.order[:k]] @ d) / ideal
+    return float(grades[order[:k]] @ d) / ideal
 
 
 def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
@@ -109,11 +81,9 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
         raise ValueError(f"discount covers {discount.capacity} positions, "
                          f"need {min(topk, int(sizes.max()))}")
     flat_scores = np.concatenate(scores).astype(np.float64, copy=False)
-    flat_rel = np.concatenate(relevance).astype(np.float64, copy=False)
     if not np.all(np.isfinite(flat_scores)):
         raise ValueError("scores must be finite")
-    if not np.all((flat_rel >= 0.0) & (flat_rel < np.inf)):
-        raise ValueError("relevance grades must be finite and non-negative")
+    flat_rel = _grade_vector(np.concatenate(relevance))
 
     filled = np.arange(max(int(sizes.max()), topk)) < sizes[:, np.newaxis]
     negated = np.full(filled.shape, np.inf)
@@ -173,12 +143,12 @@ def _average_ranks(s: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def baseline_average(q: QueryInstance) -> Ranking:
+def baseline_average(q: QueryInstance) -> np.ndarray:
     """Uniform-mean baseline; agrees exactly with uniform-weight inference."""
     return ranking_from_scores(weighted_average_scores(q, SimplexWeights.uniform(q.k)))
 
 
-def baseline_borda(q: QueryInstance) -> Ranking:
+def baseline_borda(q: QueryInstance) -> np.ndarray:
     """Borda count: position i in a list is worth N - 1 - i points.
 
     Every list votes through its own sorted order (ties by lower index);

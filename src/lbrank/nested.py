@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     ConcaveGain,
     QueryInstance,
-    Ranking,
     SimplexWeights,
     _simplex_rows,
     gain_from_spec,
@@ -369,7 +368,7 @@ def aggregate_scores(model: NestedModel, q: QueryInstance) -> np.ndarray:
     return model.phi2(model.w2.w @ hidden)
 
 
-def infer(model: NestedModel, q: QueryInstance) -> Ranking:
+def infer(model: NestedModel, q: QueryInstance) -> np.ndarray:
     """Sort the nested aggregate scores descending.
 
     The outer activation is increasing, so it never changes the argsort;

@@ -179,10 +179,11 @@ def per_list_expectation(matrix: Sequence[Sequence[float]],
 
 def per_list_divergences(ctx, pi) -> np.ndarray:
     """d(x_i || pi) of every list of a sampler context (exact zero at each sort)."""
-    if pi.n != ctx.n:
-        raise ValueError(f"ranking has {pi.n} positions, context has {ctx.n}")
+    order = np.asarray(pi)
+    if order.size != ctx.n:
+        raise ValueError(f"ranking has {order.size} positions, context has {ctx.n}")
     top = np.sort(ctx.matrix, axis=1)[:, ::-1]
-    return (top - ctx.matrix[:, pi.order]) @ ctx._delta
+    return (top - ctx.matrix[:, order]) @ ctx._delta
 
 
 def energy(ctx, pi) -> float:
@@ -335,9 +336,9 @@ def train_nested(queries, model, cfg, backend="mh", shuffle=False):
 
 
 def ndcg_loss(sigma, rel, discount) -> float:
-    """Full-list NDCG loss 1 - NDCG of a Ranking against RelevanceJudgments."""
-    r = rel.r.tolist()
-    return 1.0 - ndcg(sigma.as_tuple(), r, discount.increments.tolist(), len(r))
+    """Full-list NDCG loss 1 - NDCG of an order array against relevance grades."""
+    r = np.asarray(rel, dtype=float).tolist()
+    return 1.0 - ndcg(tuple(np.asarray(sigma).tolist()), r, discount.increments.tolist(), len(r))
 
 
 def ndcg_loss_from_divergence(d: float, x: Sequence[float], gain) -> float:

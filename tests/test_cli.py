@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -367,6 +368,18 @@ class TestMalformedInputs:
         assert "init_jitter must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"mu = 0.1\n\xff\xfe\n"),
+                                      lambda p: p.mkdir(),
+                                      lambda p: None],
+                             ids=["undecodable", "directory", "missing"])
+    def test_unreadable_config_file(self, tmp_path, files, make, capsys):
+        config = tmp_path / "run.cfg"
+        make(config)
+        assert run("train", "--config", config, "--epochs", 1,
+                   "--data", files["data.csv"], "--out", tmp_path / "m.txt") == EXIT_USAGE
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     @pytest.mark.parametrize("command, args, named", [
         ("synth", ["--n-queries", "0"], "n_queries must be >= 1"),
         ("synth", ["--n-candidates", "0"], "n_candidates must be >= 1"),
@@ -416,6 +429,24 @@ class TestMalformedInputs:
         assert run("eval", "--data", files["data.letor"],
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
+
+    def test_huge_letor_feature_index(self, tmp_path):
+        # a strict parse names the first gap without enumerating every index
+        # below the largest; a 1.5 GB address-space cap turns a regression
+        # into a quick MemoryError instead of exhausting the host
+        data = tmp_path / "data.letor"
+        data.write_text("0 qid:1 1:0.1 1000000000000:0.2\n")
+        cap = 1_500_000_000
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(lbrank.__file__).resolve().parent.parent),
+                          os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-B", "-m", "lbrank", "infer", "--format", "letor",
+             "--baseline", "averaging", "--data", str(data), "--out", str(tmp_path / "r.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert "missing feature index 2" in result.stderr
 
     @pytest.mark.parametrize("name", ["data.csv", "data.letor"])
     # undecodable bytes, and a field beyond the csv module's size limit

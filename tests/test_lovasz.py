@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbrank.core import ConcaveGain, QueryInstance, Ranking, ranking_from_scores, sigmoid_gain
+from lbrank.core import ConcaveGain, QueryInstance, ranking_from_scores, sigmoid_gain
 from lbrank.lovasz import lb_bound, lb_divergence
 from lbrank.sampler import EnergyContext, _exact_law
 
@@ -50,19 +50,19 @@ class TestHVector:
     def test_chain_hook_matches_fast_path(self, gain6, rng):
         for _ in range(10):
             n = int(rng.integers(1, 7))
-            sigma = Ranking(rng.permutation(n))
-            fast = exact_h_vector(sigma.as_tuple(), gain6)
-            slow = oracles.h_vector_chain(sigma.as_tuple(), gain6.increments.tolist())
+            sigma = rng.permutation(n)
+            fast = exact_h_vector(tuple(sigma.tolist()), gain6)
+            slow = oracles.h_vector_chain(tuple(sigma.tolist()), gain6.increments.tolist())
             np.testing.assert_allclose(slow, fast, atol=1e-12)
 
 
 class TestLbDivergence:
     def test_zero_at_own_sort(self, small_gain):
-        assert lb_divergence([3, 1, 2], Ranking([0, 2, 1]), small_gain) == 0.0
+        assert lb_divergence([3, 1, 2], [0, 2, 1], small_gain) == 0.0
 
     def test_hand_computed_value(self, small_gain):
         # sorted mass 3*1 + 2*0.5 + 1*0.25 = 4.25; (0,1,2) mass 4.0
-        d = lb_divergence([3, 1, 2], Ranking([0, 1, 2]), small_gain)
+        d = lb_divergence([3, 1, 2], [0, 1, 2], small_gain)
         assert d == pytest.approx(0.25, abs=1e-12)
         values = sorted(
             oracles.divergence([3, 1, 2], order, [1.0, 0.5, 0.25])
@@ -73,18 +73,18 @@ class TestLbDivergence:
 
     def test_constant_scores_zero_everywhere(self, small_gain):
         for order in oracles.all_orders(3):
-            assert lb_divergence([7.0, 7.0, 7.0], Ranking(order), small_gain) == 0.0
+            assert lb_divergence([7.0, 7.0, 7.0], order, small_gain) == 0.0
 
     def test_length_mismatch(self, small_gain):
         with pytest.raises(ValueError, match="entries"):
-            lb_divergence([1.0, 2.0], Ranking([0, 1, 2]), small_gain)
+            lb_divergence([1.0, 2.0], [0, 1, 2], small_gain)
 
     def test_matches_oracle_everywhere(self, gain6, rng):
         for _ in range(25):
             n = int(rng.integers(2, 7))
             x = rng.normal(size=n)
             for order in oracles.all_orders(n)[:: max(1, n)]:
-                got = lb_divergence(x, Ranking(order), gain6)
+                got = lb_divergence(x, order, gain6)
                 want = oracles.divergence(x.tolist(), order, gain6.increments[:n].tolist())
                 assert got == pytest.approx(want, abs=1e-10)
 
@@ -95,14 +95,14 @@ class TestLbDivergence:
             best = ranking_from_scores(x)
             assert lb_divergence(x, best, gain6) == 0.0
             for order in oracles.all_orders(n):
-                assert lb_divergence(x, Ranking(order), gain6) >= 0.0
+                assert lb_divergence(x, order, gain6) >= 0.0
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=6),
            st.floats(-50, 50))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, scores, shift):
         gain = sigmoid_gain(len(scores))
-        sigma = Ranking(np.roll(np.arange(len(scores)), 1))
+        sigma = np.roll(np.arange(len(scores)), 1)
         base = lb_divergence(scores, sigma, gain)
         shifted = lb_divergence([s + shift for s in scores], sigma, gain)
         assert shifted == pytest.approx(base, abs=1e-10)
@@ -116,7 +116,7 @@ class TestLbBound:
         # eps=2, N=3: 2 * 3 * (1.0 - 1.75 + 1.5) = 4.5
         assert lb_bound([3, 1, 2], small_gain) == pytest.approx(4.5, abs=1e-12)
         for order in oracles.all_orders(3):
-            assert lb_divergence([3, 1, 2], Ranking(order), small_gain) <= 4.5
+            assert lb_divergence([3, 1, 2], order, small_gain) <= 4.5
 
     def test_single_candidate(self, small_gain):
         assert lb_bound([5.0], small_gain) == 0.0
@@ -126,7 +126,7 @@ class TestLbBound:
             n = int(rng.integers(2, 7))
             x = rng.normal(size=n) * rng.uniform(0.1, 10)
             bound = lb_bound(x, gain6)
-            order = Ranking(rng.permutation(n))
+            order = rng.permutation(n)
             assert lb_divergence(x, order, gain6) <= bound + 1e-12
 
 
@@ -158,6 +158,6 @@ class TestChainIdentity:
             gain = sigmoid_gain(n)
             order = ranking_from_scores(x)
             fast = float(gain.increments[:n] @ np.sort(x)[::-1])
-            chain = oracles.h_vector_chain(order.as_tuple(), gain.increments.tolist())
+            chain = oracles.h_vector_chain(tuple(order.tolist()), gain.increments.tolist())
             slow = float(np.asarray(chain) @ x)
             assert fast == pytest.approx(slow, abs=1e-12)

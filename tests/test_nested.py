@@ -366,13 +366,13 @@ class TestInfer:
         q = make_query(rng.normal(size=(3, 6)))
         model = simple_model([[0.0, 1.0, 0.0]] * 4, [0.25] * 4, gain6,
                              phi1="shifted_logistic", phi2="shifted_logistic", k2=4)
-        assert infer(model, q) == ranking_from_scores(q.matrix[1])
+        assert np.array_equal(infer(model, q), ranking_from_scores(q.matrix[1]))
 
     def test_uniform_everything_matches_averaging(self, gain6, rng):
         q = make_query(rng.normal(size=(4, 6)))
         model = simple_model([[0.25] * 4] * 3, [1 / 3] * 3, gain6,
                              phi1="shifted_logistic", phi2="shifted_logistic", k2=3)
-        assert infer(model, q) == baseline_average(q)
+        assert np.array_equal(infer(model, q), baseline_average(q))
 
     def test_outer_activation_never_changes_the_ranking(self, gain6, rng):
         for _ in range(20):
@@ -385,7 +385,7 @@ class TestInfer:
                                      phi2="shifted_logistic", k2=k2)
             without = simple_model(w1, w2, gain6, phi1="shifted_logistic",
                                    phi2="identity", k2=k2)
-            assert infer(with_phi2, q) == infer(without, q)
+            assert np.array_equal(infer(with_phi2, q), infer(without, q))
 
     def test_k_mismatch_rejected(self, gain6):
         model = simple_model([[0.5, 0.5]], [1.0], gain6, k2=1)
