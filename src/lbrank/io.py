@@ -10,10 +10,12 @@ the LETOR format are converted at this boundary only.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +85,59 @@ def _fmt_number(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
+def _tokenized(parse: Callable[[Path], Dataset], path: Path) -> Dataset | None:
+    """``parse(path)`` through numpy's tokenizer, or None if it does not take the file.
+
+    The fast path accepts only files it reads exactly as the line parser
+    would. Anything else, whatever the reason (a tokenizer error, a
+    warning, a failed check, undecodable bytes), returns None and the
+    line parser reads the file: it alone words errors with line numbers
+    and repairs data, and it reads numbers with Python's ``float()``,
+    which takes forms numpy does not (``1_0``, Unicode digits).
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads '3.0' into an int64 field with only a DeprecationWarning
+            warnings.simplefilter("error")
+            return parse(path)
+    except Exception:
+        return None
+
+
+def _dataset(path: Path, fmt: str, names: list[str], group: Sequence[int],
+             x: np.ndarray, rel: np.ndarray | None, cand: np.ndarray | None = None,
+             filled: bool = False) -> Dataset:
+    """Group flat rows into one query per name, in first-seen order.
+
+    Row r belongs to query ``names[group[r]]``: ``x[r]`` holds its K scores
+    and ``rel[r]`` its grade. With ``cand`` a query's rows are put in
+    candidate-id order, and the ids must be dense 0..N-1; without it they
+    keep file order. ``QueryInstance`` checks that scores are finite and
+    grades finite and non-negative.
+    """
+    group = np.asarray(group, dtype=np.intp)
+    sizes = np.bincount(group, minlength=len(names))
+    starts = np.cumsum(sizes) - sizes
+    if cand is None:
+        order = np.argsort(group, kind="stable")
+    else:
+        order = np.lexsort((cand, group))
+        dense = cand[order] == np.arange(group.size) - np.repeat(starts, sizes)
+        if not dense.all():
+            g = group[order[np.argmin(dense)]]
+            raise DataError(f"{path} qid {names[g]}: candidate ids must be dense "
+                            f"0..{sizes[g] - 1}")
+    x = x[order]
+    rel = None if rel is None else rel[order]
+    queries = [QueryInstance(name, x[s:s + n].T, None if rel is None else rel[s:s + n])
+               for name, s, n in zip(names, starts.tolist(), sizes.tolist())]
+    provenance = f"{fmt}:{path}" + (" (missing scores zero-filled)" if filled else "")
+    try:
+        return Dataset(tuple(queries), provenance)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
     """Parse a LETOR/SVMLight ranking file into a dataset.
 
@@ -90,12 +145,65 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
     leading relevance column is kept for evaluation. Lines are grouped by
     qid in file order. In strict mode a line whose feature indices are not
     exactly 1..F raises; otherwise missing indices are filled with 0.0 and
-    the provenance records the repair.
+    the provenance records the repair. Either way a query's K is its
+    largest index, and each index 1..K must be scored on one of its lines.
+
+    A file whose every line carries indices 1..K in order is read by
+    numpy's tokenizer; any other file by a line-by-line parser, which
+    names the first bad line.
     """
     path = Path(path)
-    per_query: dict[str, list[tuple[float, dict[int, float]]]] = {}
-    order: list[str] = []
-    filled = False
+    dataset = _tokenized(_letor_tokenized, path)
+    return _letor_lines(path, strict) if dataset is None else dataset
+
+
+def _letor_records(lines: Iterable[str], k: int,
+                   codes: dict[str, int], group: list[int]) -> Iterator[str]:
+    """Join each line's tokens with '::' for a ':'-delimited read, recording its query."""
+    for line in lines:
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        record = "::".join(tokens)
+        if len(tokens) != k + 2 or record.count(":") != 3 * k + 3:
+            raise ValueError("not k features of one colon each")
+        group.append(codes.setdefault(tokens[1], len(codes)))
+        yield record
+
+
+def _letor_tokenized(path: Path) -> Dataset:
+    """The fast path of ``parse_letor`` (see ``_tokenized``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next(line for line in fh if line.partition("#")[0].split())
+        k = len(first.partition("#")[0].split()) - 2
+        if k < 1:
+            raise ValueError("no features")
+        codes: dict[str, int] = {}
+        group: list[int] = []
+        # A record reads rel,'',qid,id,'',i1,v1,'',i2,v2,...: an empty field
+        # where each space was. With k + 2 tokens and k + 1 colons, any token
+        # without exactly one colon shifts an empty field into usecols, where
+        # it fails to parse.
+        usecols = [0, *(5 + 3 * j + c for j in range(k) for c in (0, 1))]
+        rows = np.loadtxt(_letor_records(itertools.chain([first], fh), k, codes, group),
+                          dtype=[("rel", "f8"), ("f", [("i", "i8"), ("v", "f8")], (k,))],
+                          usecols=usecols, delimiter=":", comments=None, ndmin=1)
+    # the layout above also needs exactly one colon in the qid token
+    if not all(q.startswith("qid:") and q.count(":") == 1 and len(q) > 4 and "\x00" not in q
+               for q in codes):
+        raise ValueError("a qid token the line parser must judge")
+    if not (rows["f"]["i"] == np.arange(1, k + 1)).all():
+        raise ValueError("feature indices are not 1..K on every line")
+    return _dataset(path, "letor", [q[len("qid:"):] for q in codes], group,
+                    rows["f"]["v"], rows["rel"])
+
+
+def _letor_lines(path: Path, strict: bool) -> Dataset:
+    """The line-by-line reader behind ``parse_letor``."""
+    codes: dict[str, int] = {}
+    group: list[int] = []
+    rels: list[float] = []
+    feats: list[dict[int, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(_checked(fh, path), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -139,36 +247,35 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
                 # n distinct indices >= 1 that are not 1..n leave a gap at or below n
                 missing = next(i for i in range(1, len(features) + 1) if i not in features)
                 raise DataError(f"{path} line {lineno}: missing feature index {missing}")
-            if qid not in per_query:
-                per_query[qid] = []
-                order.append(qid)
-            per_query[qid].append((rel, features))
+            group.append(codes.setdefault(qid, len(codes)))
+            rels.append(rel)
+            feats.append(features)
 
-    if not order:
+    if not feats:
         raise DataError(f"{path}: no data lines")
-
-    queries = []
-    for qid in order:
-        entries = per_query[qid]
-        k = max(max(f) for _, f in entries)
-        if strict and any(len(f) != k for _, f in entries):
-            raise DataError(f"{path} qid {qid}: inconsistent feature counts within query")
-        n = len(entries)
-        matrix = np.zeros((k, n), dtype=np.float64)
-        for doc, (_, features) in enumerate(entries):
-            for idx, val in features.items():
-                matrix[idx - 1, doc] = val
-        if any(len(f) != k for _, f in entries):
-            filled = True
-        rel = np.array([rel for rel, _ in entries], dtype=np.float64)
-        queries.append(QueryInstance(qid, matrix, rel))
-    provenance = f"letor:{path}"
-    if filled:
-        provenance += " (missing scores zero-filled)"
-    try:
-        return Dataset(tuple(queries), provenance)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    names = list(codes)
+    scored: list[set[int]] = [set() for _ in names]
+    for g, features in zip(group, feats):
+        scored[g].update(features)
+    ks = [max(indices) for indices in scored]
+    # checked before any allocation: it bounds K by the number of tokens
+    for qid, indices, k in zip(names, scored, ks):
+        if len(indices) != k:
+            missing = next(i for i in range(1, k + 1) if i not in indices)
+            raise DataError(f"{path} qid {qid}: no line scores feature index {missing} "
+                            f"(largest index {k})")
+    if strict:
+        ragged = [g for g, features in zip(group, feats) if len(features) != ks[g]]
+        if ragged:
+            raise DataError(f"{path} qid {names[min(ragged)]}: inconsistent feature counts "
+                            "within query")
+    if len(set(ks)) > 1:
+        raise DataError(f"{path}: queries disagree on ranker count K")
+    k = ks[0]
+    x = np.array([[features.get(i, 0.0) for i in range(1, k + 1)] for features in feats],
+                 dtype=np.float64)
+    return _dataset(path, "letor", names, group, x, np.array(rels, dtype=np.float64),
+                    filled=any(len(features) != k for features in feats))
 
 
 def write_letor(dataset: Dataset, path: str | Path) -> None:
@@ -190,6 +297,18 @@ def _csv_header(k: int, with_relevance: bool) -> list[str]:
     return header
 
 
+def _csv_columns(header: list[str], path: Path) -> tuple[int, bool]:
+    """K, and whether a relevance column ends the row, from a CSV header."""
+    header = [h.strip() for h in header]
+    if header[:2] != ["query_id", "candidate_id"]:
+        raise DataError(f"{path}: header must start with query_id,candidate_id")
+    with_relevance = header[-1] == "relevance"
+    ranker_cols = header[2:-1] if with_relevance else header[2:]
+    if not ranker_cols or ranker_cols != [f"ranker_{i}" for i in range(len(ranker_cols))]:
+        raise DataError(f"{path}: ranker columns must be ranker_0..ranker_{{K-1}}")
+    return len(ranker_cols), with_relevance
+
+
 def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     """Parse a dense per-candidate score matrix CSV.
 
@@ -197,31 +316,70 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     Candidate ids must be dense 0..N-1 within each query. Empty ranker
     cells raise in strict mode and are zero-filled (and flagged in the
     provenance) otherwise.
+
+    A file with no quotes and no empty cells is read by numpy's
+    tokenizer; any other file by a line-by-line parser, which names the
+    first bad line.
     """
     path = Path(path)
+    dataset = _tokenized(_scores_csv_tokenized, path)
+    return _scores_csv_lines(path, strict) if dataset is None else dataset
+
+
+def _csv_records(lines: Iterable[str], width: int,
+                 codes: dict[str, int], group: list[int]) -> Iterator[str]:
+    """Pass on the lines of ``width`` comma-separated fields, recording each query."""
+    limit = csv.field_size_limit()  # the csv module rejects a longer field
+    for line in lines:
+        if line.count(",") != width - 1 or len(line) > limit:
+            if line.strip("\r\n"):
+                raise ValueError("not a plain CSV record")
+            continue  # csv.reader yields [] for a blank line, and the line parser skips it
+        group.append(codes.setdefault(line.partition(",")[0], len(codes)))
+        yield line
+
+
+def _scores_csv_tokenized(path: Path) -> Dataset:
+    """The fast path of ``parse_scores_csv`` (see ``_tokenized``)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        k, with_relevance = _csv_columns(next(csv.reader([fh.readline()])), path)
+        fields = [("cand", "i8"), ("x", "f8", (k,))]
+        if with_relevance:
+            fields.append(("rel", "f8"))
+        codes: dict[str, int] = {}
+        group: list[int] = []
+        width = 2 + k + with_relevance
+        rows = np.loadtxt(_csv_records(fh, width, codes, group), dtype=fields,
+                          usecols=range(1, width), delimiter=",", comments=None, ndmin=1)
+    # a quote may open a quoted field, and Python 3.10's csv module rejects NUL
+    if any('"' in q or "\x00" in q for q in codes):
+        raise ValueError("a query id the line parser must judge")
+    return _dataset(path, "csv", list(codes), group, rows["x"],
+                    rows["rel"] if with_relevance else None, cand=rows["cand"])
+
+
+def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
+    """The line-by-line reader behind ``parse_scores_csv``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows_in = _checked(csv.reader(fh), path)
         try:
             header = next(rows_in)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header[:2] != ["query_id", "candidate_id"]:
-            raise DataError(f"{path}: header must start with query_id,candidate_id")
-        with_relevance = header[-1] == "relevance"
-        ranker_cols = header[2:-1] if with_relevance else header[2:]
-        if not ranker_cols or ranker_cols != [f"ranker_{i}" for i in range(len(ranker_cols))]:
-            raise DataError(f"{path}: ranker columns must be ranker_0..ranker_{{K-1}}")
-        k = len(ranker_cols)
-
-        rows: dict[str, dict[int, tuple[list[float], float | None]]] = {}
-        order: list[str] = []
+        k, with_relevance = _csv_columns(header, path)
+        width = 2 + k + with_relevance
+        codes: dict[str, int] = {}
+        group: list[int] = []
+        cands: list[int] = []
+        values_rows: list[list[float]] = []
+        rels: list[float | None] = []
+        seen: set[tuple[int, int]] = set()
         filled = False
         for lineno, row in enumerate(rows_in, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise DataError(f"{path} line {lineno}: expected {len(header)} fields, "
+            if len(row) != width:
+                raise DataError(f"{path} line {lineno}: expected {width} fields, "
                                 f"got {len(row)}")
             qid = row[0]
             try:
@@ -229,11 +387,11 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
             except ValueError:
                 raise DataError(f"{path} line {lineno}: bad candidate_id {row[1]!r}") from None
             values: list[float] = []
-            for col, cell in zip(ranker_cols, row[2:2 + k]):
+            for i, cell in enumerate(row[2:2 + k]):
                 cell = cell.strip()
                 if not cell:
                     if strict:
-                        raise DataError(f"{path} line {lineno}: empty {col} cell")
+                        raise DataError(f"{path} line {lineno}: empty ranker_{i} cell")
                     filled = True
                     values.append(0.0)
                     continue
@@ -252,34 +410,22 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
                 if not _is_grade(rel_value):
                     raise DataError(f"{path} line {lineno}: relevance must be finite and "
                                     f"non-negative, got {row[-1]!r}")
-            if qid not in rows:
-                rows[qid] = {}
-                order.append(qid)
-            if cand in rows[qid]:
+            g = codes.setdefault(qid, len(codes))
+            if (g, cand) in seen:
                 raise DataError(f"{path} line {lineno}: duplicate row for "
                                 f"query {qid!r} candidate {cand}")
-            rows[qid][cand] = (values, rel_value)
+            seen.add((g, cand))
+            group.append(g)
+            # an id outside int64 is never dense; -1 keeps that verdict in int64
+            cands.append(cand if 0 <= cand < 2 ** 63 else -1)
+            values_rows.append(values)
+            rels.append(rel_value)
 
-    if not order:
+    if not group:
         raise DataError(f"{path}: no data rows")
-    queries = []
-    for qid in order:
-        by_cand = rows[qid]
-        n = len(by_cand)
-        if sorted(by_cand) != list(range(n)):
-            raise DataError(f"{path} qid {qid}: candidate ids must be dense 0..{n - 1}")
-        matrix = np.array([by_cand[c][0] for c in range(n)], dtype=np.float64).T
-        rel = None
-        if with_relevance:
-            rel = np.array([by_cand[c][1] for c in range(n)], dtype=np.float64)
-        queries.append(QueryInstance(qid, matrix, rel))
-    provenance = f"csv:{path}"
-    if filled:
-        provenance += " (missing scores zero-filled)"
-    try:
-        return Dataset(tuple(queries), provenance)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _dataset(path, "csv", list(codes), group, np.array(values_rows, dtype=np.float64),
+                    np.array(rels, dtype=np.float64) if with_relevance else None,
+                    cand=np.array(cands, dtype=np.int64), filled=filled)
 
 
 def write_scores_csv(dataset: Dataset, path: str | Path) -> None:

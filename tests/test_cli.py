@@ -430,23 +430,41 @@ class TestMalformedInputs:
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
-    def test_huge_letor_feature_index(self, tmp_path):
-        # a strict parse names the first gap without enumerating every index
-        # below the largest; a 1.5 GB address-space cap turns a regression
-        # into a quick MemoryError instead of exhausting the host
+    @staticmethod
+    def _infer_capped(tmp_path: Path, line: str, *flags: str) -> subprocess.CompletedProcess:
+        """``infer --format letor`` on a one-line file under a 1.5 GB address-space cap.
+
+        The cap turns a regression that allocates by the largest feature
+        index into a quick MemoryError instead of exhausting the host.
+        """
         data = tmp_path / "data.letor"
-        data.write_text("0 qid:1 1:0.1 1000000000000:0.2\n")
+        data.write_text(line + "\n")
         cap = 1_500_000_000
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, [str(Path(lbrank.__file__).resolve().parent.parent),
                           os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-B", "-m", "lbrank", "infer", "--format", "letor",
-             "--baseline", "averaging", "--data", str(data), "--out", str(tmp_path / "r.csv")],
+             "--baseline", "averaging", *flags, "--data", str(data),
+             "--out", str(tmp_path / "r.csv")],
             env=env, capture_output=True, text=True, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+    def test_huge_letor_feature_index(self, tmp_path):
+        # a strict parse names the first gap without enumerating every index
+        # below the largest
+        result = self._infer_capped(tmp_path, "0 qid:1 1:0.1 1000000000000:0.2")
         assert result.returncode == EXIT_DATA, result.stderr
         assert "missing feature index 2" in result.stderr
+
+    def test_huge_letor_feature_index_when_not_strict(self, tmp_path):
+        # zero-filling stops at the largest index that some line of the
+        # query scores; an index no line scores is a data error
+        result = self._infer_capped(tmp_path, "0 qid:1 1:0.1 1000000000000:0.2",
+                                    "--strict", "false")
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert "qid 1: no line scores feature index 2 (largest index 1000000000000)" \
+            in result.stderr
 
     @pytest.mark.parametrize("name", ["data.csv", "data.letor"])
     # undecodable bytes, and a field beyond the csv module's size limit

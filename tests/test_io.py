@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lbrank import io as dataio
 from lbrank.core import QueryInstance, ranking_from_scores
 from lbrank.io import (
     DataError,
@@ -203,6 +204,200 @@ class TestParseScoresCsv:
         write_scores_csv(original, path)
         again = parse_scores_csv(path)
         assert datasets_equal(original, again)
+
+
+# Texts where numpy's tokenizer and Python's float()/int() may disagree, or
+# where a field is not what it seems. Each mutation draws one of them.
+_NUMBERS = ["1_0", "\u0661", "nan", "inf", "1e999", "", " 0.5 ", "\xa00.5", "0.5\u2003",
+            "\u200b1", "0.5\x00", "0x1p0", "+.5", "1e-400", "-0", "0.5#x",
+            "0.1000000000000000055511151231257827021181583404541015625"]
+_INDICES = ["3.0", "1_0", "\u0663", "-1", "0", "01", "+1", " 1", "1e0", "99999999999999999999", ""]
+_QIDS = ["", '"q0"', 'q"0', "q\x00", "q#0", "a:b", "q 0", "q\t0", "q0 ", "\u0661"]
+_EXTRAS = {"csv": [",0.5", ",", ";0.5"], "letor": [" 9:0.5", " 0.5", ":0.5", " ", "\t", "\x0b"]}
+_SEPARATORS = {"csv": [";", ",,", ", ", '",'],
+               "letor": ["\t", "  ", ":", " ", "\x0b", "\xa0", " \t", "::", "\x1c"]}
+_LINES = ["", "  ", "\t", "\x0c", "# a comment line", "#", "\x00"]
+_COMMENTS = [" # trailing note", "#note", " #"]
+
+_mutation = st.tuples(
+    st.sampled_from(["score", "grade", "index", "qid", "extra", "separator", "quote",
+                     "line", "comment", "nul", "copy", "drop"]),
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+def _pick(options: list[str], n: int) -> str:
+    return options[n % len(options)]
+
+
+def _mutate_lines(lines: list[str], fmt: str, mutations) -> list[str]:
+    """Apply each mutation to one data line of a well-formed CSV (header first) or LETOR file."""
+    sep = "," if fmt == "csv" else " "
+    first = 1 if fmt == "csv" else 0
+    for kind, at, pos, pick in mutations:
+        if len(lines) <= first:
+            break
+        i = first + at % (len(lines) - first)
+        line = lines[i]
+        fields = line.split(sep)
+        if len(fields) < 2 and kind in ("score", "grade", "index", "qid", "quote"):
+            continue  # an inserted blank or comment line has no fields to change
+        if kind in ("score", "grade", "index") and fmt == "letor":
+            j = 0 if kind == "grade" else 2 + pos % max(1, len(fields) - 2)
+            if kind == "grade":
+                fields[0] = _pick(_NUMBERS, pick)
+            elif j < len(fields):
+                idx, _, value = fields[j].partition(":")
+                fields[j] = (f"{idx}:{_pick(_NUMBERS, pick)}" if kind == "score"
+                             else f"{_pick(_INDICES, pick)}:{value}")
+        elif kind in ("score", "grade", "index"):
+            j = {"score": 2 + pos % max(1, len(fields) - 2), "grade": -1, "index": 1}[kind]
+            if j < len(fields):
+                fields[j] = _pick(_INDICES if kind == "index" else _NUMBERS, pick)
+        elif kind == "qid":
+            fields[0 if fmt == "csv" else 1] = ("" if fmt == "csv" else "qid:") + _pick(_QIDS, pick)
+        elif kind == "quote":
+            j = pos % len(fields)
+            fields[j] = f'"{fields[j]}"'
+        if kind in ("score", "grade", "index", "qid", "quote"):
+            lines[i] = sep.join(fields)
+        elif kind == "extra":
+            lines[i] = line + _pick(_EXTRAS[fmt], pick)
+        elif kind == "separator":
+            spots = [k for k, c in enumerate(line) if c in sep + ":"] or [len(line)]
+            k = spots[pos % len(spots)]
+            lines[i] = line[:k] + _pick(_SEPARATORS[fmt], pick) + line[k + 1:]
+        elif kind == "line":
+            lines.insert(i, _pick(_LINES, pick))
+        elif kind == "comment":
+            lines[i] = line + _pick(_COMMENTS, pick)
+        elif kind == "nul":
+            k = pos % (len(line) + 1)
+            lines[i] = line[:k] + "\x00" + line[k:]
+        elif kind == "copy":
+            lines.insert(i, line)
+        elif kind == "drop":
+            del lines[i]
+    return lines
+
+
+def _outcome(parse, path, strict):
+    """A parse's dataset as bytes, or its DataError message."""
+    try:
+        ds = parse(path, strict=strict)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", ds.provenance, [
+        (q.query_id, q.matrix.shape, q.matrix.tobytes(),
+         None if q.relevance is None else q.relevance.tobytes()) for q in ds.queries]
+
+
+@st.composite
+def _small_dataset(draw) -> Dataset:
+    k = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    number = st.floats(allow_nan=False, allow_infinity=False)  # subnormals to 1.8e308
+    grade = st.sampled_from([0.0, 1.0, 2.0, 0.5])
+    with_relevance = draw(st.booleans())
+    return Dataset(tuple(
+        QueryInstance(f"q{i}", draw(st.lists(st.lists(number, min_size=n, max_size=n),
+                                             min_size=k, max_size=k)),
+                      draw(st.lists(grade, min_size=n, max_size=n)) if with_relevance else None)
+        for i, n in enumerate(sizes)))
+
+
+class TestTokenizerAgreesWithLineParser:
+    """The public parsers read numpy's way only where that gives the line parser's result."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    @given(data=_small_dataset(), mutations=st.lists(_mutation, max_size=3),
+           line_end=st.sampled_from(["\n", "\r\n", "\r"]), shuffle=st.randoms())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_dataset_or_same_error(self, tmp_path, fmt, data, mutations, line_end,
+                                        shuffle):
+        if fmt == "letor" and not data.has_relevance():
+            data = Dataset(tuple(QueryInstance(q.query_id, q.matrix, np.ones(q.n))
+                                 for q in data.queries))
+        path = tmp_path / f"data.{fmt}"
+        (write_scores_csv if fmt == "csv" else write_letor)(data, path)
+        lines = path.read_text().splitlines()
+        if fmt == "csv":  # rows of one query need not be in candidate order
+            body = lines[1:]
+            shuffle.shuffle(body)
+            lines[1:] = body
+        lines = _mutate_lines(lines, fmt, mutations)
+        path.write_bytes((line_end.join(lines) + line_end).encode("utf-8"))
+        public = parse_scores_csv if fmt == "csv" else parse_letor
+        line_parser = dataio._scores_csv_lines if fmt == "csv" else dataio._letor_lines
+        for strict in (True, False):
+            assert _outcome(public, path, strict) == _outcome(line_parser, path, strict)
+
+
+    # one file for each check of the fast path; without the check the
+    # tokenizer would read the file differently from the line parser
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", '"q0",0,0.5,1\n'),  # a quoted query id
+        ("csv", "q0,0,0.5,1,7\n"),  # an extra field, which usecols would drop
+        ("csv", "q0,0," + "0" * 140_000 + "1,1\n"),  # past the csv module's field limit
+        ("csv", "q\x00,0,0.5,1\n"),  # Python 3.10's csv module rejects NUL
+        ("csv", "q0,1,0.5,1\n"),  # not dense
+        ("csv", "q0,0,0.5,1\nq0,0,0.25,2\n"),  # a duplicate candidate
+        ("letor", "1 qid:q0 1:0.5 2:0.5:7\n"),  # a value with a colon
+        ("letor", "1 qid:q0 1:0.5\n1 qid:q0 1:0.25 9\n"),  # a token with no colon
+        ("letor", "1 qid: 1:0.5\n"),  # an empty qid
+        ("letor", "1 xid:q0 1:0.5\n"),  # no qid token
+        ("letor", "1 qid:q\x00 1:0.5\n"),  # NUL
+        ("letor", "1 qid:q0 2:0.5 1:0.25\n"),  # indices out of order
+    ])
+    def test_each_check_of_the_fast_path(self, tmp_path, fmt, text):
+        path = tmp_path / f"data.{fmt}"
+        header = "query_id,candidate_id,ranker_0,relevance\n" if fmt == "csv" else ""
+        path.write_text(header + text, encoding="utf-8")
+        public = parse_scores_csv if fmt == "csv" else parse_letor
+        line_parser = dataio._scores_csv_lines if fmt == "csv" else dataio._letor_lines
+        for strict in (True, False):
+            assert _outcome(public, path, strict) == _outcome(line_parser, path, strict)
+
+
+class TestTokenizerIsUsed:
+    """Well-formed files never reach the line parser, which is 2-3x slower."""
+
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def refuse(path, strict):
+            raise AssertionError(f"{path} went to the line parser")
+        monkeypatch.setattr(dataio, "_scores_csv_lines", refuse)
+        monkeypatch.setattr(dataio, "_letor_lines", refuse)
+
+    def ragged(self) -> Dataset:
+        rng = np.random.default_rng(5)
+        return Dataset(tuple(
+            make_query(rng.normal(size=(3, n)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate([1, 7, 2, 30])))
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_well_formed_file(self, tmp_path, fmt, no_line_parser):
+        original = self.ragged()
+        path = tmp_path / f"data.{fmt}"
+        (write_scores_csv if fmt == "csv" else write_letor)(original, path)
+        parsed = (parse_scores_csv if fmt == "csv" else parse_letor)(path)
+        assert datasets_equal(original, parsed)
+        assert parsed.provenance == f"{fmt}:{path}"
+
+    def test_letor_comments_and_blank_lines(self, tmp_path, no_line_parser):
+        path = tmp_path / "tiny.txt"
+        path.write_text("\n# header comment\n" + LETOR_TWO_LINES + "\n")
+        np.testing.assert_array_equal(parse_letor(path).queries[0].matrix,
+                                      [[0.3, 0.1], [0.7, 0.2], [1.0, 0.5]])
+
+    def test_csv_rows_out_of_candidate_order(self, tmp_path, no_line_parser):
+        path = tmp_path / "scores.csv"
+        path.write_text("query_id,candidate_id,ranker_0\n"
+                        "b,1,0.5\r\n\r\nb,0,0.25\n\na,0,0.75\r")
+        ds = parse_scores_csv(path)
+        assert [q.query_id for q in ds.queries] == ["b", "a"]
+        np.testing.assert_array_equal(ds.queries[0].matrix, [[0.25, 0.5]])
 
 
 class TestPairwiseTransform:
