@@ -250,32 +250,29 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str | Path):
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    # the loaders report undecodable text; here only the format line matters
-    head = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    first = head[0].strip() if head else ""
-    if first == f"format: {linear.MODEL_FORMAT}":
-        return linear.load_linear(path)
-    if first == f"format: {nested.MODEL_FORMAT}":
-        return nested.load_nested(path)
-    raise DataError(f"{path}: unrecognized model format")
-
-
-def _scores_for(model, q: QueryInstance) -> np.ndarray:
-    if isinstance(model, linear.LinearModel):
-        return linear.aggregate_scores(model, q)
-    return nested.aggregate_scores(model, q)
-
-
 def _average_scores(q: QueryInstance) -> np.ndarray:
     return weighted_average_scores(q, SimplexWeights.uniform(q.k))
 
 
-def _model_k(model) -> int:
-    return model.k if isinstance(model, linear.LinearModel) else model.k1
+def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndarray]:
+    """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"model file not found: {path}")
+    # the loaders report undecodable text; here only the format line matters
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline().strip()
+    if first == f"format: {linear.MODEL_FORMAT}":
+        model = linear.load_linear(path)
+        module, model_k = linear, model.k
+    elif first == f"format: {nested.MODEL_FORMAT}":
+        model = nested.load_nested(path)
+        module, model_k = nested, model.k1
+    else:
+        raise DataError(f"{path}: unrecognized model format")
+    if model_k != k:
+        raise DataError(f"{path}: model expects K={model_k}, data has K={k}")
+    return lambda q: module.aggregate_scores(model, q)
 
 
 def _write_rankings_csv(path: Path, dataset: Dataset,
@@ -294,10 +291,7 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if cfg.baseline is None:  # argparse admits only "averaging" otherwise
         _require(cfg, "model_file")
-        model = _load_model(cfg.model_file)
-        if _model_k(model) != dataset.k:
-            raise DataError(f"model expects K={_model_k(model)}, data has K={dataset.k}")
-        score_fn = lambda q: _scores_for(model, q)
+        score_fn = _model_scores(cfg.model_file, dataset.k)
     else:
         score_fn = _average_scores
     scores = [score_fn(q) for q in dataset.queries]
@@ -318,27 +312,18 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         ("borda", metrics.borda_points),
     ]
     for model_path in cfg.model_files or []:
-        model = _load_model(model_path)
-        if _model_k(model) != dataset.k:
-            raise DataError(f"{model_path}: model expects K={_model_k(model)}, "
-                            f"data has K={dataset.k}")
-        label = Path(model_path).stem
-        methods.append((label, lambda q, m=model: _scores_for(m, q)))
+        methods.append((Path(model_path).stem, _model_scores(model_path, dataset.k)))
 
     relevance = [q.relevance for q in dataset.queries]
-    rows: list[tuple[str, str, list[float]]] = []
-    mean_rows: list[list[float]] = []
-    for label, score_fn in methods:
-        ndcg = metrics.ndcg_table([score_fn(q) for q in dataset.queries], relevance,
-                                  cfg.topk, discount)
-        rows.extend((label, q.query_id, vals)
-                    for q, vals in zip(dataset.queries, ndcg.tolist()))
-        mean_rows.append(np.mean(ndcg, axis=0).tolist())
-
+    tables = [metrics.ndcg_table([score_fn(q) for q in dataset.queries], relevance,
+                                 cfg.topk, discount)
+              for _, score_fn in methods]
+    labels = [label for label, _ in methods]
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)
-    metrics.write_metric_csv(out, columns, rows)
-    table = metrics.format_table(columns, [label for label, _ in methods], mean_rows)
+    means = metrics.write_metric_csv(out, columns, labels,
+                                     [q.query_id for q in dataset.queries], tables)
+    table = metrics.format_table(columns, labels, means)
     out.with_suffix(out.suffix + ".txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return EXIT_OK

@@ -90,6 +90,13 @@ class ConcaveGain:
         return float(self.increments[i - 1])
 
 
+def _increments(gain: ConcaveGain, n: int, name: str = "gain") -> np.ndarray:
+    """The first ``n`` increments of ``gain``; ``name`` starts the error if it has fewer."""
+    if gain.capacity < n:
+        raise ValueError(f"{name} covers {gain.capacity} positions, need {n}")
+    return gain.increments[:n]
+
+
 def sigmoid_gain(capacity: int) -> ConcaveGain:
     """Decreasing logistic increments delta_g(i) = 1 / (1 + exp(i - 1)).
 
@@ -195,14 +202,6 @@ class SimplexWeights:
     @property
     def k(self) -> int:
         return int(self.w.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplexWeights):
-            return NotImplemented
-        return np.array_equal(self.w, other.w)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.w.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

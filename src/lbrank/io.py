@@ -284,6 +284,10 @@ def write_letor(dataset: Dataset, path: str | Path) -> None:
         raise DataError("LETOR serialization requires relevance on every query")
     lines = []
     for q in dataset.queries:
+        # the id must read back as one token of a line, before any comment
+        if q.query_id.split() != [q.query_id] or "#" in q.query_id or "\x00" in q.query_id:
+            raise DataError(f"query id {q.query_id!r} cannot be written to LETOR: "
+                            "it is empty or holds whitespace, '#' or NUL")
         for doc in range(q.n):
             feats = " ".join(f"{i + 1}:{float(q.matrix[i, doc])!r}" for i in range(q.k))
             lines.append(f"{_fmt_number(q.relevance[doc])} qid:{q.query_id} {feats}")
@@ -351,8 +355,8 @@ def _scores_csv_tokenized(path: Path) -> Dataset:
         width = 2 + k + with_relevance
         rows = np.loadtxt(_csv_records(fh, width, codes, group), dtype=fields,
                           usecols=range(1, width), delimiter=",", comments=None, ndmin=1)
-    # a quote may open a quoted field, and Python 3.10's csv module rejects NUL
-    if any('"' in q or "\x00" in q for q in codes):
+    # a quote may open a quoted field; an empty or NUL id is the line parser's error
+    if any(not q or '"' in q or "\x00" in q for q in codes):
         raise ValueError("a query id the line parser must judge")
     return _dataset(path, "csv", list(codes), group, rows["x"],
                     rows["rel"] if with_relevance else None, cand=rows["cand"])
@@ -382,6 +386,10 @@ def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
                 raise DataError(f"{path} line {lineno}: expected {width} fields, "
                                 f"got {len(row)}")
             qid = row[0]
+            if not qid:
+                raise DataError(f"{path} line {lineno}: empty query_id")
+            if "\x00" in qid:
+                raise DataError(f"{path} line {lineno}: query_id contains NUL")
             try:
                 cand = int(row[1])
             except ValueError:

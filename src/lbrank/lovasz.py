@@ -16,18 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, _order_vector, _score_vector
+from .core import ConcaveGain, _increments, _order_vector, _score_vector
 
 __all__ = [
     "lb_divergence",
     "lb_bound",
 ]
-
-
-def _check_gain(gain: ConcaveGain, n: int) -> np.ndarray:
-    if gain.capacity < n:
-        raise ValueError(f"gain covers {gain.capacity} positions, ranking needs {n}")
-    return gain.increments[:n]
 
 
 def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Sequence[int] | np.ndarray,
@@ -40,7 +34,7 @@ def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Sequence[int] | np.nda
     """
     scores = _score_vector(x)
     order = _order_vector(sigma, scores.size)
-    delta = _check_gain(gain, scores.size)
+    delta = _increments(gain, scores.size)
     sorted_desc = np.sort(scores)[::-1]
     return float(delta @ (sorted_desc - scores[order]))
 
@@ -54,6 +48,6 @@ def lb_bound(x: Sequence[float] | np.ndarray, gain: ConcaveGain) -> float:
     """
     scores = _score_vector(x)
     n = scores.size
-    _check_gain(gain, n)
+    _increments(gain, n)
     eps = float(scores.max() - scores.min())
     return eps * n * (gain.g(1) - gain.g(n) + gain.g(n - 1))

@@ -23,6 +23,7 @@ from .core import (
     QueryInstance,
     SimplexWeights,
     _grade_vector,
+    _increments,
     _order_vector,
     _score_vector,
     ranking_from_scores,
@@ -53,9 +54,7 @@ def ndcg_at_k(sigma: Sequence[int] | np.ndarray, rel: Sequence[float] | np.ndarr
     order = _order_vector(sigma, grades.size)
     if not 1 <= k <= grades.size:
         raise ValueError(f"k={k} outside 1..{grades.size}")
-    if discount.capacity < k:
-        raise ValueError(f"discount covers {discount.capacity} positions, need {k}")
-    d = discount.increments[:k]
+    d = _increments(discount, k, "discount")
     ideal = float(np.sort(grades)[::-1][:k] @ d)
     if ideal == 0.0:
         raise ValueError("no relevant candidates")
@@ -77,9 +76,7 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
         raise ValueError("need non-empty score vectors, each with relevance of equal length")
     if topk < 1:
         raise ValueError("topk must be >= 1")
-    if discount.capacity < min(topk, int(sizes.max())):
-        raise ValueError(f"discount covers {discount.capacity} positions, "
-                         f"need {min(topk, int(sizes.max()))}")
+    covered = _increments(discount, min(topk, int(sizes.max())), "discount")
     flat_scores = np.concatenate(scores).astype(np.float64, copy=False)
     if not np.all(np.isfinite(flat_scores)):
         raise ValueError("scores must be finite")
@@ -95,7 +92,7 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
     gains = np.take_along_axis(rel, top, axis=1)
     rel.sort(axis=1)
     d = np.zeros(topk)
-    d[:min(topk, discount.capacity)] = discount.increments[:topk]
+    d[:covered.size] = covered  # positions past every query's N are never read
     # ndcg_at_k's numerator is a contiguous dot that BLAS may round with fused
     # multiply-adds, which cumsum does not reproduce, so each prefix goes through
     # the same dot kernel (matmul of 1 x k by k x 1). Its ideal is a strided dot
@@ -165,36 +162,32 @@ def borda_points(q: QueryInstance) -> np.ndarray:
     return points.sum(axis=0)
 
 
-def write_metric_csv(path: str | Path, metric_columns: Sequence[str],
-                     rows: Sequence[tuple[str, str, Sequence[float]]]) -> None:
+def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: Sequence[str],
+                     query_ids: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
     """CSV report: header, one row per (method, query), and a MEAN row per method.
 
-    ``rows`` holds (method, query_id, values) with values aligned to
-    ``metric_columns``. Means are computed here so every report carries them.
+    ``tables[m]`` is method m's (Q, len(metric_columns)) array, its rows in
+    ``query_ids`` order. Returns the (methods, columns) array of the means
+    written, so a summary table shows the same numbers.
     """
-    by_method: dict[str, list[Sequence[float]]] = {}
-    ordered_methods: list[str] = []
-    for method, _, values in rows:
-        if method not in by_method:
-            by_method[method] = []
-            ordered_methods.append(method)
-        by_method[method].append(values)
+    means = np.array([np.mean(table, axis=0) for table in tables])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "query_id", *metric_columns])
-        for method, query_id, values in rows:
-            writer.writerow([method, query_id, *[repr(float(v)) for v in values]])
-        for method in ordered_methods:
-            means = np.mean(np.asarray(by_method[method], dtype=np.float64), axis=0)
-            writer.writerow([method, "MEAN", *[repr(float(v)) for v in means]])
+        for method, table in zip(methods, tables):
+            writer.writerows([method, query_id, *map(repr, values)]
+                             for query_id, values in zip(query_ids, table.tolist()))
+        for method, values in zip(methods, means.tolist()):
+            writer.writerow([method, "MEAN", *map(repr, values)])
+    return means
 
 
 def format_table(col_headers: Sequence[str], row_labels: Sequence[str],
-                 values: Sequence[Sequence[float]], precision: int = 4) -> str:
-    """Aligned plain-text table; rows are methods, columns are metrics."""
+                 values: Sequence[Sequence[float]]) -> str:
+    """Aligned plain-text table of values to 4 decimals; rows are methods, columns metrics."""
     if len(row_labels) != len(values):
         raise ValueError("one value row required per label")
-    body = [[f"{float(v):.{precision}f}" for v in row] for row in values]
+    body = [[f"{float(v):.4f}" for v in row] for row in values]
     headers = ["Method", *col_headers]
     table_rows = [[label, *row] for label, row in zip(row_labels, body)]
     widths = [max([len(headers[c])] + [len(r[c]) for r in table_rows])

@@ -212,24 +212,18 @@ def _jittered_simplex(rng: np.random.Generator, size: int, jitter: float) -> np.
 
 
 def init_nested(k1: int,
-                hyper: NestedHyper | None = None,
-                gain: ConcaveGain | None = None,
+                hyper: NestedHyper,
+                gain: ConcaveGain,
                 phi1: Activation | None = None,
                 phi2: Activation | None = None,
-                seed: int = 0,
-                gain_capacity: int | None = None) -> NestedModel:
+                seed: int = 0) -> NestedModel:
     """Near-uniform initialization with seeded jitter to break symmetry.
 
     Exactly uniform rows would make all hidden units identical forever, so
     each row gets +/- ``init_jitter`` relative noise and is renormalized.
     With ``init_jitter`` 0 the weights are exactly uniform.
     """
-    hyper = hyper or NestedHyper()
     k2 = hyper.k2 if hyper.k2 is not None else default_hidden_units(k1)
-    if gain is None:
-        if gain_capacity is None:
-            raise ValueError("init_nested needs a gain or a gain capacity")
-        gain = sigmoid_gain(gain_capacity)
     rng = np.random.default_rng(chain_seed(seed, "nested-init"))
     w1 = np.stack([_jittered_simplex(rng, k1, hyper.init_jitter) for _ in range(k2)])
     w2 = SimplexWeights(_jittered_simplex(rng, k2, hyper.init_jitter))

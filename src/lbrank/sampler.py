@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConcaveGain, QueryInstance
+from .core import ConcaveGain, QueryInstance, _increments
 
 __all__ = [
     "ACCEPTANCE_RULES",
@@ -131,13 +131,11 @@ class EnergyContext:
         k, n = self.matrix.shape
         if self.weights.shape != (k,):
             raise ValueError(f"weights of shape {self.weights.shape} for {k} lists")
-        if self.gain.capacity < n:
-            raise ValueError(f"gain covers {self.gain.capacity} positions, need {n}")
+        delta = _increments(self.gain, n)
         # keyed by the gain object itself: the entry holds it, so it stays unique
         key = ("terms", self.gain)
         terms = self.memo.get(key)
         if terms is None:
-            delta = self.gain.increments[:n]
             low = self.matrix.min(axis=1, keepdims=True)
             top = (np.sort(self.matrix, axis=1)[:, ::-1] - low) @ delta
             top.setflags(write=False)
@@ -155,22 +153,22 @@ class EnergyContext:
         return cls(q.matrix, np.asarray(weights, dtype=np.float64), gain, q._memo)
 
     @property
-    def k(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
     def n(self) -> int:
         return int(self.matrix.shape[1])
 
 
 def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array, ...]:
-    """The whole chain's proposals: a, b, gain gap, uniform and retained flag per step.
+    """The whole chain's proposals: a, b, gain gap, threshold and retained flag per step.
 
     Per block of at most 8192 steps, ``a`` is drawn uniform over N
     positions, then ``b`` over N - 1 (shifted past ``a``), then the
-    uniforms, all from ``default_rng(cfg.rng_seed)``. Step j + 1 is
-    retained when it lies past burn-in on the thinning grid. The columns
-    are typed arrays, 25 bytes a step, which iterate as Python numbers.
+    uniforms, all from ``default_rng(cfg.rng_seed)``. Each uniform u is
+    stored as the threshold the step's log acceptance ratio must exceed:
+    ``log u`` under ``standard_metropolis`` (u = 0 gives -inf, so the step
+    accepts), and under ``paper_literal`` ``log 0.9`` where u < 0.9 and
+    +inf elsewhere (the step rejects). Step j + 1 is retained when it lies
+    past burn-in on the thinning grid. The columns are typed arrays, 25
+    bytes a step, which iterate as Python numbers.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     total = cfg.burn_in + cfg.num_samples * cfg.thinning
@@ -183,12 +181,17 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array
         pos_b += pos_b >= pos_a
         blocks.append((pos_a, pos_b, uniforms))
     pos_a, pos_b, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
+    if cfg.acceptance_rule == "paper_literal":
+        cuts = np.where(uniforms < 0.9, math.log(0.9), np.inf)
+    else:
+        with np.errstate(divide="ignore"):
+            cuts = np.log(uniforms)
     past = np.arange(1 - cfg.burn_in, total + 1 - cfg.burn_in)
     keep = (past > 0) & (past % cfg.thinning == 0)
     return (array("i", pos_a.astype(np.intc).tobytes()),
             array("i", pos_b.astype(np.intc).tobytes()),
             array("d", (delta[pos_a] - delta[pos_b]).tobytes()),
-            array("d", uniforms.tobytes()),
+            array("d", cuts.tobytes()),
             array("B", keep.tobytes()))
 
 
@@ -198,11 +201,16 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     The walk starts at the sort of the weighted mean score vector (a cheap
     near-mode state). Each step proposes swapping two distinct positions;
     the energy change of a swap is (delta_a - delta_b) * (y_b - y_a), so
-    steps cost O(1). Rejected proposals leave the state in place and the
-    repeated state is retained as usual.
+    steps cost O(1). A step swaps when that log acceptance ratio exceeds
+    the step's threshold (see ``_proposal_stream``); rejected proposals
+    leave the state in place and the repeated state is retained as usual.
+    Under ``standard_metropolis`` the test ``log_alpha > log u`` differs
+    from ``u < exp(log_alpha)`` only when u lies within about one ulp of
+    ``exp(log_alpha)``, or when u = 0 and ``exp(log_alpha)`` underflows
+    (``log_alpha < -745``).
 
     The proposals do not depend on the weights: a chain's stream (the
-    position pairs, their gain gaps, the uniforms and which steps are
+    position pairs, their gain gaps, the thresholds and which steps are
     retained) is a function of ``cfg``, the gain and N alone. It is drawn
     on a context's first chain with that config and gain and kept in the
     context's memo; later chains replay it, so every chain of one query
@@ -220,20 +228,12 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
         stream = ctx.memo[key] = _proposal_stream(cfg, ctx._delta, n)
     state: list[int] = np.argsort(-ctx._ybar, kind="stable").tolist()
     y = ctx._ybar.tolist()
-    literal = cfg.acceptance_rule == "paper_literal"
-    literal_cut = math.log(0.9)
-    exp = math.exp
 
     kept_states: list[int] = []  # the retained states, concatenated
-    for a, b, gap, u, kept in zip(*stream):
+    for a, b, gap, cut, kept in zip(*stream):
         ca = state[a]
         cb = state[b]
-        log_alpha = gap * (y[cb] - y[ca])
-        if literal:
-            accept = log_alpha > literal_cut and u < 0.9
-        else:
-            accept = log_alpha >= 0.0 or u < exp(log_alpha)
-        if accept:
+        if gap * (y[cb] - y[ca]) > cut:
             state[a] = cb
             state[b] = ca
         if kept:

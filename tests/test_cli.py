@@ -419,6 +419,16 @@ class TestMalformedInputs:
         assert run("eval", "--data", files["data.csv"],
                    "--out", tmp_path / "r.csv") == EXIT_DATA
 
+    @pytest.mark.parametrize("qid", ["q\x00x", ""], ids=["nul", "empty"])
+    def test_bad_csv_query_id(self, tmp_path, qid, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(f"query_id,candidate_id,ranker_0\n{qid},0,0.5\n{qid},1,0.25\n")
+        out = tmp_path / "r.csv"
+        assert run("infer", "--data", data, "--baseline", "averaging",
+                   "--out", out) == EXIT_DATA
+        assert "line" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["1 qid:q00000 1:0.5 2:nan 3:0.1",
                                       "1 qid:q00000 1:0.5 2:-inf 3:0.1",
                                       "-2 qid:q00000 1:0.5 2:0.2 3:0.1",

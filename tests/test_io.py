@@ -130,6 +130,19 @@ class TestParseLetor:
         third = parse_letor(tmp_path / "round2.txt")
         assert datasets_equal(again, third)
 
+    def test_write_letor_keeps_ids_it_can_carry_and_refuses_the_rest(self, tmp_path):
+        matrix, grades = [[0.5, 0.25], [1.0, 0.0]], [1.0, 0.0]
+        kept = Dataset(tuple(QueryInstance(qid, matrix, grades)
+                             for qid in ("q0", "7", "a:b", "é-1")))
+        path = tmp_path / "ids.txt"
+        write_letor(kept, path)
+        assert datasets_equal(parse_letor(path), kept)
+        out = tmp_path / "refused.txt"
+        for qid in ("", "q 0", "q\t0", "q\n0", "q#0", "q\x000"):
+            with pytest.raises(DataError, match="cannot be written to LETOR"):
+                write_letor(Dataset((QueryInstance(qid, matrix, grades),)), out)
+            assert not out.exists()
+
 
 class TestParseScoresCsv:
     def test_small_fixture(self, tmp_path):

@@ -282,13 +282,8 @@ class TestBaselines:
 class TestReports:
     def test_csv_report_appends_mean_rows(self, tmp_path):
         path = tmp_path / "report.csv"
-        rows = [
-            ("averaging", "q1", [1.0, 0.5]),
-            ("averaging", "q2", [0.0, 0.5]),
-            ("borda", "q1", [1.0, 1.0]),
-            ("borda", "q2", [0.5, 0.0]),
-        ]
-        write_metric_csv(path, ["Top-1", "Top-2"], rows)
+        tables = [np.array([[1.0, 0.5], [0.0, 0.5]]), np.array([[1.0, 1.0], [0.5, 0.0]])]
+        write_metric_csv(path, ["Top-1", "Top-2"], ["averaging", "borda"], ["q1", "q2"], tables)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,query_id,Top-1,Top-2"
         assert len(lines) == 1 + 4 + 2

@@ -193,21 +193,28 @@ class TestMeanHVector:
     @pytest.mark.parametrize("rule", ACCEPTANCE_RULES)
     def test_chain_states_match_scalar_stepper(self, rule):
         # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192;
-        # after the first chain, each one replays the query's memoised stream
-        matrix = [[0.9, 0.2, 0.5, 0.5, 0.1, 0.7, 0.3],
-                  [0.7, 0.4, 0.1, 0.8, 0.8, 0.0, 0.6],
-                  [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]]
+        # after the first chain, each one replays the query's memoised stream.
+        # The second matrix is unnormalised, with a span of 2,000: under the
+        # Metropolis rule about 90% of proposals are rejected, and on about 15%
+        # exp(log_alpha) underflows to 0.
+        matrices = ([[0.9, 0.2, 0.5, 0.5, 0.1, 0.7, 0.3],
+                     [0.7, 0.4, 0.1, 0.8, 0.8, 0.0, 0.6],
+                     [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]],
+                    [[1990.0, -10.0, 730.0, 725.0, 40.0, 1210.0, 95.0],
+                     [1960.0, 15.0, -5.0, 1985.0, 20.0, 0.0, 455.0],
+                     [1975.0, 3.0, 610.0, 880.0, 2.0, 340.0, 1.0]])
         increments = sigmoid_gain(7).increments.tolist()
-        q = make_query(matrix)
         gain = ConcaveGain(increments)
         cfg = ChainConfig(num_samples=2100, burn_in=3000, thinning=3,
                           acceptance_rule=rule, rng_seed=chain_seed(5, "pin"))
-        for weights in ([0.5, 0.3, 0.2], [0.1, 0.7, 0.2], [0.5, 0.3, 0.2]):
-            ctx = EnergyContext.from_query(q, weights, gain)
-            ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
-            want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
-                                        cfg.thinning, rule, cfg.rng_seed)
-            np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+        for matrix in matrices:
+            q = make_query(matrix)
+            for weights in ([0.5, 0.3, 0.2], [0.1, 0.7, 0.2], [0.5, 0.3, 0.2]):
+                ctx = EnergyContext.from_query(q, weights, gain)
+                ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
+                want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
+                                            cfg.thinning, rule, cfg.rng_seed)
+                np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
 
 
 class TestQueryMemo:
