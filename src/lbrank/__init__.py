@@ -23,7 +23,7 @@ from .core import (
 from .io import Dataset, DataError, parse_letor, parse_scores_csv, synth_planted
 from .linear import LinearHyper, LinearModel, load_linear, save_linear
 from .lovasz import lb_bound, lb_divergence
-from .metrics import baseline_average, baseline_borda, ndcg_at_k, roc_auc
+from .metrics import baseline_average, baseline_borda, ndcg_at_k
 from .nested import Activation, NestedHyper, NestedModel, load_nested, save_nested
 from .sampler import ChainConfig, EnergyContext, chain_seed, expected_divergences
 
@@ -37,7 +37,7 @@ __all__ = [
     "Dataset", "DataError", "parse_letor", "parse_scores_csv", "synth_planted",
     "LinearHyper", "LinearModel", "load_linear", "save_linear",
     "lb_bound", "lb_divergence",
-    "baseline_average", "baseline_borda", "ndcg_at_k", "roc_auc",
+    "baseline_average", "baseline_borda", "ndcg_at_k",
     "Activation", "NestedHyper", "NestedModel", "load_nested", "save_nested",
     "ChainConfig", "EnergyContext", "chain_seed", "expected_divergences",
 ]

@@ -1,8 +1,10 @@
 """Batch command-line front end: train, infer, eval, synth, bench.
 
 Configuration comes from flat ``key = value`` files with ``#`` comments;
-every key can be overridden by the matching ``--key`` flag (flags win over
-the file, the file wins over built-in defaults). All randomness flows from
+every key a command reads can be overridden by the matching ``--key`` flag
+(flags win over the file, the file wins over built-in defaults). A command
+accepts only the flags it reads, plus ``--seed`` and ``--threads``, and
+takes no abbreviated flag. All randomness flows from
 one 64-bit seed; each query's chain seed is derived as
 ``seed XOR FNV-1a(query_id)``, so outputs are byte-identical across reruns.
 ``--threads`` is accepted for compatibility and has no effect: every
@@ -29,6 +31,7 @@ from .core import (
     ConcaveGain,
     QueryInstance,
     SimplexWeights,
+    _increments,
     gain_from_spec,
     ranking_from_scores,
     weighted_average_scores,
@@ -206,9 +209,10 @@ def _load_dataset(cfg: argparse.Namespace) -> Dataset:
 def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) -> ConcaveGain:
     """The configured gain; its capacity defaults to N_max and must cover ``positions``."""
     gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
-    if gain.capacity < positions:
-        raise ConfigError(f"gain {cfg.gain!r} covers {gain.capacity} positions, "
-                          f"the data needs {positions}")
+    try:
+        _increments(gain, positions, f"gain {cfg.gain!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return gain
 
 
@@ -289,7 +293,7 @@ def _write_rankings_csv(path: Path, dataset: Dataset,
 def cmd_infer(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
-    if cfg.baseline is None:  # argparse admits only "averaging" otherwise
+    if cfg.baseline is None:  # argparse admits only "averaging", without --model-file
         _require(cfg, "model_file")
         score_fn = _model_scores(cfg.model_file, dataset.k)
     else:
@@ -311,7 +315,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         ("averaging", _average_scores),
         ("borda", metrics.borda_points),
     ]
-    for model_path in cfg.model_files or []:
+    # --model-file flags replace the config file's model_file
+    model_paths = cfg.model_files or ([cfg.model_file] if cfg.model_file else [])
+    for model_path in model_paths:
         methods.append((Path(model_path).stem, _model_scores(model_path, dataset.k)))
 
     relevance = [q.relevance for q in dataset.queries]
@@ -404,7 +410,7 @@ _COMMANDS = {
 }
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+def _add_schema_flags(parser: argparse._ActionsContainer, keys: Sequence[str]) -> None:
     for key in keys:
         converter, _ = _SCHEMA[key]
         flag = "--" + key.replace("_", "-")
@@ -416,43 +422,38 @@ def _add_schema_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> N
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is taken only as written, never as a prefix
     parser = argparse.ArgumentParser(
-        prog="lbrank",
+        prog="lbrank", allow_abbrev=False,
         description="Unsupervised rank aggregation of score-based permutations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = ["seed", "threads", "model", "data", "out", "format", "gain",
-              "normalize", "strict", "backend"]
-    train_keys = shared + ["phi", "mu", "lam", "lam1", "lam2", "epochs", "samples",
-                           "burn_in", "thinning", "acceptance_rule", "k2",
-                           "init_jitter", "sampling", "shuffle"]
-    p_train = sub.add_parser("train", help="fit a model and write it with its log")
-    _add_schema_flags(p_train, train_keys)
-    p_train.add_argument("--config", default=None)
+    def command(name: str, help: str, keys: Sequence[str]) -> argparse.ArgumentParser:
+        """A subcommand taking ``--config`` and the ``_SCHEMA`` flags of ``keys``."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        _add_schema_flags(p, keys)
+        p.add_argument("--config", default=None)
+        return p
 
-    p_infer = sub.add_parser("infer", help="write aggregated rankings as CSV")
-    _add_schema_flags(p_infer, shared + ["model_file"])
-    p_infer.add_argument("--config", default=None)
-    p_infer.add_argument("--baseline", default=None, choices=["averaging"],
-                         help="rank with a baseline instead of a model file")
-
-    p_eval = sub.add_parser("eval", help="NDCG report for baselines and models")
-    _add_schema_flags(p_eval, shared + ["topk"])
-    p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--model-file", dest="model_files", action="append",
-                        default=None, help="model file to evaluate (repeatable)")
-
-    p_synth = sub.add_parser("synth", help="generate a planted synthetic dataset")
-    _add_schema_flags(p_synth, ["seed", "out", "n_queries", "n_candidates",
-                                "n_rankers", "noise_levels"])
-    p_synth.add_argument("--config", default=None)
-
-    p_bench = sub.add_parser("bench", help="per-epoch training time across doublings")
-    _add_schema_flags(p_bench, ["seed", "out", "samples", "burn_in", "thinning",
-                                "acceptance_rule", "bench_axes", "bench_doublings",
-                                "bench_queries", "bench_base_n", "bench_base_k",
-                                "bench_repeats"])
-    p_bench.add_argument("--config", default=None)
+    shared = ["seed", "threads", "data", "out", "format", "normalize", "strict"]
+    command("train", "fit a model and write it with its log",
+            shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
+                      "epochs", "samples", "burn_in", "thinning", "acceptance_rule", "k2",
+                      "init_jitter", "sampling", "shuffle"])
+    p_infer = command("infer", "write aggregated rankings as CSV", shared)
+    source = p_infer.add_mutually_exclusive_group()
+    _add_schema_flags(source, ["model_file"])
+    source.add_argument("--baseline", default=None, choices=["averaging"],
+                        help="rank with a baseline instead of a model file")
+    p_eval = command("eval", "NDCG report for baselines and models", shared + ["gain", "topk"])
+    p_eval.add_argument("--model-file", dest="model_files", action="append", default=None,
+                        help="model file to evaluate (repeatable)")
+    command("synth", "generate a planted synthetic dataset",
+            ["seed", "out", "n_queries", "n_candidates", "n_rankers", "noise_levels"])
+    command("bench", "per-epoch training time across doublings",
+            ["seed", "out", "samples", "burn_in", "thinning", "acceptance_rule",
+             "bench_axes", "bench_doublings", "bench_queries", "bench_base_n",
+             "bench_base_k", "bench_repeats"])
     return parser
 
 

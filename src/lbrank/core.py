@@ -69,25 +69,10 @@ class ConcaveGain:
             raise ValueError("gain increments must be non-increasing (g concave)")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-        cumulative = np.concatenate(([0.0], np.cumsum(inc)))
-        cumulative.setflags(write=False)
-        object.__setattr__(self, "_cumulative", cumulative)
 
     @property
     def capacity(self) -> int:
         return int(self.increments.size)
-
-    def g(self, i: int) -> float:
-        """Cumulative gain g(i) = sum of the first i increments; g(0) = 0."""
-        if not 0 <= i <= self.capacity:
-            raise ValueError(f"g({i}) outside defined range 0..{self.capacity}")
-        return float(self._cumulative[i])
-
-    def delta(self, i: int) -> float:
-        """Increment delta_g(i) for 1-based position i."""
-        if not 1 <= i <= self.capacity:
-            raise ValueError(f"delta({i}) outside defined range 1..{self.capacity}")
-        return float(self.increments[i - 1])
 
 
 def _increments(gain: ConcaveGain, n: int, name: str = "gain") -> np.ndarray:

@@ -437,6 +437,11 @@ def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
 
 
 def write_scores_csv(dataset: Dataset, path: str | Path) -> None:
+    """Serialize a dataset to the score matrix CSV format that ``parse_scores_csv`` reads."""
+    for q in dataset.queries:
+        if not q.query_id or "\x00" in q.query_id:
+            raise DataError(f"query id {q.query_id!r} cannot be written to CSV: "
+                            "it is empty or holds NUL")
     with_relevance = dataset.has_relevance()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

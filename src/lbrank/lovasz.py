@@ -42,12 +42,12 @@ def lb_divergence(x: Sequence[float] | np.ndarray, sigma: Sequence[int] | np.nda
 def lb_bound(x: Sequence[float] | np.ndarray, gain: ConcaveGain) -> float:
     """Ranking-independent upper bound on the divergence.
 
-    Returns eps * N * (g(1) - g(N) + g(N-1)) with eps the score range
-    max_ij |x(i) - x(j)|. Dominates lb_divergence(x, sigma, gain) for every
-    sigma; 0 for constant scores and for N = 1.
+    Returns eps * N * (g(1) - g(N) + g(N-1)) = eps * N * (delta_1 - delta_N)
+    with eps the score range max_ij |x(i) - x(j)|. Dominates
+    lb_divergence(x, sigma, gain) for every sigma; 0 for constant scores and
+    for N = 1.
     """
     scores = _score_vector(x)
-    n = scores.size
-    _increments(gain, n)
+    delta = _increments(gain, scores.size)
     eps = float(scores.max() - scores.min())
-    return eps * n * (gain.g(1) - gain.g(n) + gain.g(n - 1))
+    return eps * scores.size * float(delta[0] - delta[-1])

@@ -1,4 +1,4 @@
-"""Evaluation stack: NDCG, ROC/AUC and unsupervised baselines.
+"""Evaluation stack: NDCG and unsupervised baselines.
 
 Rankings are int64 order arrays (position -> candidate) and relevance
 grades are float arrays, checked where they enter by the helpers in
@@ -25,7 +25,6 @@ from .core import (
     _grade_vector,
     _increments,
     _order_vector,
-    _score_vector,
     ranking_from_scores,
     weighted_average_scores,
 )
@@ -33,7 +32,6 @@ from .core import (
 __all__ = [
     "ndcg_at_k",
     "ndcg_table",
-    "roc_auc",
     "baseline_average",
     "baseline_borda",
     "borda_points",
@@ -104,40 +102,6 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
     # NDCG@k of a query with N < k candidates is its NDCG@N
     depth = np.minimum(np.arange(topk), sizes[:, np.newaxis] - 1)
     return np.take_along_axis(ndcg, depth, axis=1)
-
-
-def roc_auc(scores: Sequence[float] | np.ndarray, labels) -> float:
-    """Area under the ROC curve as the Mann-Whitney statistic.
-
-    P(score_pos > score_neg) + 0.5 P(tie), computed from tie-averaged
-    ranks. Both classes must be present. Invariant under any strictly
-    increasing transform of the scores.
-    """
-    s = _score_vector(scores)
-    y = np.asarray(labels)
-    if y.shape != s.shape:
-        raise ValueError("labels length does not match scores")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be binary 0/1")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be present")
-    ranks = _average_ranks(s)
-    pos_rank_sum = float(np.sum(ranks[y == 1]))
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks in ascending order; tied values share their mean rank."""
-    order = np.argsort(s, kind="stable")
-    ordered = s[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], s.size)
-    ranks = np.empty(s.size, dtype=np.float64)
-    # positions start+1..end share the rank (start + 1 + end) / 2
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
-    return ranks
 
 
 def baseline_average(q: QueryInstance) -> np.ndarray:

@@ -57,7 +57,6 @@ __all__ = [
     "NestedModel",
     "default_hidden_units",
     "init_nested",
-    "aggregate_weights",
     "per_list_expectation",
     "hidden_preactivation",
     "bottom_gradient",
@@ -230,11 +229,6 @@ def init_nested(k1: int,
     return NestedModel(w1, w2, gain, phi1 or Activation(), phi2 or Activation(), hyper)
 
 
-def aggregate_weights(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Effective per-ranker weights W2 @ W1; a convex mix of simplex rows."""
-    return w2 @ w1
-
-
 def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
                          sampling: str, q: QueryInstance, cfg: ChainConfig,
                          backend: str = "mh") -> np.ndarray:
@@ -247,7 +241,7 @@ def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
     """
     rows = np.empty(w1.shape, dtype=np.float64)
     if sampling == "aggregate":
-        ctx = EnergyContext.from_query(q, aggregate_weights(w1, w2), gain)
+        ctx = EnergyContext.from_query(q, w2 @ w1, gain)
         rows[:] = expected_divergences(ctx, query_config(q, cfg), backend)
         return rows
     for i in range(w1.shape[0]):

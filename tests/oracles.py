@@ -126,25 +126,6 @@ def central_difference(fn, x0, index: int, h: float = 1e-6) -> float:
     return (fn(hi) - fn(lo)) / (2.0 * h)
 
 
-def average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ascending ranks; tied values share the mean of their ranks."""
-    ranks = []
-    for v in values:
-        below = sum(1 for u in values if u < v)
-        tied = sum(1 for u in values if u == v)
-        ranks.append(below + (tied + 1) / 2.0)
-    return ranks
-
-
-def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Mann-Whitney AUC from tie-averaged ranks."""
-    ranks = average_ranks(scores)
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
-    pos_rank_sum = math.fsum(r for r, y in zip(ranks, labels) if y == 1)
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 def logistic(t: float) -> float:
     """1 / (1 + exp(-t)), written to avoid overflow for large |t|."""
     if t >= 0.0:

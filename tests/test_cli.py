@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import lbrank
 from lbrank import cli, linear, nested
 from lbrank.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from lbrank.core import SimplexWeights, sigmoid_gain
+from lbrank.core import SimplexWeights, gain_from_spec, sigmoid_gain
 from lbrank.io import parse_scores_csv, synth_planted, write_letor, write_scores_csv
 from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
-from lbrank.nested import NestedHyper, init_nested, save_nested
+from lbrank.nested import Activation, NestedHyper, init_nested, save_nested
 from lbrank.sampler import ChainConfig
 
 
@@ -111,24 +111,47 @@ class TestTrain:
                     (tmp_path / "nest.txt").read_text().splitlines())
         assert nest["w1[0]"] == lin["w"]
 
-    @pytest.mark.parametrize("model", ["linear", "nested"])
-    def test_defaults_match_the_library(self, tmp_path, synth_csv, model):
-        # the CLI's defaults are the library's: same model bytes, same objectives
+    @staticmethod
+    def _assert_matches_library(tmp_path, synth_csv, model, flags=(), gain="sigmoid",
+                                phi=None, epochs=None):
+        """``train`` with ``flags`` writes the model and log of the library call."""
         out = tmp_path / "cli.txt"
-        assert run("train", "--model", model, "--data", synth_csv, "--out", out) == EXIT_OK
+        assert run("train", "--model", model, "--data", synth_csv, "--out", out,
+                   *flags) == EXIT_OK
         dataset = parse_scores_csv(synth_csv)
-        gain = sigmoid_gain(dataset.n_max)
+        spec = gain_from_spec(gain, capacity=dataset.n_max)
+        hyper = {} if epochs is None else {"epochs": epochs}
         if model == "linear":
-            fitted, log = linear.train(dataset, LinearHyper(), ChainConfig(), gain)
+            fitted, log = linear.train(dataset, LinearHyper(**hyper), ChainConfig(), spec)
             linear.save_linear(fitted, tmp_path / "lib.txt")
         else:
-            fitted, log = nested.train(dataset, NestedHyper(), ChainConfig(), gain)
+            act = Activation() if phi is None else Activation(phi)
+            fitted, log = nested.train(dataset, NestedHyper(**hyper), ChainConfig(), spec,
+                                       act, act)
             nested.save_nested(fitted, tmp_path / "lib.txt")
         assert out.read_bytes() == (tmp_path / "lib.txt").read_bytes()
         logged = [float(line.split()[3])
                   for line in (tmp_path / "cli.txt.log").read_text().splitlines()
                   if line.startswith("epoch ")]
         assert logged == log.objectives
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("model", ["linear", "nested"])
+    def test_defaults_match_the_library(self, tmp_path, synth_csv, model):
+        # the CLI's defaults are the library's: same model bytes, same objectives
+        self._assert_matches_library(tmp_path, synth_csv, model)
+
+    @pytest.mark.parametrize("model, gain, phi, recorded", [
+        ("linear", "log2", None, ["gain: log2:5"]),
+        ("linear", "linear", None, ["gain: linear:5"]),
+        ("nested", "sigmoid", "logistic", ["phi1: logistic", "phi2: logistic"]),
+    ])
+    def test_gain_and_phi_flags_match_the_library(self, tmp_path, synth_csv, model, gain,
+                                                  phi, recorded):
+        flags = ["--gain", gain, "--epochs", "3"] + ([] if phi is None else ["--phi", phi])
+        lines = self._assert_matches_library(tmp_path, synth_csv, model, flags, gain, phi,
+                                             epochs=3)
+        assert set(recorded) <= set(lines)
 
     def test_missing_data_file(self, tmp_path):
         code = run("train", "--data", tmp_path / "nope.csv",
@@ -203,6 +226,15 @@ class TestInfer:
             "--out", b, "--threads", 4)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_baseline_and_model_file_together_is_usage_error(self, tmp_path, synth_csv):
+        model_path = tmp_path / "uniform.txt"
+        save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5),
+                                LinearHyper()), model_path)
+        out = tmp_path / "r.csv"
+        assert run("infer", "--data", synth_csv, "--baseline", "averaging",
+                   "--model-file", model_path, "--out", out) == EXIT_USAGE
+        assert not out.exists()
+
     def test_k_mismatch_is_data_error(self, tmp_path, synth_csv):
         model_path = tmp_path / "uniform.txt"
         save_linear(LinearModel(SimplexWeights.uniform(5), sigmoid_gain(5),
@@ -239,6 +271,22 @@ class TestEval:
         table = (tmp_path / "report.csv.txt").read_text()
         assert table.splitlines()[0].startswith("Method")
         assert "Top-5" in table.splitlines()[0]
+
+    def test_config_model_file_is_evaluated_unless_flags_name_models(self, tmp_path,
+                                                                    synth_csv):
+        model_path = tmp_path / "lin.txt"
+        run("train", "--data", synth_csv, "--out", model_path, "--epochs", 1)
+        other = tmp_path / "other.txt"
+        save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5),
+                                LinearHyper()), other)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model_file = {model_path}\n")
+        out = tmp_path / "r.csv"
+        for flags, model in (([], "lin"), (["--model-file", other], "other")):
+            assert run("eval", "--config", config, "--data", synth_csv, "--out", out,
+                       *flags) == EXIT_OK
+            methods = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+            assert methods == {"averaging", "borda", model}
 
     def test_missing_relevance_is_data_error(self, tmp_path):
         path = tmp_path / "norel.csv"
@@ -315,6 +363,55 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run("--help") == EXIT_OK
+
+    # "@name" stands for the file tmp_path / name
+    @pytest.mark.parametrize("args, files, code", [
+        (["train", "--out", "@out.csv"], {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--out", "@out.csv"], {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--model-file", "@nope.txt", "--out", "@out.csv"],
+         {}, EXIT_DATA),
+        (["train", "--data", "@data.csv", "--out", "@out.csv", "--model", "bogus"],
+         {}, EXIT_USAGE),
+        (["train", "--data", "@data.csv", "--out", "@out.csv", "--backend", "bogus"],
+         {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--baseline", "averaging", "--out", "@out.csv",
+          "--format", "bogus"], {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--baseline", "averaging", "--out", "@out.csv",
+          "--normalize", "maybe"], {}, EXIT_USAGE),
+        (["train", "--config", "@run.cfg", "--data", "@data.csv", "--out", "@out.csv"],
+         {"run.cfg": "epochs 2\n"}, EXIT_USAGE),
+        (["train", "--config", "@run.cfg", "--data", "@data.csv", "--out", "@out.csv"],
+         {"run.cfg": "epochs = many\n"}, EXIT_USAGE),
+        (["infer", "--data", "@k.letor", "--baseline", "averaging", "--out", "@out.csv"],
+         {"k.letor": "1 qid:a 1:0.1 2:0.2\n0 qid:b 1:0.3\n"}, EXIT_DATA),
+        (["infer", "--data", "@dup.letor", "--baseline", "averaging", "--out", "@out.csv"],
+         {"dup.letor": "1 qid:a 1:0.1 1:0.2\n"}, EXIT_DATA),
+        (["infer", "--data", "@data.csv", "--model-file", "@linear.txt", "--out", "@out.csv",
+          "--model", "linear"], {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--model-file", "@linear.txt", "--out", "@out.csv",
+          "--gain", "sigmoid"], {}, EXIT_USAGE),
+        (["infer", "--data", "@data.csv", "--model-file", "@linear.txt", "--out", "@out.csv",
+          "--backend", "mh"], {}, EXIT_USAGE),
+        (["eval", "--data", "@data.csv", "--out", "@out.csv", "--model", "linear"],
+         {}, EXIT_USAGE),
+        (["eval", "--data", "@data.csv", "--out", "@out.csv", "--backend", "mh"],
+         {}, EXIT_USAGE),
+        (["train", "--data", "@data.csv", "--out", "@out.csv", "--thin", "2"],
+         {}, EXIT_USAGE),
+        (["eval", "--data", "@data.csv", "--out", "@out.csv", "--top", "3"], {}, EXIT_USAGE),
+    ], ids=["missing-data", "infer-without-model-file", "missing-model-file",
+            "bogus-model", "bogus-backend", "bogus-format", "normalize-maybe",
+            "config-line-without-equals", "config-unparseable-value", "letor-ragged-k",
+            "letor-duplicate-index", "infer-model", "infer-gain", "infer-backend",
+            "eval-model", "eval-backend", "abbreviated-thinning", "abbreviated-topk"])
+    def test_documented_exit_code(self, tmp_path, args, files, code, capsys):
+        _write_base_files(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
+        assert run(*argv) == code
+        assert capsys.readouterr().err
+        assert not list(tmp_path.glob("out.csv*"))
 
 
 def _write_base_files(directory: Path) -> dict[str, Path]:

@@ -218,6 +218,19 @@ class TestParseScoresCsv:
         again = parse_scores_csv(path)
         assert datasets_equal(original, again)
 
+    def test_write_scores_csv_keeps_ids_it_can_carry_and_refuses_the_rest(self, tmp_path):
+        matrix, grades = [[0.5, 0.25], [1.0, 0.0]], [1.0, 0.0]
+        kept = Dataset(tuple(QueryInstance(qid, matrix, grades)
+                             for qid in ("q0", "q 0", "q#0", 'q"0', "q,0", "q\n0", "é-1")))
+        path = tmp_path / "ids.csv"
+        write_scores_csv(kept, path)
+        assert datasets_equal(parse_scores_csv(path), kept)
+        out = tmp_path / "refused.csv"
+        for qid in ("", "q\x000"):
+            with pytest.raises(DataError, match="cannot be written to CSV"):
+                write_scores_csv(Dataset((QueryInstance(qid, matrix, grades),)), out)
+            assert not out.exists()
+
 
 # Texts where numpy's tokenizer and Python's float()/int() may disagree, or
 # where a field is not what it seems. Each mutation draws one of them.

@@ -22,7 +22,6 @@ from lbrank.metrics import (
     format_table,
     ndcg_at_k,
     ndcg_table,
-    roc_auc,
     write_metric_csv,
 )
 
@@ -184,46 +183,6 @@ class TestDivergenceLinkage:
             loss = ndcg_loss(sigma, x, gain6)
             bound = ndcg_loss_from_divergence(lb_bound(x, gain6), x, gain6)
             assert loss <= bound + 1e-12
-
-
-class TestRocAuc:
-    def test_perfect_separation(self):
-        assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
-
-    def test_anti_perfect(self):
-        assert roc_auc([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0]) == 0.0
-
-    def test_three_of_four_pairs(self):
-        assert roc_auc([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]) == pytest.approx(0.75)
-
-    def test_all_tied_scores_give_half(self):
-        assert roc_auc([1.0, 1.0, 1.0, 1.0], [1, 0, 1, 0]) == pytest.approx(0.5)
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            roc_auc([0.5, 0.6], [1, 1])
-
-    def test_non_binary_labels_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            roc_auc([0.5, 0.6], [1, 2])
-
-    @given(st.lists(st.integers(-100, 100), min_size=4, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_invariant_under_increasing_transforms(self, raw):
-        labels = [i % 2 for i in range(len(raw))]
-        scores = [float(v) for v in raw]
-        base = roc_auc(scores, labels)
-        assert roc_auc([v * 3.0 + 7.0 for v in scores], labels) == pytest.approx(base)
-        assert roc_auc(np.tanh(np.asarray(scores) / 200.0), labels) == pytest.approx(base)
-
-    @given(st.lists(st.tuples(st.integers(-5, 5), st.booleans()), min_size=2, max_size=40))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_tie_averaged_rank_reference(self, pairs):
-        scores = [float(s) for s, _ in pairs]
-        labels = [int(y) for _, y in pairs]
-        if len(set(labels)) < 2:
-            labels[0] = 1 - labels[0]
-        assert roc_auc(scores, labels) == oracles.roc_auc(scores, labels)
 
 
 class TestErrorRate:

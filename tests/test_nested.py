@@ -16,7 +16,6 @@ from lbrank.nested import (
     NestedHyper,
     NestedModel,
     aggregate_scores,
-    aggregate_weights,
     bottom_gradient,
     default_hidden_units,
     hidden_preactivation,
@@ -153,7 +152,7 @@ class TestForwardPieces:
         model = simple_model([[1.0, 0.0]], [1.0], gain6, k2=1)
         table = table_of(model, q, ChainConfig(rng_seed=0), backend="exact")
         delta1 = hidden_preactivation(model.w1, table)
-        ctx = EnergyContext.from_query(q, aggregate_weights(model.w1, model.w2.w), gain6)
+        ctx = EnergyContext.from_query(q, model.w2.w @ model.w1, gain6)
         np.testing.assert_allclose(delta1, [exact_expectation(ctx)[0]], atol=1e-14)
 
     def test_sampled_preactivation_close_to_enumeration(self, gain6, rng):
@@ -329,7 +328,7 @@ class TestTrain:
         from lbrank.io import synth_planted
         data = synth_planted(40, 6, 3, [0.0, 1.0, 2.0], seed=9)
         model, _ = train(data, NestedHyper(epochs=5, k2=4), ChainConfig(rng_seed=21))
-        column_mass = aggregate_weights(model.w1, model.w2.w)
+        column_mass = model.w2.w @ model.w1
         assert int(np.argmax(column_mass)) == 0
 
     def test_simplex_invariants_after_training(self, rng):

@@ -1,9 +1,10 @@
-"""The fenced ``python`` examples of README.md run as written."""
+"""The fenced ``python`` examples and the CLI Quickstart of README.md run as written."""
 
 from __future__ import annotations
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                    flags=re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+QUICKSTART = re.findall(r"^## Quickstart \(CLI\)\n\n```sh\n(.*?)^```", README,
+                        flags=re.MULTILINE | re.DOTALL)
+
+
+def _run(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def test_readme_has_python_examples():
@@ -21,8 +31,17 @@ def test_readme_has_python_examples():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-B", "-c", code], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = _run([sys.executable, "-B", "-c", code], tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    assert len(QUICKSTART) == 1
+    # the installed `lbrank` script is `python -m lbrank`; run it from the source tree
+    script = (f'set -e\nlbrank() {{ {shlex.quote(sys.executable)} -B -m lbrank "$@"; }}\n'
+              + QUICKSTART[0])
+    result = _run(["sh", "-c", script], tmp_path)
+    assert result.returncode == 0, result.stderr
+    for name in ("data.csv", "data-model.txt", "nested-model.txt", "rankings.csv",
+                 "report.csv", "report.csv.txt", "bench.csv"):
+        assert (tmp_path / name).is_file(), name
