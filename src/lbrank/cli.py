@@ -88,7 +88,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "samples": (int, ChainConfig.num_samples),
     "burn_in": (int, ChainConfig.burn_in),
     "thinning": (int, ChainConfig.thinning),
-    "acceptance_rule": (str, ChainConfig.acceptance_rule),
     "k2": (int, NestedHyper.k2),
     "init_jitter": (float, NestedHyper.init_jitter),
     "sampling": (str, NestedHyper.sampling),
@@ -160,8 +159,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 
     try:
         cfg.chain = ChainConfig(num_samples=cfg.samples, burn_in=cfg.burn_in,
-                                thinning=cfg.thinning,
-                                acceptance_rule=cfg.acceptance_rule, rng_seed=cfg.seed)
+                                thinning=cfg.thinning, rng_seed=cfg.seed)
         cfg.linear_hyper = LinearHyper(mu=cfg.mu, lam=cfg.lam, epochs=cfg.epochs)
         cfg.nested_hyper = NestedHyper(mu=cfg.mu, lam1=cfg.lam1, lam2=cfg.lam2,
                                        epochs=cfg.epochs, k2=cfg.k2,
@@ -193,8 +191,6 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 def _load_dataset(cfg: argparse.Namespace) -> Dataset:
     _require(cfg, "data")
     path = Path(cfg.data)
-    if not path.is_file():
-        raise DataError(f"data file not found: {path}")
     fmt = cfg.format
     if fmt == "auto":
         fmt = "csv" if path.suffix.lower() == ".csv" else "letor"
@@ -216,6 +212,16 @@ def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) ->
     return gain
 
 
+def _check_divergence_range(dataset: Dataset, gain: ConcaveGain) -> None:
+    """Each list's largest divergence, its score span times g(N), must be a finite double."""
+    for q in dataset.queries:
+        with np.errstate(over="ignore"):
+            largest = np.ptp(q.matrix, axis=1) * _increments(gain, q.n).sum()
+        if not np.all(np.isfinite(largest)):
+            raise DataError(f"query {q.query_id!r}: its score spans overflow a double in "
+                            "training; rescale them, e.g. with --normalize true")
+
+
 def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
     lines = []
     for epoch, objective in enumerate(log.objectives, start=1):
@@ -228,6 +234,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
+    _check_divergence_range(dataset, gain)
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")
@@ -261,8 +268,6 @@ def _average_scores(q: QueryInstance) -> np.ndarray:
 def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndarray]:
     """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
     # the loaders report undecodable text; here only the format line matters
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().strip()
@@ -311,20 +316,25 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         raise DataError("evaluation requires relevance judgments on every query")
     discount = _gain_covering(cfg, dataset, min(cfg.topk, dataset.n_max))
 
-    methods: list[tuple[str, Callable[[QueryInstance], np.ndarray]]] = [
-        ("averaging", _average_scores),
-        ("borda", metrics.borda_points),
-    ]
+    methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
+        "averaging": _average_scores,
+        "borda": metrics.borda_points,
+    }
     # --model-file flags replace the config file's model_file
     model_paths = cfg.model_files or ([cfg.model_file] if cfg.model_file else [])
     for model_path in model_paths:
-        methods.append((Path(model_path).stem, _model_scores(model_path, dataset.k)))
+        label = Path(model_path).stem
+        if label in methods:
+            named = ", ".join(str(p) for p in model_paths if Path(p).stem == label)
+            raise ConfigError(f"report label {label!r} would name two rows: a model "
+                              f"file's label is its stem ({named}); rename the file")
+        methods[label] = _model_scores(model_path, dataset.k)
 
     relevance = [q.relevance for q in dataset.queries]
     tables = [metrics.ndcg_table([score_fn(q) for q in dataset.queries], relevance,
                                  cfg.topk, discount)
-              for _, score_fn in methods]
-    labels = [label for label, _ in methods]
+              for score_fn in methods.values()]
+    labels = list(methods)
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)
     means = metrics.write_metric_csv(out, columns, labels,
@@ -438,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = ["seed", "threads", "data", "out", "format", "normalize", "strict"]
     command("train", "fit a model and write it with its log",
             shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
-                      "epochs", "samples", "burn_in", "thinning", "acceptance_rule", "k2",
+                      "epochs", "samples", "burn_in", "thinning", "k2",
                       "init_jitter", "sampling", "shuffle"])
     p_infer = command("infer", "write aggregated rankings as CSV", shared)
     source = p_infer.add_mutually_exclusive_group()
@@ -451,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("synth", "generate a planted synthetic dataset",
             ["seed", "out", "n_queries", "n_candidates", "n_rankers", "noise_levels"])
     command("bench", "per-epoch training time across doublings",
-            ["seed", "out", "samples", "burn_in", "thinning", "acceptance_rule",
+            ["seed", "out", "samples", "burn_in", "thinning",
              "bench_axes", "bench_doublings", "bench_queries", "bench_base_n",
              "bench_base_k", "bench_repeats"])
     return parser
@@ -469,7 +479,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"lbrank: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"lbrank: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # invariant violations and unexpected failures

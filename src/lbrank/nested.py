@@ -5,8 +5,8 @@ through simplex-constrained rows of W1; an output unit mixes the activated
 hidden values through simplex weights W2. Both layers train feed-forward
 with the same multiplicative simplex update as the linear framework: the
 hidden layer updates first, then its refreshed activations drive the output
-layer update. With one hidden unit and identity activations the procedure
-reduces exactly to the linear trainer.
+layer update. One hidden unit, identity activations and zero init jitter
+reduce it exactly to the linear trainer, in both sampling modes.
 
 The step functions take and return plain arrays (W1 as a K2 x K1 matrix,
 W2 as a vector); training runs them in the linear trainer's epoch loop,
@@ -236,17 +236,18 @@ def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
 
     In ``aggregate`` mode one chain per query is drawn under the aggregate
     weights W2 @ W1 and all rows share its estimates. In ``per_unit`` mode
-    each hidden unit runs its own chain under its W1 row (K2 chains per
-    query, seeded per unit).
+    each hidden unit runs its own chain under its W1 row; all K2 chains
+    replay the query's one proposal stream.
     """
     rows = np.empty(w1.shape, dtype=np.float64)
+    cfg = query_config(q, cfg)
     if sampling == "aggregate":
         ctx = EnergyContext.from_query(q, w2 @ w1, gain)
-        rows[:] = expected_divergences(ctx, query_config(q, cfg), backend)
+        rows[:] = expected_divergences(ctx, cfg, backend)
         return rows
     for i in range(w1.shape[0]):
         ctx = EnergyContext.from_query(q, w1[i], gain)
-        rows[i] = expected_divergences(ctx, query_config(q, cfg, i), backend)
+        rows[i] = expected_divergences(ctx, cfg, backend)
     return rows
 
 

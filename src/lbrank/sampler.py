@@ -16,7 +16,6 @@ follows as ``E[d(x_i || pi)] = sorted_i . delta - x_i . hbar``.
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -26,7 +25,6 @@ import numpy as np
 from .core import ConcaveGain, QueryInstance, _increments
 
 __all__ = [
-    "ACCEPTANCE_RULES",
     "BACKENDS",
     "ChainConfig",
     "EnergyContext",
@@ -39,8 +37,6 @@ __all__ = [
     "fnv1a64",
     "chain_seed",
 ]
-
-ACCEPTANCE_RULES = ("standard_metropolis", "paper_literal")
 
 # Expectation backends of ``expected_divergences``: a chain estimate, or
 # full enumeration of the N! rankings.
@@ -69,12 +65,11 @@ def chain_seed(seed: int, query_id: str) -> int:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sampling budget and acceptance behaviour of one chain."""
+    """Sampling budget and seed of one chain."""
 
     num_samples: int = 50
     burn_in: int = 100
     thinning: int = 1
-    acceptance_rule: str = "standard_metropolis"
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,24 +79,22 @@ class ChainConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.acceptance_rule not in ACCEPTANCE_RULES:
-            raise ValueError(f"acceptance_rule must be one of {ACCEPTANCE_RULES}")
         if not 0 <= int(self.rng_seed) <= _MASK64:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
 
 
-def query_config(q: QueryInstance, cfg: ChainConfig, unit: int | None = None) -> ChainConfig:
-    """``cfg`` reseeded for the chain of query ``q``, or of one nested hidden unit.
+def query_config(q: QueryInstance, cfg: ChainConfig) -> ChainConfig:
+    """``cfg`` reseeded for the chains of query ``q``.
 
-    The seed is ``chain_seed(cfg.rng_seed, label)`` with the label
-    ``query_id``, or ``f"{query_id}|unit-{unit}"`` for hidden unit ``unit``.
-    The derived config is memoised on the query, keyed by ``cfg`` and ``unit``.
+    The seed is ``chain_seed(cfg.rng_seed, query_id)``; every chain of the
+    query, including each nested hidden unit's, uses this one config and so
+    replays one proposal stream. The derived config is memoised on the
+    query, keyed by ``cfg``.
     """
-    key = ("config", cfg, unit)
+    key = ("config", cfg)
     derived = q._memo.get(key)
     if derived is None:
-        label = q.query_id if unit is None else f"{q.query_id}|unit-{unit}"
-        derived = replace(cfg, rng_seed=chain_seed(cfg.rng_seed, label))
+        derived = replace(cfg, rng_seed=chain_seed(cfg.rng_seed, q.query_id))
         q._memo[key] = derived
     return derived
 
@@ -163,12 +156,10 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array
     Per block of at most 8192 steps, ``a`` is drawn uniform over N
     positions, then ``b`` over N - 1 (shifted past ``a``), then the
     uniforms, all from ``default_rng(cfg.rng_seed)``. Each uniform u is
-    stored as the threshold the step's log acceptance ratio must exceed:
-    ``log u`` under ``standard_metropolis`` (u = 0 gives -inf, so the step
-    accepts), and under ``paper_literal`` ``log 0.9`` where u < 0.9 and
-    +inf elsewhere (the step rejects). Step j + 1 is retained when it lies
-    past burn-in on the thinning grid. The columns are typed arrays, 25
-    bytes a step, which iterate as Python numbers.
+    stored as ``log u``, the threshold the step's log acceptance ratio must
+    exceed (u = 0 gives -inf, so the step accepts). Step j + 1 is retained
+    when it lies past burn-in on the thinning grid. The columns are typed
+    arrays, 25 bytes a step, which iterate as Python numbers.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     total = cfg.burn_in + cfg.num_samples * cfg.thinning
@@ -181,11 +172,8 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array
         pos_b += pos_b >= pos_a
         blocks.append((pos_a, pos_b, uniforms))
     pos_a, pos_b, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
-    if cfg.acceptance_rule == "paper_literal":
-        cuts = np.where(uniforms < 0.9, math.log(0.9), np.inf)
-    else:
-        with np.errstate(divide="ignore"):
-            cuts = np.log(uniforms)
+    with np.errstate(divide="ignore"):
+        cuts = np.log(uniforms)
     past = np.arange(1 - cfg.burn_in, total + 1 - cfg.burn_in)
     keep = (past > 0) & (past % cfg.thinning == 0)
     return (array("i", pos_a.astype(np.intc).tobytes()),
@@ -204,10 +192,9 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     steps cost O(1). A step swaps when that log acceptance ratio exceeds
     the step's threshold (see ``_proposal_stream``); rejected proposals
     leave the state in place and the repeated state is retained as usual.
-    Under ``standard_metropolis`` the test ``log_alpha > log u`` differs
-    from ``u < exp(log_alpha)`` only when u lies within about one ulp of
-    ``exp(log_alpha)``, or when u = 0 and ``exp(log_alpha)`` underflows
-    (``log_alpha < -745``).
+    The test ``log_alpha > log u`` differs from ``u < exp(log_alpha)``
+    only when u lies within about one ulp of ``exp(log_alpha)``, or when
+    u = 0 and ``exp(log_alpha)`` underflows (``log_alpha < -745``).
 
     The proposals do not depend on the weights: a chain's stream (the
     position pairs, their gain gaps, the thresholds and which steps are

@@ -180,7 +180,7 @@ def acceptance_ratio(ctx, current, proposed) -> float:
 
 def chain_orders(ybar: Sequence[float], increments: Sequence[float],
                  num_samples: int, burn_in: int, thinning: int,
-                 acceptance_rule: str, seed: int) -> list[list[int]]:
+                 seed: int) -> list[list[int]]:
     """Retained states of the transposition chain, one scalar step at a time.
 
     The draw order is the sampler's contract: per block of at most 8192
@@ -206,11 +206,7 @@ def chain_orders(ybar: Sequence[float], increments: Sequence[float],
                 b += 1
             ca, cb = state[a], state[b]
             log_alpha = (increments[a] - increments[b]) * (ybar[cb] - ybar[ca])
-            if acceptance_rule == "paper_literal":
-                accept = log_alpha > math.log(0.9) and u < 0.9
-            else:
-                accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
-            if accept:
+            if log_alpha >= 0.0 or u < math.exp(log_alpha):
                 state[a], state[b] = cb, ca
             done += 1
             if done > burn_in and (done - burn_in) % thinning == 0:
@@ -237,12 +233,12 @@ def _visit_order(n_queries: int, seed: int, epoch: int, shuffle: bool) -> list[i
     return rng.permutation(n_queries).tolist()
 
 
-def _expectation(q, weights, gain, cfg, backend, unit=None) -> np.ndarray:
+def _expectation(q, weights, gain, cfg, backend) -> np.ndarray:
     """The library's E[d(x_i || pi)] for one query under ``weights``."""
     from lbrank.sampler import EnergyContext, expected_divergences, query_config
 
     ctx = EnergyContext.from_query(q, weights, gain)
-    return expected_divergences(ctx, query_config(q, cfg, unit), backend)
+    return expected_divergences(ctx, query_config(q, cfg), backend)
 
 
 def train_linear(queries, hyper, cfg, gain, backend="mh", shuffle=False):
@@ -275,7 +271,7 @@ def _divergence_table(q, w1, w2, gain, sampling, cfg, backend) -> np.ndarray:
     if sampling == "aggregate":
         row = _expectation(q, w2 @ w1, gain, cfg, backend)
         return np.tile(row, (w1.shape[0], 1))
-    return np.stack([_expectation(q, w1[i], gain, cfg, backend, unit=i)
+    return np.stack([_expectation(q, w1[i], gain, cfg, backend)
                      for i in range(w1.shape[0])])
 
 

@@ -166,15 +166,38 @@ class TestTrain:
         assert code == EXIT_INTERNAL
 
 
+def _write_huge_spans(path: Path) -> Path:
+    """Finite scores whose per-list spans overflow a double."""
+    path.write_text("query_id,candidate_id,ranker_0,ranker_1,relevance\n"
+                    "q1,0,1e308,0.5,2\n"
+                    "q1,1,-1e308,0.2,0\n"
+                    "q1,2,3.0,0.9,1\n"
+                    "q2,0,-1.7e308,1.0,1\n"
+                    "q2,1,1.7e308,0.0,0\n")
+    return path
+
+
 class TestNormalize:
+    @pytest.mark.parametrize("args", [["--model", "linear"], ["--model", "nested"],
+                                      ["--backend", "exact"]])
+    def test_spans_past_the_float_range_need_normalize_to_train(self, tmp_path, args,
+                                                                capsys):
+        data = _write_huge_spans(tmp_path / "huge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("train", "--data", data, "--out", tmp_path / "m.txt", *args,
+                       "--epochs", 2) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert "'q1'" in err and "--normalize true" in err
+            assert not list(tmp_path.glob("m.txt*"))
+            # scoring reads no score differences, so it needs no rescaling
+            assert run("infer", "--data", data, "--baseline", "averaging",
+                       "--out", tmp_path / "rankings.csv") == EXIT_OK
+            assert run("eval", "--data", data, "--out", tmp_path / "eval.csv",
+                       "--topk", 2) == EXIT_OK
+
     def test_spans_past_the_float_range_map_onto_unit_interval(self, tmp_path):
-        data = tmp_path / "huge.csv"
-        data.write_text("query_id,candidate_id,ranker_0,ranker_1,relevance\n"
-                        "q1,0,1e308,0.5,2\n"
-                        "q1,1,-1e308,0.2,0\n"
-                        "q1,2,3.0,0.9,1\n"
-                        "q2,0,-1.7e308,1.0,1\n"
-                        "q2,1,1.7e308,0.0,0\n")
+        data = _write_huge_spans(tmp_path / "huge.csv")
         rankings = tmp_path / "rankings.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -287,6 +310,24 @@ class TestEval:
                        *flags) == EXIT_OK
             methods = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
             assert methods == {"averaging", "borda", model}
+
+    @pytest.mark.parametrize("names", [("a/m.txt", "b/m.txt"), ("averaging.txt",),
+                                       ("borda.txt",)])
+    def test_colliding_report_labels_are_usage_error(self, tmp_path, synth_csv, names,
+                                                     capsys):
+        paths = []
+        for name in names:
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5),
+                                    LinearHyper()), path)
+            paths += ["--model-file", path]
+        out = tmp_path / "r.csv"
+        assert run("eval", "--data", synth_csv, "--out", out, *paths) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"'{Path(names[-1]).stem}'" in err
+        assert all(str(tmp_path / name) in err for name in names)
+        assert not list(tmp_path.glob("r.csv*"))
 
     def test_missing_relevance_is_data_error(self, tmp_path):
         path = tmp_path / "norel.csv"
@@ -412,6 +453,19 @@ class TestUsage:
         assert run(*argv) == code
         assert capsys.readouterr().err
         assert not list(tmp_path.glob("out.csv*"))
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--data", "@data.csv"],
+        ["infer", "--data", "@data.csv", "--baseline", "averaging"],
+        ["eval", "--data", "@data.csv"],
+        ["synth"],
+    ], ids=["train", "infer", "eval", "synth"])
+    def test_output_path_that_is_a_directory_is_data_error(self, tmp_path, args, capsys):
+        _write_base_files(tmp_path)
+        (tmp_path / "out").mkdir()
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
+        assert run(*argv, "--out", tmp_path / "out") == EXIT_DATA
+        assert "Is a directory" in capsys.readouterr().err
 
 
 def _write_base_files(directory: Path) -> dict[str, Path]:

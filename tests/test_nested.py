@@ -318,6 +318,30 @@ class TestTrain:
             np.testing.assert_allclose(nw1[0], lw, atol=1e-12)
             np.testing.assert_array_equal(nw2, [1.0])
 
+    def test_per_unit_reduces_to_linear_under_mh(self, rng):
+        # every chain of a query replays its one stream, so the lone hidden
+        # unit's chain is the linear trainer's chain (criterion 7 covers aggregate)
+        queries = [make_query(rng.uniform(0, 1, size=(4, 4)), query_id=f"q{i}")
+                   for i in range(5)]
+        gain = sigmoid_gain(4)
+        cfg = ChainConfig(num_samples=20, burn_in=50, rng_seed=99)
+        ident = Activation("identity")
+        _, linear_log = train_linear(queries, LinearHyper(epochs=6), cfg, gain)
+        _, nested_log = train(queries,
+                              NestedHyper(epochs=6, k2=1, init_jitter=0.0, sampling="per_unit"),
+                              cfg, gain, ident, ident)
+        assert len(linear_log.snapshots) == len(nested_log.snapshots)
+        for lw, (nw1, nw2) in zip(linear_log.snapshots, nested_log.snapshots):
+            np.testing.assert_allclose(nw1[0], lw, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(nw2, [1.0])
+
+    def test_per_unit_chains_share_the_query_stream(self, gain6, rng):
+        q = make_query(rng.uniform(0, 1, size=(3, 5)), query_id="shared")
+        model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
+                            gain6, seed=2)
+        table_of(model, q, ChainConfig(rng_seed=4, num_samples=30))
+        assert sum(key[0] == "stream" for key in q._memo) == 1
+
     def test_single_input_ranker_rows_stay_one(self, rng):
         queries = [make_query(rng.uniform(0, 1, size=(1, 4)), query_id=f"q{i}")
                    for i in range(3)]
@@ -344,7 +368,7 @@ class TestTrain:
         model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
                             gain6, seed=2)
         cfg = ChainConfig(rng_seed=4, num_samples=30)
-        table_of(model, q, cfg)  # one stream per hidden unit
+        table_of(model, q, cfg)  # draws the query's stream
         model = replace(model, w1=update_w1(model.w1, np.full((3, 3), 0.5) + np.eye(3),
                                             model.hyper.mu))
         fresh = make_query(q.matrix, query_id="warm")

@@ -1,10 +1,13 @@
-"""The package's export lists name only what exists."""
+"""The package's export lists name only what exists, and numpy is its one dependency."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import lbrank
@@ -45,3 +48,16 @@ def test_no_module_imports_a_name_it_never_uses():
                 exported = set(ast.literal_eval(node.value))
         unused = sorted(imported - used - exported)
         assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_cli_import_loads_no_third_party_package_but_numpy():
+    src = str(Path(lbrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # packages a site hook loads at start-up are not lbrank's
+    probe = ("import sys; before = set(sys.modules); import lbrank.cli; "
+             "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(loaded - set(sys.stdlib_module_names) - {'lbrank'}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "['numpy']"

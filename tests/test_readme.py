@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import shlex
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lbrank.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -45,3 +48,17 @@ def test_readme_quickstart_runs(tmp_path):
     for name in ("data.csv", "data-model.txt", "nested-model.txt", "rankings.csv",
                  "report.csv", "report.csv.txt", "bench.csv"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_readme_names_every_option_of_every_subcommand():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    missing = sorted({(name, option)
+                      for name, sub in commands.choices.items()
+                      for action in sub._actions
+                      for option in action.option_strings
+                      if option not in ("-h", "--help")
+                      # the option itself, not a longer one it begins
+                      and not re.search(rf"{re.escape(option)}(?![\w-])", README)})
+    assert not missing, f"options missing from README.md: {missing}"

@@ -15,7 +15,6 @@ from lbrank.core import (
     sigmoid_gain,
 )
 from lbrank.sampler import (
-    ACCEPTANCE_RULES,
     ChainConfig,
     EnergyContext,
     chain_seed,
@@ -46,14 +45,11 @@ class TestChainConfig:
             ChainConfig(thinning=0)
         with pytest.raises(ValueError):
             ChainConfig(burn_in=-1)
-        with pytest.raises(ValueError):
-            ChainConfig(acceptance_rule="sometimes")
 
     def test_defaults(self):
         cfg = ChainConfig()
         assert cfg.num_samples == 50
         assert cfg.burn_in == 100
-        assert cfg.acceptance_rule == "standard_metropolis"
 
 
 class TestEnergyContext:
@@ -137,14 +133,6 @@ class TestChain:
         v = sample_expectation(ctx, ChainConfig(num_samples=200, rng_seed=2))
         np.testing.assert_array_equal(v, [0.0])
 
-    def test_paper_literal_rule_produces_valid_states(self):
-        ctx = context([[3.0, 1.0, 2.0]], [1.0], [1.0, 0.5, 0.25])
-        cfg = ChainConfig(num_samples=200, burn_in=20, rng_seed=9,
-                          acceptance_rule="paper_literal")
-        orders = sample_orders(ctx, cfg)
-        for row in orders[::20]:
-            assert np.array_equal(np.sort(row), np.arange(row.size))
-
     def test_empirical_distribution_close_to_exact(self):
         # quick total-variation smoke at N=3; the acceptance suite runs N=4
         ctx = context([[0.9, 0.2, 0.5], [0.7, 0.4, 0.1]], [0.5, 0.5],
@@ -175,13 +163,13 @@ def score_cases(draw):
 
 
 class TestMeanHVector:
-    @given(score_cases(), st.integers(0, 2**32), st.sampled_from(ACCEPTANCE_RULES))
+    @given(score_cases(), st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_list_mean_over_the_same_states(self, case, seed, rule):
+    def test_matches_per_list_mean_over_the_same_states(self, case, seed):
         rows, weights = case
         increments = sigmoid_gain(8).increments.tolist()
         ctx = context(rows, weights, increments)
-        cfg = ChainConfig(num_samples=40, burn_in=7, acceptance_rule=rule, rng_seed=seed)
+        cfg = ChainConfig(num_samples=40, burn_in=7, rng_seed=seed)
         got = sample_expectation(ctx, cfg)
         want = oracles.per_list_expectation(rows, sample_orders(ctx, cfg).tolist(),
                                             increments)
@@ -190,8 +178,7 @@ class TestMeanHVector:
             if len(set(row)) == 1:
                 assert value == 0.0
 
-    @pytest.mark.parametrize("rule", ACCEPTANCE_RULES)
-    def test_chain_states_match_scalar_stepper(self, rule):
+    def test_chain_states_match_scalar_stepper(self):
         # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192;
         # after the first chain, each one replays the query's memoised stream.
         # The second matrix is unnormalised, with a span of 2,000: under the
@@ -206,14 +193,14 @@ class TestMeanHVector:
         increments = sigmoid_gain(7).increments.tolist()
         gain = ConcaveGain(increments)
         cfg = ChainConfig(num_samples=2100, burn_in=3000, thinning=3,
-                          acceptance_rule=rule, rng_seed=chain_seed(5, "pin"))
+                          rng_seed=chain_seed(5, "pin"))
         for matrix in matrices:
             q = make_query(matrix)
             for weights in ([0.5, 0.3, 0.2], [0.1, 0.7, 0.2], [0.5, 0.3, 0.2]):
                 ctx = EnergyContext.from_query(q, weights, gain)
                 ybar = (np.asarray(weights) @ np.asarray(matrix)).tolist()
                 want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
-                                            cfg.thinning, rule, cfg.rng_seed)
+                                            cfg.thinning, cfg.rng_seed)
                 np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
 
 
@@ -225,8 +212,7 @@ class TestQueryMemo:
         q = make_query(matrix)
         base = ChainConfig(num_samples=30, burn_in=20, rng_seed=7)
         configs = [base, replace(base, rng_seed=8), replace(base, burn_in=21),
-                   replace(base, num_samples=31), replace(base, thinning=3),
-                   replace(base, acceptance_rule="paper_literal")]
+                   replace(base, num_samples=31), replace(base, thinning=3)]
         gains = [sigmoid_gain(6), log2_gain(6)]
         for _ in range(2):  # the second round replays every entry of the first
             for gain in gains:
@@ -234,7 +220,7 @@ class TestQueryMemo:
                     ctx = EnergyContext.from_query(q, weights, gain)
                     want = oracles.chain_orders(ybar, gain.increments.tolist(),
                                                 cfg.num_samples, cfg.burn_in, cfg.thinning,
-                                                cfg.acceptance_rule, cfg.rng_seed)
+                                                cfg.rng_seed)
                     np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
                     fresh = EnergyContext.from_query(make_query(matrix), weights, gain)
                     np.testing.assert_array_equal(sample_expectation(ctx, cfg),
@@ -247,7 +233,6 @@ class TestQueryMemo:
         assert derived == replace(cfg, rng_seed=chain_seed(12345, "q9"))
         assert query_config(q, cfg) is derived
         assert query_config(q, replace(cfg, burn_in=5)).rng_seed == derived.rng_seed
-        assert query_config(q, cfg, 3) == replace(cfg, rng_seed=chain_seed(12345, "q9|unit-3"))
         assert query_config(q, replace(cfg, rng_seed=1)).rng_seed == chain_seed(1, "q9")
 
 
