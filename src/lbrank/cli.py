@@ -37,7 +37,7 @@ from .core import (
     weighted_average_scores,
 )
 from .io import DataError, Dataset
-from .linear import LinearHyper
+from .linear import LinearHyper, _field_text
 from .nested import Activation, NestedHyper
 from .sampler import BACKENDS, MAX_ENUMERATION_N, ChainConfig
 
@@ -77,7 +77,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "data": (str, None),
     "out": (str, None),
     "model_file": (str, None),
-    "format": (str, "auto"),
     "gain": (str, "sigmoid"),
     "phi": (str, Activation.name),
     "mu": (float, LinearHyper.mu),
@@ -180,8 +179,6 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("model must be linear or nested")
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
-    if cfg.format not in ("auto", "letor", "csv"):
-        raise ConfigError("format must be auto, letor or csv")
     cfg.bench_axes = [a.strip() for a in cfg.bench_axes.split(",") if a.strip()]
     if not cfg.bench_axes or not set(cfg.bench_axes) <= {"n", "k", "k1k2"}:
         raise ConfigError("bench_axes must be a comma-separated list of n, k and k1k2")
@@ -191,10 +188,9 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 def _load_dataset(cfg: argparse.Namespace) -> Dataset:
     _require(cfg, "data")
     path = Path(cfg.data)
-    fmt = cfg.format
-    if fmt == "auto":
-        fmt = "csv" if path.suffix.lower() == ".csv" else "letor"
-    dataset = (dataio.parse_scores_csv(path, strict=cfg.strict) if fmt == "csv"
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        is_csv = fh.readline().split(",", 1)[0].strip() == "query_id"
+    dataset = (dataio.parse_scores_csv(path, strict=cfg.strict) if is_csv
                else dataio.parse_letor(path, strict=cfg.strict))
     if cfg.normalize:
         dataset = Dataset(tuple(dataio.normalize_minmax(q) for q in dataset.queries),
@@ -204,8 +200,8 @@ def _load_dataset(cfg: argparse.Namespace) -> Dataset:
 
 def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) -> ConcaveGain:
     """The configured gain; its capacity defaults to N_max and must cover ``positions``."""
-    gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
     try:
+        gain = gain_from_spec(cfg.gain, capacity=dataset.n_max)
         _increments(gain, positions, f"gain {cfg.gain!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -220,6 +216,17 @@ def _check_divergence_range(dataset: Dataset, gain: ConcaveGain) -> None:
         if not np.all(np.isfinite(largest)):
             raise DataError(f"query {q.query_id!r}: its score spans overflow a double in "
                             "training; rescale them, e.g. with --normalize true")
+
+
+def _check_dcg_range(dataset: Dataset, discount: ConcaveGain, depth: int) -> None:
+    """Each query's largest grade times g(depth), a bound on its DCG, must be a finite double."""
+    largest = np.array([q.relevance.max() for q in dataset.queries])
+    with np.errstate(over="ignore"):
+        bounds = largest * _increments(discount, depth).sum()
+    if not np.all(np.isfinite(bounds)):
+        q = dataset.queries[int(np.argmin(np.isfinite(bounds)))]
+        raise DataError(f"query {q.query_id!r}: its largest relevance grade times the gain "
+                        f"total g({depth}) overflows a double; rescale the grades")
 
 
 def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
@@ -243,18 +250,14 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         model, log = linear.train(dataset, cfg.linear_hyper, cfg.chain, gain,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         linear.save_linear(model, out)
-        weight_lines = ["w " + " ".join(repr(v) for v in w.tolist())
-                        for w in log.snapshots]
+        weight_lines = [f"w {_field_text(w)}" for w in log.snapshots]
     else:
         model, log = nested.train(dataset, cfg.nested_hyper, cfg.chain, gain,
                                   cfg.activation, cfg.activation,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         nested.save_nested(model, out)
-        weight_lines = [
-            "w2 " + " ".join(repr(v) for v in w2.tolist())
-            + " w1 " + " ".join(repr(v) for v in w1.reshape(-1).tolist())
-            for w1, w2 in log.snapshots
-        ]
+        weight_lines = [f"w2 {_field_text(w2)} w1 {_field_text(w1)}"
+                        for w1, w2 in log.snapshots]
     _write_training_log(out.with_name(out.name + ".log"), log, weight_lines)
     print(f"trained {cfg.model} model on {len(dataset.queries)} queries "
           f"(K={dataset.k}); wrote {out}")
@@ -314,7 +317,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
-    discount = _gain_covering(cfg, dataset, min(cfg.topk, dataset.n_max))
+    depth = min(cfg.topk, dataset.n_max)
+    discount = _gain_covering(cfg, dataset, depth)
+    _check_dcg_range(dataset, discount, depth)
 
     methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
         "averaging": _average_scores,
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None)
         return p
 
-    shared = ["seed", "threads", "data", "out", "format", "normalize", "strict"]
+    shared = ["seed", "threads", "data", "out", "normalize", "strict"]
     command("train", "fit a model and write it with its log",
             shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
                       "epochs", "samples", "burn_in", "thinning", "k2",

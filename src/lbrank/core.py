@@ -13,8 +13,9 @@ both the divergence engine and the positional discount used for NDCG.
 
 All types are immutable after construction, with one exception: a
 query's ``_memo``, where the sampler caches the values it derives from
-the query. The memo only grows, and each entry is fixed by the query and
-its key, so sharing a query never changes what a reader computes.
+the query: one value of each kind, for the config or gain it last saw.
+Each value is fixed by the query and that key, so sharing a query never
+changes what a reader computes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class ConcaveGain:
             raise ValueError("gain increments must be positive (g strictly increasing)")
         if np.any(np.diff(inc) > 0.0):
             raise ValueError("gain increments must be non-increasing (g concave)")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(inc.sum()):
+                raise ValueError(f"gain total g({inc.size}) overflows a double")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -247,7 +251,8 @@ class QueryInstance:
         """Values the sampler derives from this query, created on first use.
 
         The query is immutable, so an entry never goes stale; the sampler
-        keys each one by the value (or the held object) it depends on.
+        holds one entry of each kind, with the config or gain it was made
+        for, and replaces it when another one is asked for.
         """
         return {}
 

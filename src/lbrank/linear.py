@@ -11,11 +11,10 @@ weighted mean of the score lists.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -217,7 +216,8 @@ def train(data,
     numbers: common random numbers across weight vectors. The query's
     proposal stream is drawn on its first chain and replayed afterwards,
     and its derived config and weight-free divergence terms are computed
-    once; all three are memoised on the query (see ``sample_orders``).
+    once; the query holds one of each, for the run's config and gain
+    (see ``sample_orders``).
     """
     queries = _queries(data)
     hyper = hyper or LinearHyper()
@@ -254,60 +254,78 @@ def infer(model: LinearModel, q: QueryInstance) -> np.ndarray:
     return ranking_from_scores(aggregate_scores(model, q))
 
 
+def _fields(model: LinearModel) -> list[tuple[str, object]]:
+    """The fields of ``model``'s file, in the order they are written."""
+    return [("k", model.k), ("gain", gain_spec(model.gain)), ("mu", model.hyper.mu),
+            ("lam", model.hyper.lam), ("epochs", model.hyper.epochs),
+            ("w", model.weights.w)]
+
+
 def save_linear(model: LinearModel, path: str | Path) -> None:
     """Versioned plain-text serialization; floats render shortest-roundtrip."""
-    lines = [
-        f"format: {MODEL_FORMAT}",
-        f"k: {model.k}",
-        f"gain: {gain_spec(model.gain)}",
-        f"mu: {model.hyper.mu!r}",
-        f"lam: {model.hyper.lam!r}",
-        f"epochs: {model.hyper.epochs}",
-        "w: " + " ".join(repr(v) for v in model.weights.w.tolist()),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_model_fields(path, MODEL_FORMAT, _fields(model))
 
 
-@contextlib.contextmanager
-def _model_file_errors(path: str | Path) -> Iterator[None]:
-    """Report a missing key or a bad value in a model file as a DataError."""
+def load_linear(path: str | Path) -> LinearModel:
+    """Read a model file; any malformed content raises DataError."""
+    def build(fields: dict[str, str]) -> LinearModel:
+        hyper = LinearHyper(mu=float(fields["mu"]), lam=float(fields["lam"]),
+                            epochs=int(fields["epochs"]))
+        w = _parse_floats(fields["w"], int(fields["k"]), "w")
+        return LinearModel(SimplexWeights(w), gain_from_spec(fields["gain"]), hyper)
+    return _read_model(path, MODEL_FORMAT, build, _fields)
+
+
+def _field_text(value) -> str:
+    """A string as it is; a number or an array as space-separated Python reprs."""
+    if isinstance(value, str):
+        return value
+    return " ".join(repr(v) for v in np.ravel(value).tolist())
+
+
+def _write_model_fields(path: str | Path, model_format: str,
+                        fields: list[tuple[str, object]]) -> None:
+    """``format: model_format``, then one ``key: value`` line per field."""
+    lines = [f"{key}: {_field_text(value)}\n"
+             for key, value in [("format", model_format), *fields]]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def _read_model(path: str | Path, model_format: str,
+                build: Callable[[dict[str, str]], object],
+                fields_of: Callable[[object], list[tuple[str, object]]]):
+    """``build(fields)`` of the ``key: value`` fields of a ``model_format`` file.
+
+    A key may appear once, and only if ``fields_of(model)``, what the writer
+    writes for the built model, holds it. Any fault raises a DataError.
+    """
     try:
-        yield
+        fields: dict[str, str] = {}
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            if not line.strip():
+                continue
+            key, sep, value = (part.strip() for part in line.partition(":"))
+            if not sep:
+                raise ValueError(f"malformed model line {line.strip()!r}")
+            if key in fields:
+                raise ValueError(f"repeated key {key!r}")
+            fields[key] = value
+        if fields.get("format") != model_format:
+            raise ValueError(f"not a {model_format} model file")
+        model = build(fields)
+        unknown = fields.keys() - {"format", *(key for key, _ in fields_of(model))}
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r}")
+        return model
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
     except ValueError as exc:  # includes UnicodeDecodeError
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_model_fields(path: str | Path, model_format: str) -> dict[str, str]:
-    """``key: value`` fields of a model file that declares ``model_format``."""
-    fields: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"malformed model line {line!r}")
-        fields[key.strip()] = value.strip()
-    if fields.get("format") != model_format:
-        raise ValueError(f"not a {model_format} model file")
-    return fields
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()], dtype=np.float64)
-
-
-def load_linear(path: str | Path) -> LinearModel:
-    """Read a model file; any malformed content raises DataError."""
-    with _model_file_errors(path):
-        fields = _read_model_fields(path, MODEL_FORMAT)
-        k = int(fields["k"])
-        gain = gain_from_spec(fields["gain"])
-        hyper = LinearHyper(mu=float(fields["mu"]), lam=float(fields["lam"]),
-                            epochs=int(fields["epochs"]))
-        w = _parse_floats(fields["w"])
-        if w.size != k:
-            raise ValueError(f"expected {k} weights, found {w.size}")
-        return LinearModel(SimplexWeights(w), gain, hyper)
+def _parse_floats(text: str, size: int, name: str) -> np.ndarray:
+    """The ``size`` space-separated floats of field ``name``."""
+    values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
+    if values.size != size:
+        raise ValueError(f"{name} holds {values.size} values, expected {size}")
+    return values

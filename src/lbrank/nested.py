@@ -35,11 +35,11 @@ from .core import (
 )
 from .linear import (
     TrainingLog,
-    _model_file_errors,
     _parse_floats,
     _queries,
-    _read_model_fields,
+    _read_model,
     _run_epochs,
+    _write_model_fields,
     multiplicative_simplex_update,
 )
 from .sampler import (
@@ -366,43 +366,30 @@ def infer(model: NestedModel, q: QueryInstance) -> np.ndarray:
     return ranking_from_scores(aggregate_scores(model, q))
 
 
+def _fields(model: NestedModel) -> list[tuple[str, object]]:
+    """The fields of ``model``'s file, in the order they are written."""
+    hyper = model.hyper
+    return [("k1", model.k1), ("k2", model.k2), ("gain", gain_spec(model.gain)),
+            ("phi1", model.phi1.name), ("phi2", model.phi2.name), ("mu", hyper.mu),
+            ("lam1", hyper.lam1), ("lam2", hyper.lam2), ("epochs", hyper.epochs),
+            ("init_jitter", hyper.init_jitter), ("sampling", hyper.sampling),
+            ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))]
+
+
 def save_nested(model: NestedModel, path: str | Path) -> None:
-    lines = [
-        f"format: {MODEL_FORMAT}",
-        f"k1: {model.k1}",
-        f"k2: {model.k2}",
-        f"gain: {gain_spec(model.gain)}",
-        f"phi1: {model.phi1.name}",
-        f"phi2: {model.phi2.name}",
-        f"mu: {model.hyper.mu!r}",
-        f"lam1: {model.hyper.lam1!r}",
-        f"lam2: {model.hyper.lam2!r}",
-        f"epochs: {model.hyper.epochs}",
-        f"init_jitter: {model.hyper.init_jitter!r}",
-        f"sampling: {model.hyper.sampling}",
-        "w2: " + " ".join(repr(v) for v in model.w2.w.tolist()),
-    ]
-    for i in range(model.k2):
-        lines.append(f"w1[{i}]: " + " ".join(repr(v) for v in model.w1[i].tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_model_fields(path, MODEL_FORMAT, _fields(model))
 
 
 def load_nested(path: str | Path) -> NestedModel:
     """Read a model file; any malformed content raises DataError."""
-    with _model_file_errors(path):
-        fields = _read_model_fields(path, MODEL_FORMAT)
-        k1 = int(fields["k1"])
-        k2 = int(fields["k2"])
+    def build(fields: dict[str, str]) -> NestedModel:
+        k1, k2 = int(fields["k1"]), int(fields["k2"])
         hyper = NestedHyper(mu=float(fields["mu"]), lam1=float(fields["lam1"]),
                             lam2=float(fields["lam2"]), epochs=int(fields["epochs"]),
                             k2=k2, init_jitter=float(fields["init_jitter"]),
                             sampling=fields["sampling"])
-        w2 = _parse_floats(fields["w2"])
-        if w2.size != k2:
-            raise ValueError(f"expected {k2} W2 weights, found {w2.size}")
-        rows = [_parse_floats(fields[f"w1[{i}]"]) for i in range(k2)]
-        for i, row in enumerate(rows):
-            if row.size != k1:
-                raise ValueError(f"W1 row {i} has {row.size} entries, expected {k1}")
-        return NestedModel(np.stack(rows), SimplexWeights(w2), gain_from_spec(fields["gain"]),
+        w2 = _parse_floats(fields["w2"], k2, "w2")
+        w1 = [_parse_floats(fields[f"w1[{i}]"], k1, f"w1[{i}]") for i in range(k2)]
+        return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields["gain"]),
                            Activation(fields["phi1"]), Activation(fields["phi2"]), hyper)
+    return _read_model(path, MODEL_FORMAT, build, _fields)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,14 +89,23 @@ def query_config(q: QueryInstance, cfg: ChainConfig) -> ChainConfig:
     The seed is ``chain_seed(cfg.rng_seed, query_id)``; every chain of the
     query, including each nested hidden unit's, uses this one config and so
     replays one proposal stream. The derived config is memoised on the
-    query, keyed by ``cfg``.
+    query until a call passes another ``cfg``.
     """
-    key = ("config", cfg)
-    derived = q._memo.get(key)
-    if derived is None:
-        derived = replace(cfg, rng_seed=chain_seed(cfg.rng_seed, q.query_id))
-        q._memo[key] = derived
-    return derived
+    return _memoised(q._memo, "config", cfg,
+                     lambda: replace(cfg, rng_seed=chain_seed(cfg.rng_seed, q.query_id)))
+
+
+def _memoised(memo: dict, kind: str, key, make: Callable[[], object]):
+    """The value ``memo`` holds under ``kind``, if it was made for ``key``.
+
+    Otherwise ``make()``, which replaces the held value: a query keeps one
+    value of each kind, made for the last key it saw. Keys compare with
+    ``==``; a gain equals only itself, and the held entry keeps it alive.
+    """
+    held = memo.get(kind)
+    if held is None or held[0] != key:
+        held = memo[kind] = (key, make())
+    return held[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +117,8 @@ class EnergyContext:
     expectations are a few matrix-vector products. The weight-free terms
     (each list's minimum ``low_i`` and ``(sorted_i - low_i) . delta``)
     and the chains' proposal streams live in ``memo``; ``from_query``
-    passes the query's own memo, so they are computed once per query and
-    gain. ``matrix`` is the read-only matrix of a validated
+    passes the query's own memo, so they are computed once per query while
+    its gain stays the same. ``matrix`` is the read-only matrix of a validated
     :class:`QueryInstance` and ``weights`` a float64 array of length K;
     only their shapes are checked here. The trainers' weights stay on the
     simplex by construction and are validated when the model is built.
@@ -125,14 +134,14 @@ class EnergyContext:
         if self.weights.shape != (k,):
             raise ValueError(f"weights of shape {self.weights.shape} for {k} lists")
         delta = _increments(self.gain, n)
-        # keyed by the gain object itself: the entry holds it, so it stays unique
-        key = ("terms", self.gain)
-        terms = self.memo.get(key)
-        if terms is None:
+
+        def weight_free_terms():
             low = self.matrix.min(axis=1, keepdims=True)
             top = (np.sort(self.matrix, axis=1)[:, ::-1] - low) @ delta
             top.setflags(write=False)
-            terms = self.memo[key] = (delta, low, top)
+            return delta, low, top
+
+        terms = _memoised(self.memo, "terms", self.gain, weight_free_terms)
         ybar = self.weights @ self.matrix
         ybar.setflags(write=False)
         object.__setattr__(self, "_delta", terms[0])
@@ -200,19 +209,17 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     position pairs, their gain gaps, the thresholds and which steps are
     retained) is a function of ``cfg``, the gain and N alone. It is drawn
     on a context's first chain with that config and gain and kept in the
-    context's memo; later chains replay it, so every chain of one query
-    and config sees the same random numbers. Only the accept/swap walk
-    runs per call.
+    context's memo until a chain with another config or gain replaces it;
+    the chains in between replay it, so every chain of one query and config
+    sees the same random numbers. Only the accept/swap walk runs per call.
     """
     n = ctx.n
     m = cfg.num_samples
     if n == 1:
         return np.zeros((m, 1), dtype=np.int64)
 
-    key = ("stream", cfg, ctx.gain)
-    stream = ctx.memo.get(key)
-    if stream is None:
-        stream = ctx.memo[key] = _proposal_stream(cfg, ctx._delta, n)
+    stream = _memoised(ctx.memo, "stream", (cfg, ctx.gain),
+                       lambda: _proposal_stream(cfg, ctx._delta, n))
     state: list[int] = np.argsort(-ctx._ybar, kind="stable").tolist()
     y = ctx._ybar.tolist()
 

@@ -266,6 +266,25 @@ class TestInfer:
                    "--out", tmp_path / "r.csv")
         assert code == EXIT_DATA
 
+    def test_data_format_comes_from_the_first_line(self, tmp_path, capsys):
+        # a CSV starts with its query_id header, whatever the file is named
+        files = _write_base_files(tmp_path)
+        want = tmp_path / "want.csv"
+        assert run("infer", "--data", files["data.csv"], "--baseline", "averaging",
+                   "--out", want) == EXIT_OK
+        for source, name in (("data.csv", "scores.txt"), ("data.letor", "letor.csv")):
+            renamed = tmp_path / name
+            renamed.write_bytes(files[source].read_bytes())
+            out = tmp_path / f"from-{name}"
+            assert run("infer", "--data", renamed, "--baseline", "averaging",
+                       "--out", out) == EXIT_OK
+            assert out.read_bytes() == want.read_bytes()
+        config = tmp_path / "run.cfg"
+        config.write_text("format = csv\n")
+        assert run("infer", "--config", config, "--data", files["data.csv"],
+                   "--baseline", "averaging", "--out", tmp_path / "r.csv") == EXIT_USAGE
+        assert "unknown config key 'format'" in capsys.readouterr().err
+
     def test_single_ranker_model_echoes_input_order(self, tmp_path):
         data = tmp_path / "one.csv"
         write_scores_csv(synth_planted(2, 4, 1, [0.3], seed=8), data)
@@ -356,6 +375,39 @@ class TestEval:
             if ",MEAN," in line:
                 values = [float(v) for v in line.split(",")[2:]]
                 assert values == pytest.approx([1.0, 1.0, 1.0])
+
+
+    @pytest.fixture
+    def tiny_csv(self, tmp_path):
+        path = tmp_path / "e.csv"
+        assert run("synth", "--n-queries", 3, "--n-candidates", 4, "--n-rankers", 2,
+                   "--seed", 1, "--out", path) == EXIT_OK
+        return path
+
+    def test_gain_total_past_the_double_range_is_usage_error(self, tmp_path, tiny_csv,
+                                                              capsys):
+        # g(4) = 4e308 overflows: no NDCG and no training run can use the gain
+        gain = "custom:1e308,1e308,1e308,1e308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--data", tiny_csv, "--out", tmp_path / "r.csv",
+                       "--gain", gain, "--topk", 4) == EXIT_USAGE
+            assert run("train", "--data", tiny_csv, "--out", tmp_path / "m.txt",
+                       "--gain", gain) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("gain total g(4) overflows a double") == 2
+        assert not list(tmp_path.glob("[rm].*"))
+
+    def test_grade_times_gain_total_past_the_double_range_is_data_error(self, tmp_path,
+                                                                         tiny_csv, capsys):
+        # g(2) is finite, but grade 2 of the first query times g(2) is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--data", tiny_csv, "--out", tmp_path / "r.csv",
+                       "--gain", "custom:1e308,1e-300,1e-300,1e-300",
+                       "--topk", 2) == EXIT_DATA
+        assert "query 'q00000'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
 
 
 class TestSynth:
@@ -593,7 +645,7 @@ class TestMalformedInputs:
 
     @staticmethod
     def _infer_capped(tmp_path: Path, line: str, *flags: str) -> subprocess.CompletedProcess:
-        """``infer --format letor`` on a one-line file under a 1.5 GB address-space cap.
+        """``infer`` on a one-line LETOR file under a 1.5 GB address-space cap.
 
         The cap turns a regression that allocates by the largest feature
         index into a quick MemoryError instead of exhausting the host.
@@ -605,7 +657,7 @@ class TestMalformedInputs:
             filter(None, [str(Path(lbrank.__file__).resolve().parent.parent),
                           os.environ.get("PYTHONPATH")])))
         return subprocess.run(
-            [sys.executable, "-B", "-m", "lbrank", "infer", "--format", "letor",
+            [sys.executable, "-B", "-m", "lbrank", "infer",
              "--baseline", "averaging", *flags, "--data", str(data),
              "--out", str(tmp_path / "r.csv")],
             env=env, capture_output=True, text=True, timeout=120,
@@ -654,6 +706,23 @@ class TestMalformedInputs:
         assert run("infer", "--data", files["data.csv"], "--model-file", files[model],
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, line, named", [
+        ("linear.txt", "w: 0.5 0.25 0.25", "repeated key 'w'"),
+        ("linear.txt", "bogus: 7", "unknown key 'bogus'"),
+        ("linear.txt", "w1[0]: 0.5 0.25 0.25", "unknown key 'w1[0]'"),
+        ("nested-k2-1.txt", "w1[1]: 0.5 0.25 0.25", "unknown key 'w1[1]'"),
+    ])
+    def test_model_file_keys_the_writer_does_not_write(self, tmp_path, files, model, line,
+                                                        named, capsys):
+        # each line would load, and the model infer, if the reader let it in
+        path = tmp_path / model
+        if model == "nested-k2-1.txt":
+            save_nested(init_nested(3, NestedHyper(k2=1), sigmoid_gain(5)), path)
+        path.write_text(path.read_text() + line + "\n")
+        assert run("infer", "--data", files["data.csv"], "--model-file", path,
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert f"data error: {path}: {named}" in capsys.readouterr().err
 
     def test_undecodable_model_file(self, tmp_path, files):
         path = files["nested.txt"]

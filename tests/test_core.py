@@ -120,6 +120,11 @@ class TestConcaveGain:
         with pytest.raises(ValueError, match="non-increasing"):
             ConcaveGain([0.5, 1.0])
 
+    def test_rejects_a_total_past_the_double_range(self):
+        with pytest.raises(ValueError, match=r"g\(3\) overflows"):
+            ConcaveGain([1e308, 1e308, 1e308])
+        assert ConcaveGain([1e308, 1e-300]).capacity == 2
+
     @pytest.mark.parametrize("builder", [sigmoid_gain, log2_gain, linear_gain])
     def test_builders_produce_valid_gains(self, builder):
         gain = builder(12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lbrank.core import (
+    ConcaveGain,
     QueryInstance,
     SimplexWeights,
     ranking_from_scores,
@@ -24,6 +25,14 @@ from lbrank.linear import (
     update_weights,
 )
 from lbrank.metrics import baseline_average, ndcg_at_k
+from lbrank.nested import (
+    Activation,
+    NestedHyper,
+    NestedModel,
+    init_nested,
+    load_nested,
+    save_nested,
+)
 from lbrank.sampler import ChainConfig
 from lbrank.io import synth_planted
 
@@ -223,6 +232,14 @@ class TestTrain:
                       shuffle=True)
         np.testing.assert_array_equal(m1.weights.w, m2.weights.w)
 
+    def test_a_query_keeps_one_memo_entry_of_each_kind(self):
+        # each run replaces the config, stream and terms the last run left
+        data = synth_planted(20, 5, 3, [0.0, 0.5, 1.0], seed=2)
+        for seed in (0, 1, 2):
+            train(data, LinearHyper(epochs=2), ChainConfig(num_samples=10, burn_in=10,
+                                                           rng_seed=seed))
+        assert max(len(q._memo) for q in data.queries) <= 3
+
     def test_variable_n_across_queries(self, rng):
         # N may differ per query; only K is fixed across a dataset
         queries = [make_query(rng.uniform(0, 1, size=(3, n)), query_id=f"q{n}")
@@ -284,3 +301,35 @@ class TestSerialization:
         path.write_text("format: something-else/9\n")
         with pytest.raises(ValueError, match="not a"):
             load_linear(path)
+
+    def test_numpy_scalar_hyperparameters_round_trip(self, tmp_path):
+        # a numpy scalar is written as the number it holds, not as its repr
+        model = model_with([0.5, 0.5], sigmoid_gain(4), mu=np.float64(0.05),
+                           lam=np.float64(0.003), epochs=np.int64(9))
+        save_linear(model, tmp_path / "linear.txt")
+        assert load_linear(tmp_path / "linear.txt").hyper == LinearHyper(0.05, 0.003, 9)
+        hyper = NestedHyper(mu=np.float64(0.05), lam1=np.float64(0.001),
+                            lam2=np.float64(0.02), epochs=np.int64(7), k2=2,
+                            init_jitter=np.float64(0.25))
+        save_nested(init_nested(3, hyper, sigmoid_gain(4)), tmp_path / "nested.txt")
+        assert load_nested(tmp_path / "nested.txt").hyper == NestedHyper(
+            mu=0.05, lam1=0.001, lam2=0.02, epochs=7, k2=2, init_jitter=0.25)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the text perfbench and other readers parse; dyadic weights print exactly
+        save_linear(model_with([0.5, 0.25, 0.125, 0.125], sigmoid_gain(4)),
+                    tmp_path / "linear.txt")
+        assert (tmp_path / "linear.txt").read_bytes() == (
+            b"format: lbrank-linear/1\nk: 4\ngain: sigmoid:4\nmu: 0.1\nlam: 0.01\n"
+            b"epochs: 20\nw: 0.5 0.25 0.125 0.125\n")
+        nested = NestedModel(np.array([[0.5, 0.25, 0.25], [0.0, 0.375, 0.625]]),
+                             SimplexWeights([0.75, 0.25]), ConcaveGain([1.0, 0.5, 0.25]),
+                             Activation("logistic"), Activation("identity"),
+                             NestedHyper(mu=0.25, lam1=0.0, lam2=0.125, epochs=3, k2=2,
+                                         init_jitter=0.0, sampling="per_unit"))
+        save_nested(nested, tmp_path / "nested.txt")
+        assert (tmp_path / "nested.txt").read_bytes() == (
+            b"format: lbrank-nested/1\nk1: 3\nk2: 2\ngain: custom:1.0,0.5,0.25\n"
+            b"phi1: logistic\nphi2: identity\nmu: 0.25\nlam1: 0.0\nlam2: 0.125\n"
+            b"epochs: 3\ninit_jitter: 0.0\nsampling: per_unit\nw2: 0.75 0.25\n"
+            b"w1[0]: 0.5 0.25 0.25\nw1[1]: 0.0 0.375 0.625\n")

@@ -10,6 +10,7 @@ import pytest
 from lbrank.core import QueryInstance, SimplexWeights, ranking_from_scores, sigmoid_gain
 from lbrank.linear import LinearHyper, multiplicative_simplex_update
 from lbrank.linear import train as train_linear
+from lbrank import sampler
 from lbrank.metrics import baseline_average
 from lbrank.nested import (
     Activation,
@@ -335,12 +336,16 @@ class TestTrain:
             np.testing.assert_allclose(nw1[0], lw, rtol=0.0, atol=1e-12)
             np.testing.assert_array_equal(nw2, [1.0])
 
-    def test_per_unit_chains_share_the_query_stream(self, gain6, rng):
+    def test_per_unit_chains_share_the_query_stream(self, gain6, rng, monkeypatch):
+        drawn = []
+        draw = sampler._proposal_stream
+        monkeypatch.setattr(sampler, "_proposal_stream",
+                            lambda *args: drawn.append(args) or draw(*args))
         q = make_query(rng.uniform(0, 1, size=(3, 5)), query_id="shared")
         model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
                             gain6, seed=2)
         table_of(model, q, ChainConfig(rng_seed=4, num_samples=30))
-        assert sum(key[0] == "stream" for key in q._memo) == 1
+        assert len(drawn) == 1  # the three hidden units replay one stream
 
     def test_single_input_ranker_rows_stay_one(self, rng):
         queries = [make_query(rng.uniform(0, 1, size=(1, 4)), query_id=f"q{i}")
