@@ -186,7 +186,6 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _load_dataset(cfg: argparse.Namespace) -> Dataset:
-    _require(cfg, "data")
     path = Path(cfg.data)
     with open(path, encoding="utf-8", errors="replace") as fh:
         is_csv = fh.readline().split(",", 1)[0].strip() == "query_id"
@@ -208,25 +207,34 @@ def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) ->
     return gain
 
 
-def _check_divergence_range(dataset: Dataset, gain: ConcaveGain) -> None:
-    """Each list's largest divergence, its score span times g(N), must be a finite double."""
-    for q in dataset.queries:
-        with np.errstate(over="ignore"):
-            largest = np.ptp(q.matrix, axis=1) * _increments(gain, q.n).sum()
-        if not np.all(np.isfinite(largest)):
-            raise DataError(f"query {q.query_id!r}: its score spans overflow a double in "
-                            "training; rescale them, e.g. with --normalize true")
-
-
-def _check_dcg_range(dataset: Dataset, discount: ConcaveGain, depth: int) -> None:
-    """Each query's largest grade times g(depth), a bound on its DCG, must be a finite double."""
-    largest = np.array([q.relevance.max() for q in dataset.queries])
+def _largest_per_query(dataset: Dataset, bound_of: Callable[[QueryInstance], float],
+                       overflow: str) -> float:
+    """The largest ``bound_of(q)``; if one is not a finite double, a DataError names its query."""
     with np.errstate(over="ignore"):
-        bounds = largest * _increments(discount, depth).sum()
-    if not np.all(np.isfinite(bounds)):
-        q = dataset.queries[int(np.argmin(np.isfinite(bounds)))]
-        raise DataError(f"query {q.query_id!r}: its largest relevance grade times the gain "
-                        f"total g({depth}) overflows a double; rescale the grades")
+        bounds = np.array([bound_of(q) for q in dataset.queries])
+    finite = np.isfinite(bounds)
+    if not finite.all():
+        raise DataError(f"query {dataset.queries[int(np.argmin(finite))].query_id!r}: {overflow}")
+    return float(bounds.max())
+
+
+def _check_training_range(cfg: argparse.Namespace, k: int, divergence: float) -> None:
+    """Refuse hyperparameters whose update step or objective overflows a double.
+
+    ``divergence`` bounds every expected divergence, and for nested max(it, 1)
+    bounds every activation; a gradient entry is at most that plus the largest
+    L2 weight, and the penalty is at most ½·lam, or ½·lam1·K2 + ½·lam2.
+    """
+    if cfg.model == "linear":
+        flags, lams, penalty = "--lam", [cfg.lam], 0.5 * cfg.lam
+    else:
+        k2 = cfg.nested_hyper.hidden_units(k)
+        flags, lams = f"--lam1 and --lam2 (K2 = {k2})", [cfg.lam1, cfg.lam2]
+        divergence, penalty = max(divergence, 1.0), 0.5 * cfg.lam1 * k2 + 0.5 * cfg.lam2
+    for bound, what in ((cfg.mu * (divergence + max(lams)), "--mu times the largest gradient"),
+                        (divergence + penalty, "the training objective")):
+        if not np.isfinite(bound):
+            raise ConfigError(f"{what}, from the score spans and {flags}, overflows a double")
 
 
 def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
@@ -241,10 +249,15 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
-    _check_divergence_range(dataset, gain)
+    # a list's largest divergence is its score span times g(N)
+    divergence = _largest_per_query(
+        dataset, lambda q: np.ptp(q.matrix, axis=1).max() * _increments(gain, q.n).sum(),
+        "its score spans overflow a double in training; rescale them, e.g. with "
+        "--normalize true")
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")
+    _check_training_range(cfg, dataset.k, divergence)
     out = Path(cfg.out)
     if cfg.model == "linear":
         model, log = linear.train(dataset, cfg.linear_hyper, cfg.chain, gain,
@@ -319,7 +332,10 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         raise DataError("evaluation requires relevance judgments on every query")
     depth = min(cfg.topk, dataset.n_max)
     discount = _gain_covering(cfg, dataset, depth)
-    _check_dcg_range(dataset, discount, depth)
+    total = _increments(discount, depth).sum()
+    _largest_per_query(dataset, lambda q: q.relevance.max() * total,
+                       f"its largest relevance grade times the gain total g({depth}) "
+                       "overflows a double; rescale the grades")
 
     methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
         "averaging": _average_scores,

@@ -45,9 +45,15 @@ def _checked(rows: Iterable, path: Path) -> Iterator:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _is_grade(value: float) -> bool:
-    """Relevance grades are finite and non-negative."""
-    return 0.0 <= value < math.inf
+def _grade(token: str, where: str) -> float:
+    """``token`` as a relevance grade, a finite non-negative number; ``where`` starts errors."""
+    try:
+        rel = float(token)
+    except ValueError:
+        raise DataError(f"{where}: bad relevance {token!r}") from None
+    if not 0.0 <= rel < math.inf:
+        raise DataError(f"{where}: relevance must be finite and non-negative, got {token!r}")
+    return rel
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +138,7 @@ def _dataset(path: Path, fmt: str, names: list[str], group: Sequence[int],
     queries = [QueryInstance(name, x[s:s + n].T, None if rel is None else rel[s:s + n])
                for name, s, n in zip(names, starts.tolist(), sizes.tolist())]
     provenance = f"{fmt}:{path}" + (" (missing scores zero-filled)" if filled else "")
-    try:
-        return Dataset(tuple(queries), provenance)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return Dataset(tuple(queries), provenance)
 
 
 def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
@@ -214,13 +217,7 @@ def _letor_lines(path: Path, strict: bool) -> Dataset:
             tokens = line.split()
             if len(tokens) < 2 or not tokens[1].startswith("qid:"):
                 raise DataError(f"{path} line {lineno}: expected '<rel> qid:<id> ...'")
-            try:
-                rel = float(tokens[0])
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: bad relevance {tokens[0]!r}") from None
-            if not _is_grade(rel):
-                raise DataError(f"{path} line {lineno}: relevance must be finite and "
-                                f"non-negative, got {tokens[0]!r}")
+            rel = _grade(tokens[0], f"{path} line {lineno}")
             qid = tokens[1][len("qid:"):]
             if not qid:
                 raise DataError(f"{path} line {lineno}: empty qid")
@@ -302,15 +299,14 @@ def _csv_header(k: int, with_relevance: bool) -> list[str]:
 
 
 def _csv_columns(header: list[str], path: Path) -> tuple[int, bool]:
-    """K, and whether a relevance column ends the row, from a CSV header."""
+    """K, and whether a relevance column ends the row, of a header ``_csv_header`` writes."""
     header = [h.strip() for h in header]
-    if header[:2] != ["query_id", "candidate_id"]:
-        raise DataError(f"{path}: header must start with query_id,candidate_id")
-    with_relevance = header[-1] == "relevance"
-    ranker_cols = header[2:-1] if with_relevance else header[2:]
-    if not ranker_cols or ranker_cols != [f"ranker_{i}" for i in range(len(ranker_cols))]:
-        raise DataError(f"{path}: ranker columns must be ranker_0..ranker_{{K-1}}")
-    return len(ranker_cols), with_relevance
+    with_relevance = header[-1:] == ["relevance"]
+    k = len(header) - 2 - with_relevance
+    if k < 1 or header != _csv_header(k, with_relevance):
+        raise DataError(f"{path}: header must be "
+                        "query_id,candidate_id,ranker_0,...,ranker_{K-1}[,relevance]")
+    return k, with_relevance
 
 
 def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
@@ -365,12 +361,9 @@ def _scores_csv_tokenized(path: Path) -> Dataset:
 def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
     """The line-by-line reader behind ``parse_scores_csv``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows_in = _checked(csv.reader(fh), path)
-        try:
-            header = next(rows_in)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        k, with_relevance = _csv_columns(header, path)
+        reader = csv.reader(fh)
+        rows_in = _checked(reader, path)
+        k, with_relevance = _csv_columns(next(rows_in, []), path)  # an empty file has no header
         width = 2 + k + with_relevance
         codes: dict[str, int] = {}
         group: list[int] = []
@@ -379,7 +372,10 @@ def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
         rels: list[float | None] = []
         seen: set[tuple[int, int]] = set()
         filled = False
-        for lineno, row in enumerate(rows_in, start=2):
+        last_line = reader.line_num
+        for row in rows_in:
+            # a quoted field may hold newlines: a row starts after the previous row's last line
+            lineno, last_line = last_line + 1, reader.line_num
             if not row:
                 continue
             if len(row) != width:
@@ -409,15 +405,7 @@ def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
                     raise DataError(f"{path} line {lineno}: bad number {cell!r}") from None
             if not all(map(math.isfinite, values)):
                 raise DataError(f"{path} line {lineno}: scores must be finite")
-            rel_value: float | None = None
-            if with_relevance:
-                try:
-                    rel_value = float(row[-1])
-                except ValueError:
-                    raise DataError(f"{path} line {lineno}: bad relevance {row[-1]!r}") from None
-                if not _is_grade(rel_value):
-                    raise DataError(f"{path} line {lineno}: relevance must be finite and "
-                                    f"non-negative, got {row[-1]!r}")
+            rel_value = _grade(row[-1], f"{path} line {lineno}") if with_relevance else None
             g = codes.setdefault(qid, len(codes))
             if (g, cand) in seen:
                 raise DataError(f"{path} line {lineno}: duplicate row for "

@@ -68,12 +68,18 @@ class LinearHyper:
     epochs: int = 20
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError("learning rate mu must be finite and > 0")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError("regularization lam must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_steps(self, "lam")
+
+
+def _check_steps(hyper, *penalties: str) -> None:
+    """The rules both trainers' hyperparameters share: mu, the named L2 penalties, epochs."""
+    if not 0.0 < hyper.mu < math.inf:
+        raise ValueError("learning rate mu must be finite and > 0")
+    for name in penalties:
+        if not 0.0 <= getattr(hyper, name) < math.inf:
+            raise ValueError(f"regularization {name} must be finite and >= 0")
+    if hyper.epochs < 1:
+        raise ValueError("epochs must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,26 +260,21 @@ def infer(model: LinearModel, q: QueryInstance) -> np.ndarray:
     return ranking_from_scores(aggregate_scores(model, q))
 
 
-def _fields(model: LinearModel) -> list[tuple[str, object]]:
-    """The fields of ``model``'s file, in the order they are written."""
-    return [("k", model.k), ("gain", gain_spec(model.gain)), ("mu", model.hyper.mu),
-            ("lam", model.hyper.lam), ("epochs", model.hyper.epochs),
-            ("w", model.weights.w)]
-
-
 def save_linear(model: LinearModel, path: str | Path) -> None:
     """Versioned plain-text serialization; floats render shortest-roundtrip."""
-    _write_model_fields(path, MODEL_FORMAT, _fields(model))
+    _write_model_fields(path, MODEL_FORMAT, [
+        ("k", model.k), ("gain", gain_spec(model.gain)), ("mu", model.hyper.mu),
+        ("lam", model.hyper.lam), ("epochs", model.hyper.epochs), ("w", model.weights.w)])
 
 
 def load_linear(path: str | Path) -> LinearModel:
     """Read a model file; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> LinearModel:
-        hyper = LinearHyper(mu=float(fields["mu"]), lam=float(fields["lam"]),
-                            epochs=int(fields["epochs"]))
-        w = _parse_floats(fields["w"], int(fields["k"]), "w")
-        return LinearModel(SimplexWeights(w), gain_from_spec(fields["gain"]), hyper)
-    return _read_model(path, MODEL_FORMAT, build, _fields)
+        hyper = LinearHyper(mu=float(fields.pop("mu")), lam=float(fields.pop("lam")),
+                            epochs=int(fields.pop("epochs")))
+        w = _parse_floats(fields.pop("w"), int(fields.pop("k")), "w")
+        return LinearModel(SimplexWeights(w), gain_from_spec(fields.pop("gain")), hyper)
+    return _read_model(path, MODEL_FORMAT, build)
 
 
 def _field_text(value) -> str:
@@ -292,12 +293,12 @@ def _write_model_fields(path: str | Path, model_format: str,
 
 
 def _read_model(path: str | Path, model_format: str,
-                build: Callable[[dict[str, str]], object],
-                fields_of: Callable[[object], list[tuple[str, object]]]):
+                build: Callable[[dict[str, str]], object]):
     """``build(fields)`` of the ``key: value`` fields of a ``model_format`` file.
 
-    A key may appear once, and only if ``fields_of(model)``, what the writer
-    writes for the built model, holds it. Any fault raises a DataError.
+    A key may appear once. ``build`` pops each key it reads, so a missing
+    one raises KeyError; a key it leaves is one the format does not
+    define, and is refused as unknown. Any fault raises a DataError.
     """
     try:
         fields: dict[str, str] = {}
@@ -310,12 +311,11 @@ def _read_model(path: str | Path, model_format: str,
             if key in fields:
                 raise ValueError(f"repeated key {key!r}")
             fields[key] = value
-        if fields.get("format") != model_format:
+        if fields.pop("format", None) != model_format:
             raise ValueError(f"not a {model_format} model file")
         model = build(fields)
-        unknown = fields.keys() - {"format", *(key for key, _ in fields_of(model))}
-        if unknown:
-            raise ValueError(f"unknown key {min(unknown)!r}")
+        if fields:
+            raise ValueError(f"unknown key {min(fields)!r}")
         return model
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc.args[0]!r}") from None

@@ -16,7 +16,6 @@ once more when training ends.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -35,6 +34,7 @@ from .core import (
 )
 from .linear import (
     TrainingLog,
+    _check_steps,
     _parse_floats,
     _queries,
     _read_model,
@@ -160,20 +160,17 @@ class NestedHyper:
     sampling: str = "aggregate"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError("learning rate mu must be finite and > 0")
-        if not 0.0 <= self.lam1 < math.inf:
-            raise ValueError("regularization lam1 must be finite and >= 0")
-        if not 0.0 <= self.lam2 < math.inf:
-            raise ValueError("regularization lam2 must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_steps(self, "lam1", "lam2")
         if self.k2 is not None and self.k2 < 1:
             raise ValueError("k2 must be >= 1")
         if not 0.0 <= self.init_jitter < 1.0:
             raise ValueError("init_jitter must be in [0, 1)")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
+
+    def hidden_units(self, k1: int) -> int:
+        """K2 for K1 score lists: ``k2``, or ``default_hidden_units(k1)`` if it is None."""
+        return default_hidden_units(k1) if self.k2 is None else self.k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +219,7 @@ def init_nested(k1: int,
     each row gets +/- ``init_jitter`` relative noise and is renormalized.
     With ``init_jitter`` 0 the weights are exactly uniform.
     """
-    k2 = hyper.k2 if hyper.k2 is not None else default_hidden_units(k1)
+    k2 = hyper.hidden_units(k1)
     rng = np.random.default_rng(chain_seed(seed, "nested-init"))
     w1 = np.stack([_jittered_simplex(rng, k1, hyper.init_jitter) for _ in range(k2)])
     w2 = SimplexWeights(_jittered_simplex(rng, k2, hyper.init_jitter))
@@ -366,30 +363,26 @@ def infer(model: NestedModel, q: QueryInstance) -> np.ndarray:
     return ranking_from_scores(aggregate_scores(model, q))
 
 
-def _fields(model: NestedModel) -> list[tuple[str, object]]:
-    """The fields of ``model``'s file, in the order they are written."""
-    hyper = model.hyper
-    return [("k1", model.k1), ("k2", model.k2), ("gain", gain_spec(model.gain)),
-            ("phi1", model.phi1.name), ("phi2", model.phi2.name), ("mu", hyper.mu),
-            ("lam1", hyper.lam1), ("lam2", hyper.lam2), ("epochs", hyper.epochs),
-            ("init_jitter", hyper.init_jitter), ("sampling", hyper.sampling),
-            ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))]
-
-
 def save_nested(model: NestedModel, path: str | Path) -> None:
-    _write_model_fields(path, MODEL_FORMAT, _fields(model))
+    hyper = model.hyper
+    _write_model_fields(path, MODEL_FORMAT, [
+        ("k1", model.k1), ("k2", model.k2), ("gain", gain_spec(model.gain)),
+        ("phi1", model.phi1.name), ("phi2", model.phi2.name), ("mu", hyper.mu),
+        ("lam1", hyper.lam1), ("lam2", hyper.lam2), ("epochs", hyper.epochs),
+        ("init_jitter", hyper.init_jitter), ("sampling", hyper.sampling),
+        ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))])
 
 
 def load_nested(path: str | Path) -> NestedModel:
     """Read a model file; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> NestedModel:
-        k1, k2 = int(fields["k1"]), int(fields["k2"])
-        hyper = NestedHyper(mu=float(fields["mu"]), lam1=float(fields["lam1"]),
-                            lam2=float(fields["lam2"]), epochs=int(fields["epochs"]),
-                            k2=k2, init_jitter=float(fields["init_jitter"]),
-                            sampling=fields["sampling"])
-        w2 = _parse_floats(fields["w2"], k2, "w2")
-        w1 = [_parse_floats(fields[f"w1[{i}]"], k1, f"w1[{i}]") for i in range(k2)]
-        return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields["gain"]),
-                           Activation(fields["phi1"]), Activation(fields["phi2"]), hyper)
-    return _read_model(path, MODEL_FORMAT, build, _fields)
+        k1, k2 = int(fields.pop("k1")), int(fields.pop("k2"))
+        hyper = NestedHyper(mu=float(fields.pop("mu")), lam1=float(fields.pop("lam1")),
+                            lam2=float(fields.pop("lam2")), epochs=int(fields.pop("epochs")),
+                            k2=k2, init_jitter=float(fields.pop("init_jitter")),
+                            sampling=fields.pop("sampling"))
+        w2 = _parse_floats(fields.pop("w2"), k2, "w2")
+        w1 = [_parse_floats(fields.pop(f"w1[{i}]"), k1, f"w1[{i}]") for i in range(k2)]
+        return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields.pop("gain")),
+                           Activation(fields.pop("phi1")), Activation(fields.pop("phi2")), hyper)
+    return _read_model(path, MODEL_FORMAT, build)

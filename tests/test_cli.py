@@ -616,6 +616,31 @@ class TestMalformedInputs:
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, named", [
+        (["--mu", "1e308", "--lam", "1e308"], ["--mu times the largest gradient", "--lam"]),
+        (["--model", "nested", "--lam1", "1e308"], ["objective", "--lam1 and --lam2"]),
+    ], ids=["step", "nested-penalty"])
+    def test_training_past_the_double_range_is_usage_error(self, tmp_path, args, named,
+                                                           capsys):
+        data = tmp_path / "d.csv"
+        assert run("synth", "--out", data, "--n-queries", 5, "--n-candidates", 4,
+                   "--n-rankers", 3, "--seed", 1) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--data", data, "--out", tmp_path / "m.txt", *args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(text in err for text in named)
+        assert not list(tmp_path.glob("m.txt*"))
+
+    def test_csv_error_names_the_line_its_row_starts_on(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        # each quoted query id holds a newline, so the bad row is on line 6
+        data.write_text('query_id,candidate_id,ranker_0\n"a\nb",0,1\n"a\nb",1,2\nq,0,oops\n')
+        assert run("infer", "--data", data, "--baseline", "averaging",
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "line 6: bad number 'oops'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("value", ["-1.0", "nan", "inf"])
     def test_bad_csv_relevance(self, tmp_path, files, value):
         _replace_line(files["data.csv"], "q00001,2,", f"q00001,2,0.5,0.2,0.1,{value}")

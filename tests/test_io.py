@@ -208,7 +208,19 @@ class TestParseScoresCsv:
     def test_header_validated(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("query,candidate,score\nq1,0,0.5\n")
-        with pytest.raises(DataError, match="header"):
+        # the test's name is in tmp_path, so match what follows the file name
+        with pytest.raises(DataError, match=r"h\.csv: header"):
+            parse_scores_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        "query_id,candidate_id,relevance",  # no ranker column
+        "query_id,candidate_id,ranker_1,ranker_0",  # rankers out of order
+        "",  # an empty first line
+    ], ids=["no-ranker", "ranker-order", "empty-line"])
+    def test_header_is_the_layout_the_writer_writes(self, tmp_path, header):
+        path = tmp_path / "h.csv"
+        path.write_text(header + "\nq1,0,0.5,1\n")
+        with pytest.raises(DataError, match=r"h\.csv: header"):
             parse_scores_csv(path)
 
     def test_round_trip(self, tmp_path):
