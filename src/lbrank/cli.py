@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -277,8 +276,10 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _average_scores(q: QueryInstance) -> np.ndarray:
-    return weighted_average_scores(q, SimplexWeights.uniform(q.k))
+def _average_scores(k: int) -> Callable[[QueryInstance], np.ndarray]:
+    """The averaging baseline's scoring function for queries of ``k`` lists."""
+    uniform = SimplexWeights.uniform(k)
+    return lambda q: weighted_average_scores(q, uniform)
 
 
 def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndarray]:
@@ -302,13 +303,14 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
 
 def _write_rankings_csv(path: Path, dataset: Dataset,
                         scores_by_query: list[np.ndarray]) -> None:
+    """One row per (query, rank), as ``csv.writer`` writes it, scores as Python reprs."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["query_id", "rank", "candidate_id", "aggregated_score"])
+        fh.write("query_id,rank,candidate_id,aggregated_score\n")
         for q, scores in zip(dataset.queries, scores_by_query):
             order = ranking_from_scores(scores)
-            for rank, cand in enumerate(order.tolist(), start=1):
-                writer.writerow([q.query_id, rank, cand, repr(float(scores[cand]))])
+            query_id = metrics._csv_field(q.query_id)
+            fh.write("".join(f"{query_id},{rank},{cand},{score!r}\n" for rank, (cand, score)
+                             in enumerate(zip(order.tolist(), scores[order].tolist()), start=1)))
 
 
 def cmd_infer(cfg: argparse.Namespace) -> int:
@@ -318,7 +320,7 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
         _require(cfg, "model_file")
         score_fn = _model_scores(cfg.model_file, dataset.k)
     else:
-        score_fn = _average_scores
+        score_fn = _average_scores(dataset.k)
     scores = [score_fn(q) for q in dataset.queries]
     _write_rankings_csv(Path(cfg.out), dataset, scores)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
@@ -330,6 +332,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
+    if any(q.query_id == "MEAN" for q in dataset.queries):
+        raise DataError("query 'MEAN': the report names each method's mean row MEAN; "
+                        "rename the query")
     depth = min(cfg.topk, dataset.n_max)
     discount = _gain_covering(cfg, dataset, depth)
     total = _increments(discount, depth).sum()
@@ -338,7 +343,7 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
                        "overflows a double; rescale the grades")
 
     methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
-        "averaging": _average_scores,
+        "averaging": _average_scores(dataset.k),
         "borda": metrics.borda_points,
     }
     # --model-file flags replace the config file's model_file

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import os
 import resource
 import subprocess
@@ -16,8 +18,20 @@ from hypothesis import strategies as st
 import lbrank
 from lbrank import cli, linear, nested
 from lbrank.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from lbrank.core import SimplexWeights, gain_from_spec, sigmoid_gain
-from lbrank.io import parse_scores_csv, synth_planted, write_letor, write_scores_csv
+from lbrank.core import (
+    SimplexWeights,
+    gain_from_spec,
+    ranking_from_scores,
+    sigmoid_gain,
+    weighted_average_scores,
+)
+from lbrank.io import (
+    parse_letor,
+    parse_scores_csv,
+    synth_planted,
+    write_letor,
+    write_scores_csv,
+)
 from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
 from lbrank.nested import Activation, NestedHyper, init_nested, save_nested
 from lbrank.sampler import ChainConfig
@@ -297,6 +311,51 @@ class TestInfer:
         assert out.exists()
 
 
+# ids the csv module must quote: LETOR qids holding '"' or ',', which the
+# fast path reads, and a quoted CSV id holding a comma, which the line parser reads
+_QUOTED_ID_FILES = {
+    "letor": ('2 qid:a"b 1:0.3 2:0.7\n0 qid:a"b 1:0.1 2:0.2\n'
+              "1 qid:c,d 1:0.5 2:0.4\n0 qid:c,d 1:0.2 2:0.9\n1 qid:e 1:0.6 2:0.1\n"),
+    "csv": ('query_id,candidate_id,ranker_0,ranker_1,relevance\n"x,y",0,0.5,0.1,1\n'
+            '"x,y",1,0.2,0.8,0\nz,0,0.3,0.3,2\n'),
+}
+
+
+def _csv_module_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", list(_QUOTED_ID_FILES))
+def test_outputs_are_the_bytes_csv_writer_writes(tmp_path, fmt):
+    data = tmp_path / f"data.{fmt}"
+    data.write_text(_QUOTED_ID_FILES[fmt], encoding="utf-8")
+    dataset = (parse_scores_csv if fmt == "csv" else parse_letor)(data)
+    rankings = tmp_path / "rankings.csv"
+    assert run("infer", "--data", data, "--baseline", "averaging", "--out", rankings) == EXIT_OK
+    rows = [["query_id", "rank", "candidate_id", "aggregated_score"]]
+    for q in dataset.queries:
+        scores = weighted_average_scores(q, SimplexWeights.uniform(q.k))
+        rows += [[q.query_id, rank, cand, repr(float(scores[cand]))]
+                 for rank, cand in enumerate(ranking_from_scores(scores).tolist(), start=1)]
+    assert rankings.read_bytes() == _csv_module_bytes(rows)
+
+    model = tmp_path / 'uniform,"1".txt'  # a report label that needs quoting too
+    save_linear(LinearModel(SimplexWeights.uniform(2), sigmoid_gain(2), LinearHyper()), model)
+    report = tmp_path / "report.csv"
+    assert run("eval", "--data", data, "--model-file", model, "--out", report,
+               "--topk", 2) == EXIT_OK
+    with open(report, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    ids = [q.query_id for q in dataset.queries]
+    assert [row[:2] for row in rows[1:]] == [
+        [method, query_id] for method in ("averaging", "borda", 'uniform,"1"')
+        for query_id in ids] + [[method, "MEAN"] for method in ("averaging", "borda",
+                                                                'uniform,"1"')]
+    assert report.read_bytes() == _csv_module_bytes(rows)
+
+
 class TestEval:
     def test_report_shape(self, tmp_path, synth_csv):
         model_path = tmp_path / "model.txt"
@@ -346,6 +405,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"'{Path(names[-1]).stem}'" in err
         assert all(str(tmp_path / name) in err for name in names)
+        assert not list(tmp_path.glob("r.csv*"))
+
+    def test_query_named_mean_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "mean.csv"
+        path.write_text("query_id,candidate_id,ranker_0,relevance\n"
+                        "MEAN,0,0.5,1\nMEAN,1,0.2,0\nq1,0,0.1,1\nq1,1,0.4,0\n")
+        assert run("eval", "--data", path, "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "query 'MEAN'" in capsys.readouterr().err
         assert not list(tmp_path.glob("r.csv*"))
 
     def test_missing_relevance_is_data_error(self, tmp_path):

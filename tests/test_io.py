@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -190,7 +192,8 @@ class TestParseScoresCsv:
             "query_id,candidate_id,ranker_0\n"
             "q1,0,0.5\n"
             "q1,2,0.7\n")
-        with pytest.raises(DataError, match="dense"):
+        # the test's name is in tmp_path, so match what follows the file name
+        with pytest.raises(DataError, match=r"qid q1: candidate ids must be dense 0\.\.1"):
             parse_scores_csv(path)
 
     def test_empty_cell_strict_vs_filled(self, tmp_path):
@@ -436,6 +439,84 @@ class TestTokenizerIsUsed:
         ds = parse_scores_csv(path)
         assert [q.query_id for q in ds.queries] == ["b", "a"]
         np.testing.assert_array_equal(ds.queries[0].matrix, [[0.25, 0.5]])
+
+
+class TestChunkedReading:
+    """The fast paths check and pass on lines a chunk at a time, whatever the chunk size."""
+
+    @pytest.fixture(params=[1, 100], ids=["line-per-chunk", "small-chunks"])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK", request.param)
+
+    @staticmethod
+    def write(tmp_path, fmt: str):
+        """A file of 78 rows in ``fmt``, its fast path and its line parser."""
+        rng = np.random.default_rng(3)
+        data = Dataset(tuple(
+            make_query(rng.normal(size=(2, n)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate([3, 40, 1, 25, 9])))
+        path = tmp_path / f"data.{fmt}"
+        if fmt == "csv":
+            write_scores_csv(data, path)
+            return path, dataio._scores_csv_tokenized, dataio._scores_csv_lines
+        write_letor(data, path)
+        return path, dataio._letor_tokenized, dataio._letor_lines
+
+    @staticmethod
+    def read_fast(fast, path):
+        """The outcome of a fast path that must take the file, as ``_outcome`` gives it."""
+        dataset = dataio._tokenized(fast, path)
+        assert dataset is not None
+        return _outcome(lambda p, strict: dataset, path, True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_same_dataset_as_the_line_parser(self, tmp_path, fmt, small_chunks):
+        path, fast, line_parser = self.write(tmp_path, fmt)
+        assert self.read_fast(fast, path) == _outcome(line_parser, path, True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_bad_line_in_a_later_chunk_falls_back(self, tmp_path, fmt, small_chunks):
+        path, fast, line_parser = self.write(tmp_path, fmt)
+        lines = path.read_text().splitlines()
+        sep = "," if fmt == "csv" else " "
+        fields = lines[-3].split(sep)
+        fields[2] = "x" if fmt == "csv" else "1:x"
+        lines[-3] = sep.join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert dataio._tokenized(fast, path) is None
+        with pytest.raises(DataError, match=rf"line {len(lines) - 2}: ") as caught:
+            (parse_scores_csv if fmt == "csv" else parse_letor)(path)
+        assert _outcome(line_parser, path, True) == ("error", str(caught.value))
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_blank_lines_at_chunk_edges_are_skipped(self, tmp_path, fmt, small_chunks):
+        path, fast, _ = self.write(tmp_path, fmt)
+        expected = self.read_fast(fast, path)
+        lines = path.read_text().splitlines()
+        first = 1 if fmt == "csv" else 0  # a CSV's header stays the first line
+        path.write_text("\n".join(lines[:first] + [f"\n{line}" for line in lines[first:]])
+                        + "\n\n\n")
+        assert self.read_fast(fast, path) == expected
+
+    def test_peak_memory_stays_well_below_twice_the_file_size(self, tmp_path):
+        # a reader that held every line of the file would need about twice its size
+        rng = np.random.default_rng(0)
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("query_id,candidate_id,ranker_0\n")
+            for i in range(2000):
+                fh.writelines(f"{'long-query-identifier-' * 3}{i:06d},{c},{rng.random()!r}\n"
+                              for c in range(25))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            dataset = parse_scores_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dataset.queries) == 2000 and size > 4_000_000
+        assert peak < 1.25 * size
 
 
 class TestPairwiseTransform:
