@@ -3,12 +3,12 @@
 Configuration comes from flat ``key = value`` files with ``#`` comments;
 every key a command reads can be overridden by the matching ``--key`` flag
 (flags win over the file, the file wins over built-in defaults). A command
-accepts only the flags it reads, plus ``--seed`` and ``--threads``, and
-takes no abbreviated flag. All randomness flows from
-one 64-bit seed; each query's chain seed is derived as
-``seed XOR FNV-1a(query_id)``, so outputs are byte-identical across reruns.
-``--threads`` is accepted for compatibility and has no effect: every
-command runs in one thread.
+accepts only the flags it reads, plus ``--seed``, and takes no abbreviated
+flag. All randomness flows from one 64-bit seed; each query's chain seed
+is derived as ``seed XOR FNV-1a(query_id)``, so outputs are byte-identical
+across reruns. Every command runs in one thread; ``train``, ``infer`` and
+``eval`` also accept ``--threads``, which has no effect (the benchmark
+passes it to those three).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 internal invariant violation.
@@ -35,7 +35,7 @@ from .core import (
     ranking_from_scores,
     weighted_average_scores,
 )
-from .io import DataError, Dataset
+from .io import DataError, Dataset, _csv_field
 from .linear import LinearHyper, _field_text
 from .nested import Activation, NestedHyper
 from .sampler import BACKENDS, MAX_ENUMERATION_N, ChainConfig
@@ -108,12 +108,13 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` pairs; blank lines and ``#`` comments ignored."""
+    """Flat ``key = value`` pairs, each key once; blank lines and ``#`` comments ignored."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,7 +122,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path} line {lineno}: expected key = value")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path} line {lineno}: key {key!r} was already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -303,12 +309,12 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
 
 def _write_rankings_csv(path: Path, dataset: Dataset,
                         scores_by_query: list[np.ndarray]) -> None:
-    """One row per (query, rank), as ``csv.writer`` writes it, scores as Python reprs."""
+    """One row per (query, rank), as the csv module writes it, scores as Python reprs."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("query_id,rank,candidate_id,aggregated_score\n")
         for q, scores in zip(dataset.queries, scores_by_query):
             order = ranking_from_scores(scores)
-            query_id = metrics._csv_field(q.query_id)
+            query_id = _csv_field(q.query_id)
             fh.write("".join(f"{query_id},{rank},{cand},{score!r}\n" for rank, (cand, score)
                              in enumerate(zip(order.tolist(), scores[order].tolist()), start=1)))
 

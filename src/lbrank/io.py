@@ -10,6 +10,7 @@ the LETOR format are converted at this boundary only.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import warnings
@@ -88,7 +89,7 @@ class Dataset:
 
 
 def _fmt_number(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 # Characters of whole lines the fast paths check at a time. A chunk's token
@@ -291,16 +292,24 @@ def write_letor(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset back to the LETOR line format (relevance required)."""
     if not dataset.has_relevance():
         raise DataError("LETOR serialization requires relevance on every query")
-    lines = []
     for q in dataset.queries:
         # the id must read back as one token of a line, before any comment
         if q.query_id.split() != [q.query_id] or "#" in q.query_id or "\x00" in q.query_id:
             raise DataError(f"query id {q.query_id!r} cannot be written to LETOR: "
                             "it is empty or holds whitespace, '#' or NUL")
-        for doc in range(q.n):
-            feats = " ".join(f"{i + 1}:{float(q.matrix[i, doc])!r}" for i in range(q.k))
-            lines.append(f"{_fmt_number(q.relevance[doc])} qid:{q.query_id} {feats}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    features = " ".join(f"{i}:{{!r}}" for i in range(1, dataset.k + 1))  # "1:{!r} 2:{!r} ..."
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in dataset.queries:
+            fh.write("".join(f"{_fmt_number(rel)} qid:{q.query_id} {features.format(*row)}\n"
+                             for rel, row in zip(q.relevance.tolist(), q.matrix.T.tolist())))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a row, quoted where it must be."""
+    buf = io.StringIO()
+    # a lone empty field would be written as "", so the field is written beside another
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-len(",\n")]
 
 
 def _csv_header(k: int, with_relevance: bool) -> list[str]:
@@ -444,15 +453,13 @@ def write_scores_csv(dataset: Dataset, path: str | Path) -> None:
                             "it is empty or holds NUL")
     with_relevance = dataset.has_relevance()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_csv_header(dataset.k, with_relevance))
+        fh.write(",".join(_csv_header(dataset.k, with_relevance)) + "\n")
         for q in dataset.queries:
-            for cand in range(q.n):
-                row = [q.query_id, str(cand),
-                       *[repr(float(q.matrix[i, cand])) for i in range(q.k)]]
-                if with_relevance:
-                    row.append(repr(float(q.relevance[cand])))
-                writer.writerow(row)
+            cells = [",".join(map(repr, row)) for row in q.matrix.T.tolist()]
+            if with_relevance:
+                cells = [f"{row},{rel!r}" for row, rel in zip(cells, q.relevance.tolist())]
+            query_id = _csv_field(q.query_id)
+            fh.write("".join(f"{query_id},{cand},{row}\n" for cand, row in enumerate(cells)))
 
 
 def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,

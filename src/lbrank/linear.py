@@ -130,9 +130,8 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
-def update_weights(w: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
-    """One multiplicative step on the linear weights."""
-    return multiplicative_simplex_update(w, grad, mu)
+# one multiplicative step on the linear weights, under its own name so it can be traced
+update_weights = multiplicative_simplex_update
 
 
 def _queries(data) -> tuple[QueryInstance, ...]:

@@ -12,8 +12,6 @@ available for comparability with LETOR conventions.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +27,7 @@ from .core import (
     ranking_from_scores,
     weighted_average_scores,
 )
+from .io import _csv_field
 
 __all__ = [
     "ndcg_at_k",
@@ -127,14 +126,6 @@ def borda_points(q: QueryInstance) -> np.ndarray:
     return points.sum(axis=0)
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a row, quoted where it must be."""
-    buf = io.StringIO()
-    # a lone empty field would be written as "", so the field is written beside another
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-len(",\n")]
-
-
 def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: Sequence[str],
                      query_ids: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
     """CSV report: header, one row per (method, query), and a MEAN row per method.
@@ -142,19 +133,18 @@ def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: S
     ``tables[m]`` is method m's (Q, len(metric_columns)) array, its rows in
     ``query_ids`` order. Returns the (methods, columns) array of the means
     written, so a summary table shows the same numbers. The bytes are those
-    ``csv.writer`` writes, values as Python reprs.
+    the csv module writes, values as Python reprs.
     """
     means = np.array([np.mean(table, axis=0) for table in tables])
     ids = [_csv_field(query_id) for query_id in query_ids]
+    labels = [_csv_field(method) for method in methods]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "query_id", *metric_columns])
-        for method, table in zip(methods, tables):
-            label = _csv_field(method)
+        fh.write(",".join(["method", "query_id", *map(_csv_field, metric_columns)]) + "\n")
+        for label, table in zip(labels, tables):
             fh.write("".join(f"{label},{query_id},{','.join(map(repr, values))}\n"
                              for query_id, values in zip(ids, table.tolist())))
-        for method, values in zip(methods, means.tolist()):
-            writer.writerow([method, "MEAN", *map(repr, values)])
+        fh.write("".join(f"{label},MEAN,{','.join(map(repr, values))}\n"
+                         for label, values in zip(labels, means.tolist())))
     return means
 
 

@@ -264,11 +264,6 @@ def bottom_gradient(w1: np.ndarray, phi1: Activation, lam1: float,
     return slopes[:, np.newaxis] * div_means + lam1 * w1
 
 
-def update_w1(w1: np.ndarray, grad1: np.ndarray, mu: float) -> np.ndarray:
-    """Row-wise multiplicative simplex update of the hidden layer."""
-    return multiplicative_simplex_update(w1, grad1, mu)
-
-
 def output_preactivation(w2: np.ndarray, phi1: Activation,
                          delta1_next: np.ndarray) -> float:
     """delta2 = sum_i W2(i) phi1(delta1(i)), the activated hidden mix."""
@@ -284,9 +279,9 @@ def top_gradient(w2: np.ndarray, phi1: Activation, phi2: Activation, lam2: float
     return slope * activated + lam2 * w2
 
 
-def update_w2(w2: np.ndarray, grad2: np.ndarray, mu: float) -> np.ndarray:
-    """Multiplicative simplex update of the output layer."""
-    return multiplicative_simplex_update(w2, grad2, mu)
+# the row-wise hidden-layer and the output-layer updates, each under its own
+# name so it can be traced
+update_w1 = update_w2 = multiplicative_simplex_update
 
 
 def objective(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain, phi1: Activation,

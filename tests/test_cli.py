@@ -19,6 +19,7 @@ import lbrank
 from lbrank import cli, linear, nested
 from lbrank.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from lbrank.core import (
+    QueryInstance,
     SimplexWeights,
     gain_from_spec,
     ranking_from_scores,
@@ -26,6 +27,7 @@ from lbrank.core import (
     weighted_average_scores,
 )
 from lbrank.io import (
+    Dataset,
     parse_letor,
     parse_scores_csv,
     synth_planted,
@@ -66,6 +68,16 @@ class TestConfigHandling:
         code = run("train", "--config", config, "--data", synth_csv,
                    "--out", tmp_path / "m.txt")
         assert code == EXIT_USAGE
+
+    def test_config_key_set_twice_is_usage_error(self, tmp_path, synth_csv, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 1\n# the same key again\nepochs = 1\n seed = 2\n")
+        out = tmp_path / "m.txt"
+        code = run("train", "--config", config, "--data", synth_csv, "--out", out)
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{config} line 4: key 'seed' was already set on line 1" in err
 
     def test_bad_mu_is_usage_error(self, tmp_path, synth_csv):
         code = run("train", "--data", synth_csv, "--out", tmp_path / "m.txt",
@@ -354,6 +366,23 @@ def test_outputs_are_the_bytes_csv_writer_writes(tmp_path, fmt):
         for query_id in ids] + [[method, "MEAN"] for method in ("averaging", "borda",
                                                                 'uniform,"1"')]
     assert report.read_bytes() == _csv_module_bytes(rows)
+
+
+@pytest.mark.parametrize("with_relevance", [True, False])
+def test_write_scores_csv_writes_the_bytes_csv_writer_writes(tmp_path, with_relevance):
+    matrix = [[0.5, -0.0, 1e-300], [0.1, 2.0, -7.25]]
+    dataset = Dataset(tuple(
+        QueryInstance(qid, matrix, [1.0, 0.0, 2.5] if with_relevance else None)
+        for qid in ("x,y", 'a"b', "line\nbreak", "plain")))
+    path = tmp_path / "data.csv"
+    write_scores_csv(dataset, path)
+    header = ["query_id", "candidate_id", "ranker_0", "ranker_1"]
+    rows = [header + ["relevance"] if with_relevance else header]
+    for q in dataset.queries:
+        for cand in range(q.n):
+            row = [q.query_id, cand, *[repr(float(v)) for v in q.matrix[:, cand]]]
+            rows.append(row + [repr(float(q.relevance[cand]))] if with_relevance else row)
+    assert path.read_bytes() == _csv_module_bytes(rows)
 
 
 class TestEval:

@@ -132,6 +132,14 @@ class TestParseLetor:
         third = parse_letor(tmp_path / "round2.txt")
         assert datasets_equal(again, third)
 
+    def test_write_letor_bytes(self, tmp_path):
+        path = tmp_path / "two.txt"
+        write_letor(Dataset((QueryInstance("q1", [[-0.0, 0.1], [1e-300, 2.0]], [3.0, 0.5]),
+                             QueryInstance("7", [[0.1], [-0.0]], [0.0]))), path)
+        assert path.read_bytes() == (b"3 qid:q1 1:-0.0 2:1e-300\n"
+                                     b"0.5 qid:q1 1:0.1 2:2.0\n"
+                                     b"0 qid:7 1:0.1 2:-0.0\n")
+
     def test_write_letor_keeps_ids_it_can_carry_and_refuses_the_rest(self, tmp_path):
         matrix, grades = [[0.5, 0.25], [1.0, 0.0]], [1.0, 0.0]
         kept = Dataset(tuple(QueryInstance(qid, matrix, grades)
