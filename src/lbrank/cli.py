@@ -192,7 +192,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _load_dataset(cfg: argparse.Namespace) -> Dataset:
     path = Path(cfg.data)
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         is_csv = fh.readline().split(",", 1)[0].strip() == "query_id"
     dataset = (dataio.parse_scores_csv(path, strict=cfg.strict) if is_csv
                else dataio.parse_letor(path, strict=cfg.strict))

@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,15 +93,60 @@ def _fmt_number(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-# Characters of whole lines the fast paths check at a time. A chunk's token
-# lists are short-lived at this size; at 1 MiB they raised the peak memory
-# of reading a 100k-line LETOR file by about 12 MB.
-_CHUNK = 1 << 14
+# Characters of whole lines the fast paths check at a time. Each chunk
+# costs about 30 numpy calls, which made 16 KiB chunks 28-30% slower than
+# these; lbrank's peak RSS is the same from 16 to 256 KiB, 1.2 MB more at 1 MiB.
+_CHUNK = 1 << 18
 
 
-def _chunks(fh: TextIO) -> Iterator[list[str]]:
-    """The remaining lines of ``fh``, read in lists of about ``_CHUNK`` characters."""
-    return iter(lambda: fh.readlines(_CHUNK), [])
+def _chunks(fh: TextIO) -> Iterator[str]:
+    """The rest of ``fh`` in strings of whole lines, each about ``_CHUNK`` characters."""
+    return iter(lambda: fh.read(_CHUNK) + fh.readline(), "")
+
+
+# Bytes that can change how a line splits into fields, which ``_structure``
+# keeps: ASCII whitespace (str.split() splits at \x1c-\x1f too), NUL, the
+# delimiters, the CSV quote, and for LETOR all non-ASCII (Unicode spaces).
+_SPLITTING = {*range(0x09, 0x0E), *range(0x1C, 0x21), 0}
+_CSV_OTHER = bytes(set(range(256)) - _SPLITTING - set(b',"'))
+_LETOR_OTHER = bytes(set(range(128)) - _SPLITTING - set(b":"))
+
+
+def _structure(text: str, other: bytes, line: bytes) -> np.ndarray:
+    """``text`` as newline-ended UTF-8; ValueError unless each line is blank or reads ``line``."""
+    data = (text if text.endswith("\n") else text + "\n").encode()
+    if data.translate(None, other).replace(line + b"\n", b"").strip(b"\n"):
+        raise ValueError("a line the tokenizer may split differently")
+    return np.frombuffer(data, np.uint8)
+
+
+def _query_codes(data: np.ndarray, start: np.ndarray, end: np.ndarray, names: list) -> np.ndarray:
+    """Codes into ``names`` of a chunk's query ids ``data[start[i]:end[i]]``, one per line.
+
+    ``names`` gains each run of equal ids once. Ids are NUL-padded to the
+    longest, so none is cut short; padding past 4x the chunk raises ValueError.
+    """
+    sizes = end - start
+    if not sizes.size:
+        return sizes
+    width = int(sizes.max())
+    if sizes.min() < 1 or sizes.size * width > 4 * data.size:
+        raise ValueError("an empty query id, or ids too uneven to pad")
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(data, (0, width)), width)
+    ids = np.where(np.arange(width) < sizes[:, None], windows[start], 0).view(f"S{width}")[:, 0]
+    heads = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
+    names.extend(ids[heads].tolist())
+    return np.repeat(np.arange(len(names) - heads.size, len(names)),
+                     np.diff(heads, append=ids.size))
+
+
+def _groups(names: list[bytes], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``names`` in first-seen order, and the index among them of each code."""
+    distinct, first, inverse = np.unique(np.array(names, dtype=object), return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    return ([name.decode() for name in distinct[order]],
+            np.argsort(order)[inverse][np.concatenate(codes)])
 
 
 def _tokenized(parse: Callable[[Path], Dataset], path: Path) -> Dataset | None:
@@ -163,55 +209,43 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
     the provenance records the repair. Either way a query's K is its
     largest index, and each index 1..K must be scored on one of its lines.
 
-    A file whose every line carries indices 1..K in order is read by
-    numpy's tokenizer; any other file by a line-by-line parser, which
-    names the first bad line.
+    A file whose lines read ``<rel> qid:<id> 1:<v1> ... K:<vK>`` one space
+    apart, plus any comment, is read by numpy's tokenizer; any other file
+    by a line-by-line parser, which names the first bad line.
     """
     path = Path(path)
     dataset = _tokenized(_letor_tokenized, path)
     return _letor_lines(path, strict) if dataset is None else dataset
 
 
-def _letor_records(chunks: Iterable[list[str]], k: int,
-                   codes: dict[str, int], group: list[int]) -> Iterator[str]:
-    """Join each line's tokens with '::' for a ':'-delimited read, recording its query."""
-    for chunk in chunks:
-        split = [tokens for tokens in (line.partition("#")[0].split() for line in chunk)
-                 if tokens]
-        records = ["::".join(tokens) for tokens in split]
-        if (any(len(tokens) != k + 2 for tokens in split)
-                or any(record.count(":") != 3 * k + 3 for record in records)):
-            raise ValueError("not k features of one colon each")
-        group.extend([codes.setdefault(tokens[1], len(codes)) for tokens in split])
-        yield from records
+def _letor_checked(texts: Iterable[str], k: int, names: list,
+                   codes: list[np.ndarray]) -> Iterator[list[str]]:
+    """Each chunk's lines with ':' for ' ', once its lines are checked and their queries coded."""
+    for text in texts:
+        data = _structure(text, _LETOR_OTHER, b" :" * (k + 1))
+        spaces = np.flatnonzero(data == ord(" ")).reshape(-1, k + 1)
+        if not (data[spaces[:, :1] + np.arange(1, 5)] == np.frombuffer(b"qid:", np.uint8)).all():
+            raise ValueError("a second token that is not qid:<id>")
+        codes.append(_query_codes(data, spaces[:, 0] + 5, spaces[:, 1], names))
+        yield text.replace(" ", ":").split("\n")
 
 
 def _letor_tokenized(path: Path) -> Dataset:
     """The fast path of ``parse_letor`` (see ``_tokenized``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = next(line for line in fh if line.partition("#")[0].split())
-        k = len(first.partition("#")[0].split()) - 2
-        if k < 1:
-            raise ValueError("no features")
-        codes: dict[str, int] = {}
-        group: list[int] = []
-        # A record reads rel,'',qid,id,'',i1,v1,'',i2,v2,...: an empty field
-        # where each space was. With k + 2 tokens and k + 1 colons, any token
-        # without exactly one colon shifts an empty field into usecols, where
-        # it fails to parse.
-        usecols = [0, *(5 + 3 * j + c for j in range(k) for c in (0, 1))]
-        rows = np.loadtxt(_letor_records(itertools.chain([[first]], _chunks(fh)), k, codes,
-                                         group),
-                          dtype=[("rel", "f8"), ("f", [("i", "i8"), ("v", "f8")], (k,))],
-                          usecols=usecols, delimiter=":", comments=None, ndmin=1)
-    # the layout above also needs exactly one colon in the qid token
-    if not all(q.startswith("qid:") and q.count(":") == 1 and len(q) > 4 and "\x00" not in q
-               for q in codes):
-        raise ValueError("a qid token the line parser must judge")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        texts = (re.sub(r" *#[^\n]*", "", text) if "#" in text else text for text in _chunks(fh))
+        first = next(text for text in texts if text.strip())
+        k = first.lstrip().partition("\n")[0].count(":") - 1
+        names, codes = [], []
+        # a checked line reads rel:qid:id:i1:v1:i2:v2:...
+        lines = itertools.chain.from_iterable(
+            _letor_checked(itertools.chain([first], texts), k, names, codes))
+        rows = np.loadtxt(lines, dtype=[("rel", "f8"), ("f", [("i", "i8"), ("v", "f8")], (k,))],
+                          usecols=[0, *range(3, 3 + 2 * k)], delimiter=":", comments=None,
+                          ndmin=1)
     if not (rows["f"]["i"] == np.arange(1, k + 1)).all():
         raise ValueError("feature indices are not 1..K on every line")
-    return _dataset(path, "letor", [q[len("qid:"):] for q in codes], group,
-                    rows["f"]["v"], rows["rel"])
+    return _dataset(path, "letor", *_groups(names, codes), rows["f"]["v"], rows["rel"])
 
 
 def _letor_lines(path: Path, strict: bool) -> Dataset:
@@ -220,7 +254,7 @@ def _letor_lines(path: Path, strict: bool) -> Dataset:
     group: list[int] = []
     rels: list[float] = []
     feats: list[dict[int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(_checked(fh, path), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -338,7 +372,7 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     cells raise in strict mode and are zero-filled (and flagged in the
     provenance) otherwise.
 
-    A file with no quotes and no empty cells is read by numpy's
+    A file with no quotes, whitespace or empty cells is read by numpy's
     tokenizer; any other file by a line-by-line parser, which names the
     first bad line.
     """
@@ -347,41 +381,32 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     return _scores_csv_lines(path, strict) if dataset is None else dataset
 
 
-def _csv_records(chunks: Iterable[list[str]], width: int,
-                 codes: dict[str, int], group: list[int]) -> Iterator[str]:
-    """Pass on the lines of ``width`` comma-separated fields, recording each query."""
-    limit = csv.field_size_limit()  # the csv module rejects a longer field
-    for chunk in chunks:
-        # csv.reader yields [] for a blank line, and the line parser skips it
-        lines = [line for line in chunk if line.strip("\r\n")]
-        if any(line.count(",") != width - 1 or len(line) > limit for line in lines):
-            raise ValueError("not a plain CSV record")
-        group.extend([codes.setdefault(line.partition(",")[0], len(codes)) for line in lines])
-        yield from lines
-
-
 def _scores_csv_tokenized(path: Path) -> Dataset:
     """The fast path of ``parse_scores_csv`` (see ``_tokenized``)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    names, codes = [], []
+    with open(path, "r", encoding="utf-8-sig") as fh:
         k, with_relevance = _csv_columns(next(csv.reader([fh.readline()])), path)
-        fields = [("cand", "i8"), ("x", "f8", (k,))]
-        if with_relevance:
-            fields.append(("rel", "f8"))
-        codes: dict[str, int] = {}
-        group: list[int] = []
         width = 2 + k + with_relevance
-        rows = np.loadtxt(_csv_records(_chunks(fh), width, codes, group), dtype=fields,
-                          usecols=range(1, width), delimiter=",", comments=None, ndmin=1)
-    # a quote may open a quoted field; an empty or NUL id is the line parser's error
-    if any(not q or '"' in q or "\x00" in q for q in codes):
-        raise ValueError("a query id the line parser must judge")
-    return _dataset(path, "csv", list(codes), group, rows["x"],
+        for text in _chunks(fh):
+            data = _structure(text, _CSV_OTHER, b"," * (width - 1))
+            bounds = np.append(0, np.flatnonzero(data == ord("\n")) + 1)  # where lines start
+            if np.diff(bounds).max() > csv.field_size_limit() + 1:
+                raise ValueError("a line past the csv module's field limit")
+            ends = np.flatnonzero(data == ord(",")).reshape(-1, width - 1)[:, 0]
+            starts = bounds[np.searchsorted(bounds, ends, side="right") - 1]
+            codes.append(_query_codes(data, starts, ends, names))
+    fields = [("cand", "i8"), ("x", "f8", (k,))]
+    if with_relevance:
+        fields.append(("rel", "f8"))
+    rows = np.loadtxt(path, dtype=fields, usecols=range(1, width), delimiter=",", skiprows=1,
+                      comments=None, encoding="utf-8-sig", ndmin=1)
+    return _dataset(path, "csv", *_groups(names, codes), rows["x"],
                     rows["rel"] if with_relevance else None, cand=rows["cand"])
 
 
 def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
     """The line-by-line reader behind ``parse_scores_csv``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows_in = _checked(reader, path)
         k, with_relevance = _csv_columns(next(rows_in, []), path)  # an empty file has no header

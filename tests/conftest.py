@@ -5,10 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from lbrank.core import ConcaveGain, QueryInstance
+
+# Example counts of tests that leave ``max_examples`` to the profile: the
+# default for every run, and "thorough" (``--hypothesis-profile=thorough``)
+# for a longer search.
+settings.register_profile("default", max_examples=300)
+settings.register_profile("thorough", max_examples=3000)
+settings.load_profile("default")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -310,6 +311,18 @@ class TestInfer:
         assert run("infer", "--config", config, "--data", files["data.csv"],
                    "--baseline", "averaging", "--out", tmp_path / "r.csv") == EXIT_USAGE
         assert "unknown config key 'format'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["data.csv", "data.letor"])
+    def test_leading_byte_order_mark_is_read_as_nothing(self, tmp_path, source):
+        # spreadsheet tools save UTF-8 text with a byte-order mark first
+        files = _write_base_files(tmp_path)
+        marked = tmp_path / f"marked-{source}"
+        marked.write_bytes(codecs.BOM_UTF8 + files[source].read_bytes())
+        for data in (files[source], marked):
+            assert run("infer", "--data", data, "--baseline", "averaging",
+                       "--out", tmp_path / f"from-{data.name}") == EXIT_OK
+        assert ((tmp_path / f"from-marked-{source}").read_bytes()
+                == (tmp_path / f"from-{source}").read_bytes())
 
     def test_single_ranker_model_echoes_input_order(self, tmp_path):
         data = tmp_path / "one.csv"

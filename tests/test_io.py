@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import tracemalloc
 
 import numpy as np
@@ -257,14 +258,19 @@ class TestParseScoresCsv:
 
 # Texts where numpy's tokenizer and Python's float()/int() may disagree, or
 # where a field is not what it seems. Each mutation draws one of them.
+# str.splitlines() breaks at \x85, \u2028 and \x1e, but reading a file by
+# lines does not; str.split() splits at \x1f; \ufeff is neither.
+_ODD = ["\x85", "\u2028", "\x1e", "\x1f", "\ufeff"]
 _NUMBERS = ["1_0", "\u0661", "nan", "inf", "1e999", "", " 0.5 ", "\xa00.5", "0.5\u2003",
             "\u200b1", "0.5\x00", "0x1p0", "+.5", "1e-400", "-0", "0.5#x",
-            "0.1000000000000000055511151231257827021181583404541015625"]
+            "0.1000000000000000055511151231257827021181583404541015625",
+            *(f"0.5{c}" for c in _ODD)]
 _INDICES = ["3.0", "1_0", "\u0663", "-1", "0", "01", "+1", " 1", "1e0", "99999999999999999999", ""]
-_QIDS = ["", '"q0"', 'q"0', "q\x00", "q#0", "a:b", "q 0", "q\t0", "q0 ", "\u0661"]
+_QIDS = ["", '"q0"', 'q"0', "q\x00", "q#0", "a:b", "q 0", "q\t0", "q0 ", "\u0661",
+         *(f"q{c}0" for c in _ODD)]
 _EXTRAS = {"csv": [",0.5", ",", ";0.5"], "letor": [" 9:0.5", " 0.5", ":0.5", " ", "\t", "\x0b"]}
-_SEPARATORS = {"csv": [";", ",,", ", ", '",'],
-               "letor": ["\t", "  ", ":", " ", "\x0b", "\xa0", " \t", "::", "\x1c"]}
+_SEPARATORS = {"csv": [";", ",,", ", ", '",', *_ODD],
+               "letor": ["\t", "  ", ":", " ", "\x0b", "\xa0", " \t", "::", "\x1c", *_ODD]}
 _LINES = ["", "  ", "\t", "\x0c", "# a comment line", "#", "\x00"]
 _COMMENTS = [" # trailing note", "#note", " #"]
 
@@ -360,8 +366,7 @@ class TestTokenizerAgreesWithLineParser:
     @pytest.mark.parametrize("fmt", ["csv", "letor"])
     @given(data=_small_dataset(), mutations=st.lists(_mutation, max_size=3),
            line_end=st.sampled_from(["\n", "\r\n", "\r"]), shuffle=st.randoms())
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_dataset_or_same_error(self, tmp_path, fmt, data, mutations, line_end,
                                         shuffle):
         if fmt == "letor" and not data.has_relevance():
@@ -391,12 +396,18 @@ class TestTokenizerAgreesWithLineParser:
         ("csv", "q\x00,0,0.5,1\n"),  # Python 3.10's csv module rejects NUL
         ("csv", "q0,1,0.5,1\n"),  # not dense
         ("csv", "q0,0,0.5,1\nq0,0,0.25,2\n"),  # a duplicate candidate
+        ("csv", "q0,0,0.5,1\nq1\n"),  # a line with no comma, all the check can tell from blank
+        ("csv", "q 0,0,0.5,1\n"),  # whitespace, which Python's float() and csv take their way
+        # ids too uneven in length to pad to the longest
+        ("csv", "".join(f"a,{c},0.5,1\n" for c in range(40)) + "b" * 5000 + ",0,0.5,1\n"),
         ("letor", "1 qid:q0 1:0.5 2:0.5:7\n"),  # a value with a colon
         ("letor", "1 qid:q0 1:0.5\n1 qid:q0 1:0.25 9\n"),  # a token with no colon
         ("letor", "1 qid: 1:0.5\n"),  # an empty qid
         ("letor", "1 xid:q0 1:0.5\n"),  # no qid token
         ("letor", "1 qid:q\x00 1:0.5\n"),  # NUL
         ("letor", "1 qid:q0 2:0.5 1:0.25\n"),  # indices out of order
+        ("letor", "1 qid:q0 1:0.5\n1\n"),  # a line with no space or colon
+        ("letor", "1  qid:q0 1:0.5\n"),  # two spaces
     ])
     def test_each_check_of_the_fast_path(self, tmp_path, fmt, text):
         path = tmp_path / f"data.{fmt}"
@@ -447,6 +458,41 @@ class TestTokenizerIsUsed:
         ds = parse_scores_csv(path)
         assert [q.query_id for q in ds.queries] == ["b", "a"]
         np.testing.assert_array_equal(ds.queries[0].matrix, [[0.25, 0.5]])
+
+    def test_mq2008_shaped_letor(self, tmp_path, no_line_parser):
+        # 46 features and a trailing document comment on every line, as in MQ2008
+        rng = np.random.default_rng(7)
+        original = Dataset(tuple(
+            make_query(rng.random(size=(46, n)).round(6), query_id=str(10002 + i),
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate([8, 3, 15])))
+        path = tmp_path / "mq2008.txt"
+        write_letor(original, path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(f"{line} #docid = GX000-00-0000000 inc = 1 prob = 0.0123\n"
+                                for line in lines))
+        assert datasets_equal(original, parse_letor(path))
+
+    def test_csv_ids_non_ascii_and_long(self, tmp_path, no_line_parser):
+        ids = ["requête-ü", "查询", "q" * 72, "x" * 71 + "é"]
+        rng = np.random.default_rng(9)
+        original = Dataset(tuple(
+            make_query(rng.normal(size=(2, n)), query_id=query_id,
+                       relevance=rng.integers(0, 3, size=n))
+            for query_id, n in zip(ids, [3, 1, 4, 2])))
+        path = tmp_path / "scores.csv"
+        write_scores_csv(original, path)
+        parsed = parse_scores_csv(path)
+        assert [q.query_id for q in parsed.queries] == ids
+        assert datasets_equal(original, parsed)
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_leading_byte_order_mark(self, tmp_path, fmt, no_line_parser):
+        original = self.ragged()
+        path = tmp_path / f"data.{fmt}"
+        (write_scores_csv if fmt == "csv" else write_letor)(original, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert datasets_equal(original, (parse_scores_csv if fmt == "csv" else parse_letor)(path))
 
 
 class TestChunkedReading:
