@@ -110,7 +110,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` pairs, each key once; blank lines and ``#`` comments ignored."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
@@ -292,7 +292,7 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
     """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
     path = Path(path)
     # the loaders report undecodable text; here only the format line matters
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         first = fh.readline().strip()
     if first == f"format: {linear.MODEL_FORMAT}":
         model = linear.load_linear(path)

@@ -120,11 +120,14 @@ def _structure(text: str, other: bytes, line: bytes) -> np.ndarray:
     return np.frombuffer(data, np.uint8)
 
 
-def _query_codes(data: np.ndarray, start: np.ndarray, end: np.ndarray, names: list) -> np.ndarray:
-    """Codes into ``names`` of a chunk's query ids ``data[start[i]:end[i]]``, one per line.
+def _query_codes(data: np.ndarray, start: np.ndarray, end: np.ndarray,
+                 codes: dict[str, int]) -> np.ndarray:
+    """The codes of a chunk's query ids ``data[start[i]:end[i]]``, one per line.
 
-    ``names`` gains each run of equal ids once. Ids are NUL-padded to the
-    longest, so none is cut short; padding past 4x the chunk raises ValueError.
+    Each run of equal ids is decoded once and coded by the line parsers'
+    rule, ``codes.setdefault(id, len(codes))``, whichever chunk it is in.
+    Ids are NUL-padded to the longest, so none is cut short; padding past
+    4x the chunk raises ValueError.
     """
     sizes = end - start
     if not sizes.size:
@@ -135,18 +138,8 @@ def _query_codes(data: np.ndarray, start: np.ndarray, end: np.ndarray, names: li
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(data, (0, width)), width)
     ids = np.where(np.arange(width) < sizes[:, None], windows[start], 0).view(f"S{width}")[:, 0]
     heads = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
-    names.extend(ids[heads].tolist())
-    return np.repeat(np.arange(len(names) - heads.size, len(names)),
-                     np.diff(heads, append=ids.size))
-
-
-def _groups(names: list[bytes], codes: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The distinct ``names`` in first-seen order, and the index among them of each code."""
-    distinct, first, inverse = np.unique(np.array(names, dtype=object), return_index=True,
-                                         return_inverse=True)
-    order = np.argsort(first)
-    return ([name.decode() for name in distinct[order]],
-            np.argsort(order)[inverse][np.concatenate(codes)])
+    runs = [codes.setdefault(name.decode(), len(codes)) for name in ids[heads].tolist()]
+    return np.repeat(runs, np.diff(heads, append=ids.size))
 
 
 def _tokenized(parse: Callable[[Path], Dataset], path: Path) -> Dataset | None:
@@ -168,17 +161,19 @@ def _tokenized(parse: Callable[[Path], Dataset], path: Path) -> Dataset | None:
         return None
 
 
-def _dataset(path: Path, fmt: str, names: list[str], group: Sequence[int],
+def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
              x: np.ndarray, rel: np.ndarray | None, cand: np.ndarray | None = None,
              filled: bool = False) -> Dataset:
-    """Group flat rows into one query per name, in first-seen order.
+    """Group flat rows into one query per id of ``codes``, in first-seen order.
 
-    Row r belongs to query ``names[group[r]]``: ``x[r]`` holds its K scores
-    and ``rel[r]`` its grade. With ``cand`` a query's rows are put in
+    Row r belongs to the query coded ``group[r]``: ``x[r]`` holds its K
+    scores and ``rel[r]`` its grade. Each query's rows are gathered once,
+    straight from ``x`` and ``rel``. With ``cand`` they are put in
     candidate-id order, and the ids must be dense 0..N-1; without it they
     keep file order. ``QueryInstance`` checks that scores are finite and
     grades finite and non-negative.
     """
+    names = list(codes)
     group = np.asarray(group, dtype=np.intp)
     sizes = np.bincount(group, minlength=len(names))
     starts = np.cumsum(sizes) - sizes
@@ -191,10 +186,8 @@ def _dataset(path: Path, fmt: str, names: list[str], group: Sequence[int],
             g = group[order[np.argmin(dense)]]
             raise DataError(f"{path} qid {names[g]}: candidate ids must be dense "
                             f"0..{sizes[g] - 1}")
-    x = x[order]
-    rel = None if rel is None else rel[order]
-    queries = [QueryInstance(name, x[s:s + n].T, None if rel is None else rel[s:s + n])
-               for name, s, n in zip(names, starts.tolist(), sizes.tolist())]
+    queries = [QueryInstance(name, x.T[:, rows], None if rel is None else rel[rows])
+               for name, rows in zip(names, np.split(order, starts[1:]))]
     provenance = f"{fmt}:{path}" + (" (missing scores zero-filled)" if filled else "")
     return Dataset(tuple(queries), provenance)
 
@@ -218,15 +211,15 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
     return _letor_lines(path, strict) if dataset is None else dataset
 
 
-def _letor_checked(texts: Iterable[str], k: int, names: list,
-                   codes: list[np.ndarray]) -> Iterator[list[str]]:
+def _letor_checked(texts: Iterable[str], k: int, codes: dict[str, int],
+                   group: list[np.ndarray]) -> Iterator[list[str]]:
     """Each chunk's lines with ':' for ' ', once its lines are checked and their queries coded."""
     for text in texts:
         data = _structure(text, _LETOR_OTHER, b" :" * (k + 1))
         spaces = np.flatnonzero(data == ord(" ")).reshape(-1, k + 1)
         if not (data[spaces[:, :1] + np.arange(1, 5)] == np.frombuffer(b"qid:", np.uint8)).all():
             raise ValueError("a second token that is not qid:<id>")
-        codes.append(_query_codes(data, spaces[:, 0] + 5, spaces[:, 1], names))
+        group.append(_query_codes(data, spaces[:, 0] + 5, spaces[:, 1], codes))
         yield text.replace(" ", ":").split("\n")
 
 
@@ -236,16 +229,16 @@ def _letor_tokenized(path: Path) -> Dataset:
         texts = (re.sub(r" *#[^\n]*", "", text) if "#" in text else text for text in _chunks(fh))
         first = next(text for text in texts if text.strip())
         k = first.lstrip().partition("\n")[0].count(":") - 1
-        names, codes = [], []
+        codes, group = {}, []
         # a checked line reads rel:qid:id:i1:v1:i2:v2:...
         lines = itertools.chain.from_iterable(
-            _letor_checked(itertools.chain([first], texts), k, names, codes))
+            _letor_checked(itertools.chain([first], texts), k, codes, group))
         rows = np.loadtxt(lines, dtype=[("rel", "f8"), ("f", [("i", "i8"), ("v", "f8")], (k,))],
                           usecols=[0, *range(3, 3 + 2 * k)], delimiter=":", comments=None,
                           ndmin=1)
     if not (rows["f"]["i"] == np.arange(1, k + 1)).all():
         raise ValueError("feature indices are not 1..K on every line")
-    return _dataset(path, "letor", *_groups(names, codes), rows["f"]["v"], rows["rel"])
+    return _dataset(path, "letor", codes, np.concatenate(group), rows["f"]["v"], rows["rel"])
 
 
 def _letor_lines(path: Path, strict: bool) -> Dataset:
@@ -318,7 +311,7 @@ def _letor_lines(path: Path, strict: bool) -> Dataset:
     k = ks[0]
     x = np.array([[features.get(i, 0.0) for i in range(1, k + 1)] for features in feats],
                  dtype=np.float64)
-    return _dataset(path, "letor", names, group, x, np.array(rels, dtype=np.float64),
+    return _dataset(path, "letor", codes, group, x, np.array(rels, dtype=np.float64),
                     filled=any(len(features) != k for features in feats))
 
 
@@ -383,7 +376,7 @@ def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
 
 def _scores_csv_tokenized(path: Path) -> Dataset:
     """The fast path of ``parse_scores_csv`` (see ``_tokenized``)."""
-    names, codes = [], []
+    codes, group = {}, []
     with open(path, "r", encoding="utf-8-sig") as fh:
         k, with_relevance = _csv_columns(next(csv.reader([fh.readline()])), path)
         width = 2 + k + with_relevance
@@ -394,13 +387,13 @@ def _scores_csv_tokenized(path: Path) -> Dataset:
                 raise ValueError("a line past the csv module's field limit")
             ends = np.flatnonzero(data == ord(",")).reshape(-1, width - 1)[:, 0]
             starts = bounds[np.searchsorted(bounds, ends, side="right") - 1]
-            codes.append(_query_codes(data, starts, ends, names))
+            group.append(_query_codes(data, starts, ends, codes))
     fields = [("cand", "i8"), ("x", "f8", (k,))]
     if with_relevance:
         fields.append(("rel", "f8"))
     rows = np.loadtxt(path, dtype=fields, usecols=range(1, width), delimiter=",", skiprows=1,
                       comments=None, encoding="utf-8-sig", ndmin=1)
-    return _dataset(path, "csv", *_groups(names, codes), rows["x"],
+    return _dataset(path, "csv", codes, np.concatenate(group), rows["x"],
                     rows["rel"] if with_relevance else None, cand=rows["cand"])
 
 
@@ -465,7 +458,7 @@ def _scores_csv_lines(path: Path, strict: bool) -> Dataset:
 
     if not group:
         raise DataError(f"{path}: no data rows")
-    return _dataset(path, "csv", list(codes), group, np.array(values_rows, dtype=np.float64),
+    return _dataset(path, "csv", codes, group, np.array(values_rows, dtype=np.float64),
                     np.array(rels, dtype=np.float64) if with_relevance else None,
                     cand=np.array(cands, dtype=np.int64), filled=filled)
 

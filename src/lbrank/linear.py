@@ -301,7 +301,7 @@ def _read_model(path: str | Path, model_format: str,
     """
     try:
         fields: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
             if not line.strip():
                 continue
             key, sep, value = (part.strip() for part in line.partition(":"))

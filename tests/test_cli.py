@@ -70,6 +70,14 @@ class TestConfigHandling:
                    "--out", tmp_path / "m.txt")
         assert code == EXIT_USAGE
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, synth_csv):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(codecs.BOM_UTF8 + b"epochs = 1\nmu = 0.5\n")
+        out = tmp_path / "model.txt"
+        assert run("train", "--config", config, "--data", synth_csv, "--out", out,
+                   "--samples", 10) == EXIT_OK
+        assert load_linear(out).hyper.epochs == 1
+
     def test_config_key_set_twice_is_usage_error(self, tmp_path, synth_csv, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("seed = 1\n# the same key again\nepochs = 1\n seed = 2\n")
@@ -312,15 +320,16 @@ class TestInfer:
                    "--baseline", "averaging", "--out", tmp_path / "r.csv") == EXIT_USAGE
         assert "unknown config key 'format'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["data.csv", "data.letor"])
+    @pytest.mark.parametrize("source", ["data.csv", "data.letor", "linear.txt", "nested.txt"])
     def test_leading_byte_order_mark_is_read_as_nothing(self, tmp_path, source):
         # spreadsheet tools save UTF-8 text with a byte-order mark first
         files = _write_base_files(tmp_path)
         marked = tmp_path / f"marked-{source}"
         marked.write_bytes(codecs.BOM_UTF8 + files[source].read_bytes())
-        for data in (files[source], marked):
-            assert run("infer", "--data", data, "--baseline", "averaging",
-                       "--out", tmp_path / f"from-{data.name}") == EXIT_OK
+        for path in (files[source], marked):
+            inputs = (["--data", path, "--baseline", "averaging"] if source.startswith("data.")
+                      else ["--data", files["data.csv"], "--model-file", path])
+            assert run("infer", *inputs, "--out", tmp_path / f"from-{path.name}") == EXIT_OK
         assert ((tmp_path / f"from-marked-{source}").read_bytes()
                 == (tmp_path / f"from-{source}").read_bytes())
 

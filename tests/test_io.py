@@ -530,6 +530,30 @@ class TestChunkedReading:
         assert self.read_fast(fast, path) == _outcome(line_parser, path, True)
 
     @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_ids_that_recur_after_other_queries(self, tmp_path, fmt, small_chunks):
+        # runs of q1, q0, q1, q2, q0: a query's rows need not be adjacent
+        rng = np.random.default_rng(4)
+        runs = [("q1", 4), ("q0", 2), ("q1", 3), ("q2", 5), ("q0", 1)]
+        seen: dict[str, int] = {}
+        lines = []
+        for qid, n in runs:
+            for _ in range(n):
+                cand = seen[qid] = seen.get(qid, -1) + 1
+                a, b = rng.normal(size=2).tolist()
+                grade = int(rng.integers(0, 3))
+                lines.append(f"{qid},{cand},{a!r},{b!r},{grade}\n" if fmt == "csv"
+                             else f"{grade} qid:{qid} 1:{a!r} 2:{b!r}\n")
+        path = tmp_path / f"data.{fmt}"
+        header = "query_id,candidate_id,ranker_0,ranker_1,relevance\n" if fmt == "csv" else ""
+        path.write_text(header + "".join(lines), encoding="utf-8")
+        fast, line_parser = ((dataio._scores_csv_tokenized, dataio._scores_csv_lines)
+                             if fmt == "csv" else (dataio._letor_tokenized, dataio._letor_lines))
+        outcome = self.read_fast(fast, path)
+        assert [(qid, shape) for qid, shape, *_ in outcome[2]] == [
+            ("q1", (2, 7)), ("q0", (2, 3)), ("q2", (2, 5))]
+        assert outcome == _outcome(line_parser, path, True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
     def test_bad_line_in_a_later_chunk_falls_back(self, tmp_path, fmt, small_chunks):
         path, fast, line_parser = self.write(tmp_path, fmt)
         lines = path.read_text().splitlines()
@@ -552,6 +576,36 @@ class TestChunkedReading:
         path.write_text("\n".join(lines[:first] + [f"\n{line}" for line in lines[first:]])
                         + "\n\n\n")
         assert self.read_fast(fast, path) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_dataset_allocates_about_what_it_returns(self, tmp_path, fmt, monkeypatch):
+        # each query is copied once, from the parsed rows, with no reordered copy of them all
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(5, 301, size=175)
+        rows, k = int(sizes.sum()), 8
+        data = Dataset(tuple(
+            make_query(rng.normal(size=(k, n)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate(sizes)))
+        path = tmp_path / f"data.{fmt}"
+        (write_scores_csv if fmt == "csv" else write_letor)(data, path)
+        build, added = dataio._dataset, []
+
+        def traced(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dataset = build(*args, **kwargs)
+            added.append(tracemalloc.get_traced_memory()[1] - before)
+            return dataset
+
+        monkeypatch.setattr(dataio, "_dataset", traced)
+        tracemalloc.start()
+        try:
+            parsed = (parse_scores_csv if fmt == "csv" else parse_letor)(path)
+        finally:
+            tracemalloc.stop()
+        assert datasets_equal(data, parsed) and rows > 25_000
+        assert added[0] <= 1.6 * (rows * k + rows) * 8
 
     def test_peak_memory_stays_well_below_twice_the_file_size(self, tmp_path):
         # a reader that held every line of the file would need about twice its size
