@@ -10,6 +10,8 @@ across reruns. Every command runs in one thread; ``train``, ``infer`` and
 ``eval`` also accept ``--threads``, which has no effect (the benchmark
 passes it to those three).
 
+Data and model files are recognised by the rules in ``io`` that read them.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 internal invariant violation.
 """
@@ -35,8 +37,8 @@ from .core import (
     ranking_from_scores,
     weighted_average_scores,
 )
-from .io import DataError, Dataset, _csv_field
-from .linear import LinearHyper, _field_text
+from .io import DataError, Dataset, _csv_field, _is_scores_csv, _model_fields, _write_training_log
+from .linear import LinearHyper
 from .nested import Activation, NestedHyper
 from .sampler import BACKENDS, MAX_ENUMERATION_N, ChainConfig
 
@@ -192,9 +194,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _load_dataset(cfg: argparse.Namespace) -> Dataset:
     path = Path(cfg.data)
-    with open(path, encoding="utf-8-sig", errors="replace") as fh:
-        is_csv = fh.readline().split(",", 1)[0].strip() == "query_id"
-    dataset = (dataio.parse_scores_csv(path, strict=cfg.strict) if is_csv
+    dataset = (dataio.parse_scores_csv(path, strict=cfg.strict) if _is_scores_csv(path)
                else dataio.parse_letor(path, strict=cfg.strict))
     if cfg.normalize:
         dataset = Dataset(tuple(dataio.normalize_minmax(q) for q in dataset.queries),
@@ -242,14 +242,6 @@ def _check_training_range(cfg: argparse.Namespace, k: int, divergence: float) ->
             raise ConfigError(f"{what}, from the score spans and {flags}, overflows a double")
 
 
-def _write_training_log(path: Path, log, weight_lines: list[str]) -> None:
-    lines = []
-    for epoch, objective in enumerate(log.objectives, start=1):
-        lines.append(f"epoch {epoch} objective {objective!r} {weight_lines[epoch - 1]}")
-    lines.append(f"epochs_run {log.epochs_run} converged {str(log.converged).lower()}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_train(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
@@ -268,15 +260,12 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         model, log = linear.train(dataset, cfg.linear_hyper, cfg.chain, gain,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         linear.save_linear(model, out)
-        weight_lines = [f"w {_field_text(w)}" for w in log.snapshots]
     else:
         model, log = nested.train(dataset, cfg.nested_hyper, cfg.chain, gain,
                                   cfg.activation, cfg.activation,
                                   backend=cfg.backend, shuffle=cfg.shuffle)
         nested.save_nested(model, out)
-        weight_lines = [f"w2 {_field_text(w2)} w1 {_field_text(w1)}"
-                        for w1, w2 in log.snapshots]
-    _write_training_log(out.with_name(out.name + ".log"), log, weight_lines)
+    _write_training_log(out.with_name(out.name + ".log"), log)
     print(f"trained {cfg.model} model on {len(dataset.queries)} queries "
           f"(K={dataset.k}); wrote {out}")
     return EXIT_OK
@@ -291,13 +280,11 @@ def _average_scores(k: int) -> Callable[[QueryInstance], np.ndarray]:
 def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndarray]:
     """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
     path = Path(path)
-    # the loaders report undecodable text; here only the format line matters
-    with open(path, encoding="utf-8-sig", errors="replace") as fh:
-        first = fh.readline().strip()
-    if first == f"format: {linear.MODEL_FORMAT}":
+    model_format = _model_fields(path).get("format")
+    if model_format == linear.MODEL_FORMAT:
         model = linear.load_linear(path)
         module, model_k = linear, model.k
-    elif first == f"format: {nested.MODEL_FORMAT}":
+    elif model_format == nested.MODEL_FORMAT:
         model = nested.load_nested(path)
         module, model_k = nested, model.k1
     else:

@@ -1,10 +1,11 @@
-"""Dataset ingestion, synthesis and preprocessing.
+"""Dataset ingestion, synthesis and preprocessing, and the model and log file codecs.
 
 Two on-disk formats are supported: LETOR/SVMLight-style ranking files
 (``<relevance> qid:<id> 1:<v1> 2:<v2> ... # comment``) where each feature
 column acts as one ranker, and a dense CSV of per-candidate ranker scores.
 Candidate indices are 0-based internally; the 1-based feature indices of
-the LETOR format are converted at this boundary only.
+the LETOR format are converted at this boundary only. The ``key: value``
+model file codec and the training log writer live here too.
 """
 
 from __future__ import annotations
@@ -357,6 +358,15 @@ def _csv_columns(header: list[str], path: Path) -> tuple[int, bool]:
     return k, with_relevance
 
 
+def _is_scores_csv(path: str | Path) -> bool:
+    """Whether ``path`` is a score CSV: its first row, read as a CSV header, starts ``query_id``."""
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
+        try:
+            return [cell.strip() for cell in next(csv.reader(fh), [])[:1]] == ["query_id"]
+        except csv.Error:  # NUL before Python 3.11, or a field past the size limit: LETOR
+            return False
+
+
 def parse_scores_csv(path: str | Path, *, strict: bool = True) -> Dataset:
     """Parse a dense per-candidate score matrix CSV.
 
@@ -478,6 +488,78 @@ def write_scores_csv(dataset: Dataset, path: str | Path) -> None:
                 cells = [f"{row},{rel!r}" for row, rel in zip(cells, q.relevance.tolist())]
             query_id = _csv_field(q.query_id)
             fh.write("".join(f"{query_id},{cand},{row}\n" for cand, row in enumerate(cells)))
+
+
+def _field_text(value) -> str:
+    """A string as it is; a number or an array as space-separated Python reprs."""
+    if isinstance(value, str):
+        return value
+    return " ".join(repr(v) for v in np.ravel(value).tolist())
+
+
+def _write_model_fields(path: str | Path, model_format: str,
+                        fields: list[tuple[str, object]]) -> None:
+    """``format: model_format``, then one ``key: value`` line per field."""
+    lines = [f"{key}: {_field_text(value)}\n"
+             for key, value in [("format", model_format), *fields]]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def _model_fields(path: str | Path) -> dict[str, str]:
+    """A model file's ``key: value`` fields, each key once; any fault raises a DataError."""
+    try:
+        fields: dict[str, str] = {}
+        for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+            if not line.strip():
+                continue
+            key, sep, value = (part.strip() for part in line.partition(":"))
+            if not sep:
+                raise ValueError(f"malformed model line {line.strip()!r}")
+            if key in fields:
+                raise ValueError(f"repeated key {key!r}")
+            fields[key] = value
+        return fields
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_model(path: str | Path, model_format: str,
+                build: Callable[[dict[str, str]], object]):
+    """``build(fields)`` of the fields of a ``model_format`` file; any fault raises a DataError.
+
+    ``build`` pops each key it reads: a missing one raises KeyError, and one it leaves is unknown.
+    """
+    fields = _model_fields(path)
+    try:
+        if fields.pop("format", None) != model_format:
+            raise ValueError(f"not a {model_format} model file")
+        model = build(fields)
+        if fields:
+            raise ValueError(f"unknown key {min(fields)!r}")
+        return model
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _parse_floats(text: str, size: int, name: str) -> np.ndarray:
+    """The ``size`` space-separated floats of field ``name``."""
+    values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
+    if values.size != size:
+        raise ValueError(f"{name} holds {values.size} values, expected {size}")
+    return values
+
+
+def _write_training_log(path: Path, log) -> None:
+    """Per epoch its objective and weights: ``w ...``, or ``w2 ... w1 ...`` for (W1, W2)."""
+    lines = []
+    for epoch, (objective, weights) in enumerate(zip(log.objectives, log.snapshots), start=1):
+        text = (f"w2 {_field_text(weights[1])} w1 {_field_text(weights[0])}"
+                if isinstance(weights, tuple) else f"w {_field_text(weights)}")
+        lines.append(f"epoch {epoch} objective {objective!r} {text}")
+    lines.append(f"epochs_run {log.epochs_run} converged {str(log.converged).lower()}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,

@@ -6,7 +6,7 @@ simplex update. The step functions take and return plain arrays; the epoch
 loop they run in (visit order, objective log, snapshots and stop rule) is
 shared with the nested trainer, and a :class:`LinearModel` is built and
 validated once, when training ends. Inference has a closed form: sort the
-weighted mean of the score lists.
+weighted mean of the score lists. The model file codec is in ``io``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import (
     sigmoid_gain,
     weighted_average_scores,
 )
-from .io import DataError
+from .io import _parse_floats, _read_model, _write_model_fields
 from .sampler import (
     ChainConfig,
     EnergyContext,
@@ -274,57 +274,3 @@ def load_linear(path: str | Path) -> LinearModel:
         w = _parse_floats(fields.pop("w"), int(fields.pop("k")), "w")
         return LinearModel(SimplexWeights(w), gain_from_spec(fields.pop("gain")), hyper)
     return _read_model(path, MODEL_FORMAT, build)
-
-
-def _field_text(value) -> str:
-    """A string as it is; a number or an array as space-separated Python reprs."""
-    if isinstance(value, str):
-        return value
-    return " ".join(repr(v) for v in np.ravel(value).tolist())
-
-
-def _write_model_fields(path: str | Path, model_format: str,
-                        fields: list[tuple[str, object]]) -> None:
-    """``format: model_format``, then one ``key: value`` line per field."""
-    lines = [f"{key}: {_field_text(value)}\n"
-             for key, value in [("format", model_format), *fields]]
-    Path(path).write_text("".join(lines), encoding="utf-8")
-
-
-def _read_model(path: str | Path, model_format: str,
-                build: Callable[[dict[str, str]], object]):
-    """``build(fields)`` of the ``key: value`` fields of a ``model_format`` file.
-
-    A key may appear once. ``build`` pops each key it reads, so a missing
-    one raises KeyError; a key it leaves is one the format does not
-    define, and is refused as unknown. Any fault raises a DataError.
-    """
-    try:
-        fields: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = (part.strip() for part in line.partition(":"))
-            if not sep:
-                raise ValueError(f"malformed model line {line.strip()!r}")
-            if key in fields:
-                raise ValueError(f"repeated key {key!r}")
-            fields[key] = value
-        if fields.pop("format", None) != model_format:
-            raise ValueError(f"not a {model_format} model file")
-        model = build(fields)
-        if fields:
-            raise ValueError(f"unknown key {min(fields)!r}")
-        return model
-    except KeyError as exc:
-        raise DataError(f"{path}: missing key {exc.args[0]!r}") from None
-    except ValueError as exc:  # includes UnicodeDecodeError
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _parse_floats(text: str, size: int, name: str) -> np.ndarray:
-    """The ``size`` space-separated floats of field ``name``."""
-    values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
-    if values.size != size:
-        raise ValueError(f"{name} holds {values.size} values, expected {size}")
-    return values

@@ -32,14 +32,12 @@ from .core import (
     ranking_from_scores,
     sigmoid_gain,
 )
+from .io import _parse_floats, _read_model, _write_model_fields
 from .linear import (
     TrainingLog,
     _check_steps,
-    _parse_floats,
     _queries,
-    _read_model,
     _run_epochs,
-    _write_model_fields,
     multiplicative_simplex_update,
 )
 from .sampler import (

@@ -320,6 +320,58 @@ class TestInfer:
                    "--baseline", "averaging", "--out", tmp_path / "r.csv") == EXIT_USAGE
         assert "unknown config key 'format'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["linear.txt", "nested.txt"])
+    @pytest.mark.parametrize("edit", ["blank-first-line", "no-space-after-colon",
+                                      "format-after-k"])
+    def test_model_file_is_recognised_as_its_loader_reads_it(self, tmp_path, model, edit):
+        files = _write_base_files(tmp_path)
+        text = files[model].read_text()
+        first, rest = text.split("\n", 1)  # first is "format: <format>", then k or k1
+        edited = tmp_path / "edited" / model  # same stem, so the same eval label
+        edited.parent.mkdir()
+        edited.write_text({"blank-first-line": "\n" + text,
+                           "no-space-after-colon": first.replace(": ", ":") + "\n" + rest,
+                           "format-after-k": rest.replace("\n", f"\n{first}\n", 1)}[edit])
+        load = load_linear if model == "linear.txt" else nested.load_nested
+        assert type(load(edited)) is type(load(files[model]))
+        for path in (files[model], edited):
+            assert run("infer", "--data", files["data.csv"], "--model-file", path,
+                       "--out", path.parent / "rankings.csv") == EXIT_OK
+            assert run("eval", "--data", files["data.csv"], "--model-file", path,
+                       "--out", path.parent / "eval.csv") == EXIT_OK
+        for name in ("rankings.csv", "eval.csv", "eval.csv.txt"):
+            assert (edited.parent / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_csv_with_quoted_header_cells_is_read_as_csv(self, tmp_path):
+        # spreadsheet tools quote every cell of the header they export
+        files = _write_base_files(tmp_path)
+        header, rest = files["data.csv"].read_text().split("\n", 1)
+        quoted = tmp_path / "quoted" / "data.csv"
+        quoted.parent.mkdir()
+        quoted.write_text(",".join(f'"{cell}"' for cell in header.split(",")) + "\n" + rest)
+        assert [(q.query_id, q.matrix.tolist(), q.relevance.tolist())
+                for q in parse_scores_csv(quoted).queries] == \
+            [(q.query_id, q.matrix.tolist(), q.relevance.tolist())
+             for q in parse_scores_csv(files["data.csv"]).queries]
+        for path in (files["data.csv"], quoted):
+            assert run("infer", "--data", path, "--model-file", files["linear.txt"],
+                       "--out", path.parent / "rankings.csv") == EXIT_OK
+            assert run("eval", "--data", path, "--out", path.parent / "eval.csv") == EXIT_OK
+        for name in ("rankings.csv", "eval.csv", "eval.csv.txt"):
+            assert (quoted.parent / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_first_line_past_the_csv_field_limit_is_read_as_letor(self, tmp_path):
+        # the csv module refuses the row, so the file is LETOR's
+        files = _write_base_files(tmp_path)
+        first, rest = files["data.letor"].read_text().split("\n", 1)
+        long = tmp_path / "long.letor"
+        long.write_text(f"{first} # {'x' * (csv.field_size_limit() + 1)}\n{rest}")
+        for path in (files["data.letor"], long):
+            assert run("infer", "--data", path, "--baseline", "averaging",
+                       "--out", tmp_path / f"from-{path.name}") == EXIT_OK
+        assert ((tmp_path / "from-long.letor").read_bytes()
+                == (tmp_path / "from-data.letor").read_bytes())
+
     @pytest.mark.parametrize("source", ["data.csv", "data.letor", "linear.txt", "nested.txt"])
     def test_leading_byte_order_mark_is_read_as_nothing(self, tmp_path, source):
         # spreadsheet tools save UTF-8 text with a byte-order mark first
@@ -779,7 +831,11 @@ class TestMalformedInputs:
                                       "1 qid:q00000 1:0.5 2:-inf 3:0.1",
                                       "-2 qid:q00000 1:0.5 2:0.2 3:0.1",
                                       "nan qid:q00000 1:0.5 2:0.2 3:0.1",
-                                      "1 qid:q0\x00 1:0.5 2:0.2 3:0.1"])
+                                      "1 qid:q0\x00 1:0.5 2:0.2 3:0.1",
+                                      # the csv module refuses NUL before Python 3.11
+                                      # and reads it after; its first cell is not
+                                      # query_id either way, so this is LETOR's
+                                      "query_id\x00,candidate_id,ranker_0,relevance"])
     def test_bad_letor_line(self, tmp_path, files, line, capsys):
         files["data.letor"].write_text(line + "\n")
         assert run("eval", "--data", files["data.letor"],
@@ -821,6 +877,19 @@ class TestMalformedInputs:
         assert result.returncode == EXIT_DATA, result.stderr
         assert "qid 1: no line scores feature index 2 (largest index 1000000000000)" \
             in result.stderr
+
+    @pytest.mark.parametrize("text, named", [
+        ("", "no data lines"),
+        ("# a comment\n\n  # and another\n", "no data lines"),
+        ("query_id,candidate_id,ranker_0\n", "no data rows"),
+    ], ids=["empty", "letor-comments-only", "csv-header-only"])
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_file_without_data_rows(self, tmp_path, command, text, named, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        source = ["--baseline", "averaging"] if command == "infer" else []
+        assert run(command, "--data", path, *source, "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert f"data error: {path}: {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["data.csv", "data.letor"])
     # undecodable bytes, and a field beyond the csv module's size limit

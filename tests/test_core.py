@@ -18,8 +18,11 @@ from lbrank.core import (
     weighted_average_scores,
 )
 
+from lbrank import linear
+from lbrank.io import DataError, Dataset, write_letor
 from lbrank.lovasz import lb_bound, lb_divergence
-from lbrank.metrics import ndcg_at_k
+from lbrank.metrics import format_table, ndcg_at_k, ndcg_table
+from lbrank.nested import NestedModel, hidden_preactivation
 
 import oracles
 
@@ -209,3 +212,40 @@ class TestWeightedAverageScores:
     def test_length_checked(self, two_list_query):
         with pytest.raises(ValueError, match="weight length"):
             weighted_average_scores(two_list_query, np.array([1.0, 0.0, 0.0]))
+
+
+_TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2 W1
+
+
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: ConcaveGain([]), ValueError, "at least one increment"),
+    (lambda: ConcaveGain([1.0, np.inf]), ValueError, "must be finite"),
+    (lambda: ConcaveGain([1.0, np.nan]), ValueError, "must be finite"),
+    (lambda: gain_from_spec("custom:"), ValueError, "requires increment values"),
+    (lambda: gain_from_spec("sigmoid:0"), ValueError, "capacity must be >= 1"),
+    (lambda: SimplexWeights([]), ValueError, "non-empty sequence"),
+    (lambda: SimplexWeights.uniform(0), ValueError, "at least one ranker"),
+    (lambda: QueryInstance("q", [1.0, 2.0]), ValueError, "must be 2-D"),
+    (lambda: QueryInstance("q", np.zeros((2, 0))), ValueError, "empty ground set"),
+    (lambda: linear.multiplicative_simplex_update(np.full(2, 0.5), np.zeros(3), 0.1),
+     ValueError, "gradient shape"),
+    (lambda: linear.train([QueryInstance("a", _TWO), QueryInstance("b", [[1.0, 2.0]])]),
+     ValueError, "same ranker count K"),
+    (lambda: NestedModel(np.full(2, 0.5), SimplexWeights([1.0]), ConcaveGain([1.0])),
+     ValueError, "K2 x K1 matrix"),
+    (lambda: NestedModel(np.full((2, 2), 0.5), SimplexWeights([1.0]), ConcaveGain([1.0])),
+     ValueError, "W2 length"),
+    (lambda: hidden_preactivation(np.full((1, 2), 0.5), np.zeros((2, 2))),
+     ValueError, "does not match W1"),
+    (lambda: ndcg_table([np.array([1.0, 2.0])], [np.array([1.0, 0.0])], 0, ConcaveGain([1.0])),
+     ValueError, "topk must be >= 1"),
+    (lambda: format_table(["Top-1"], ["a"], [[1.0], [0.5]]), ValueError, "one value row"),
+    (lambda: write_letor(Dataset((QueryInstance("q", _TWO),)), "never-written.letor"),
+     DataError, "requires relevance"),
+], ids=["gain-empty", "gain-inf", "gain-nan", "custom-without-values", "capacity-0",
+        "weights-empty", "uniform-0", "matrix-1d", "matrix-k-by-0", "update-gradient-shape",
+        "train-mixed-k", "nested-w1-1d", "nested-w2-short", "hidden-table-shape", "topk-0",
+        "table-label-short", "letor-without-relevance"])
+def test_library_refuses_malformed_arguments(make, error, match):
+    with pytest.raises(error, match=match):
+        make()

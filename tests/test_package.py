@@ -1,4 +1,5 @@
-"""The package's export lists name only what exists, and numpy is its one dependency."""
+"""The package's export lists name only what exists, numpy is its one dependency, and
+private names cross modules only where a rule is shared."""
 
 from __future__ import annotations
 
@@ -48,6 +49,33 @@ def test_no_module_imports_a_name_it_never_uses():
                 exported = set(ast.literal_eval(node.value))
         unused = sorted(imported - used - exported)
         assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+# Private names cross modules only from core (its array checks), io (the file
+# helpers: every file rule lives there) and linear's epoch loop, which the
+# nested trainer runs in.
+_OPEN_MODULES = {"core", "io"}
+_EPOCH_LOOP = {("linear", "_run_epochs"), ("linear", "_check_steps"), ("linear", "_queries")}
+
+
+def test_private_names_cross_modules_only_where_a_rule_is_shared():
+    crossing = []
+    for path in sorted(Path(lbrank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = [node for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # "from . import io as dataio" binds a module; "from .io import x" a name
+        modules = {alias.asname or alias.name: alias.name
+                   for node in relative if not node.module for alias in node.names}
+        used = [(node.module, alias.name)
+                for node in relative if node.module for alias in node.names]
+        used += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules]
+        crossing += [f"{path.name} uses {module}.{name}" for module, name in used
+                     if name.startswith("_") and not name.startswith("__")
+                     and module not in _OPEN_MODULES and (module, name) not in _EPOCH_LOOP]
+    assert not crossing
 
 
 def test_cli_import_loads_no_third_party_package_but_numpy():
