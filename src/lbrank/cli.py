@@ -325,9 +325,6 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
-    if any(q.query_id == "MEAN" for q in dataset.queries):
-        raise DataError("query 'MEAN': the report names each method's mean row MEAN; "
-                        "rename the query")
     depth = min(cfg.topk, dataset.n_max)
     discount = _gain_covering(cfg, dataset, depth)
     total = _increments(discount, depth).sum()
@@ -505,6 +502,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"lbrank: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

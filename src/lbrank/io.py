@@ -335,9 +335,11 @@ def write_letor(dataset: Dataset, path: str | Path) -> None:
 def _csv_field(text: str) -> str:
     """``text`` as the csv module writes it as one field of a row, quoted where it must be."""
     buf = io.StringIO()
-    # a lone empty field would be written as "", so the field is written beside another
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-len(",\n")]
+    # a lone empty field would be written as "", so the field is written beside another;
+    # the writer quotes a field holding a character of its terminator, and the reader
+    # ends a row at \r as at \n, so the terminator holds both
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def _csv_header(k: int, with_relevance: bool) -> list[str]:

@@ -27,7 +27,7 @@ from .core import (
     ranking_from_scores,
     weighted_average_scores,
 )
-from .io import _csv_field
+from .io import DataError, _csv_field
 
 __all__ = [
     "ndcg_at_k",
@@ -133,8 +133,12 @@ def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: S
     ``tables[m]`` is method m's (Q, len(metric_columns)) array, its rows in
     ``query_ids`` order. Returns the (methods, columns) array of the means
     written, so a summary table shows the same numbers. The bytes are those
-    the csv module writes, values as Python reprs.
+    the csv module writes, values as Python reprs. A query id ``MEAN``
+    would read as a mean row, so it is refused before the file is opened.
     """
+    if "MEAN" in query_ids:
+        raise DataError("query 'MEAN': the report names each method's mean row MEAN; "
+                        "rename the query")
     means = np.array([np.mean(table, axis=0) for table in tables])
     ids = [_csv_field(query_id) for query_id in query_ids]
     labels = [_csv_field(method) for method in methods]

@@ -53,7 +53,6 @@ __all__ = [
     "ACTIVATION_NAMES",
     "NestedHyper",
     "NestedModel",
-    "default_hidden_units",
     "init_nested",
     "per_list_expectation",
     "hidden_preactivation",
@@ -75,42 +74,14 @@ MODEL_FORMAT = "lbrank-nested/1"
 SAMPLING_MODES = ("aggregate", "per_unit")
 
 
-def _identity(t):
-    return np.asarray(t, dtype=np.float64) + 0.0
-
-
-def _identity_deriv(t):
-    return np.ones_like(np.asarray(t, dtype=np.float64))
-
-
-def _half_tanh(t):
-    return np.tanh(0.5 * np.asarray(t, dtype=np.float64))
-
-
-def _logistic(t):
-    # sigma(t) = (1 + tanh(t/2)) / 2; tanh saturates instead of overflowing
-    return 0.5 + 0.5 * _half_tanh(t)
-
-
-def _logistic_deriv(t):
-    h = _half_tanh(t)
-    return 0.25 * (1.0 - h * h)
-
-
-def _shifted_logistic(t):
-    # 2 sigma(t) - 1 = tanh(t/2); increasing, concave for t >= 0, zero at zero
-    return _half_tanh(t)
-
-
-def _shifted_logistic_deriv(t):
-    h = _half_tanh(t)
-    return 0.5 * (1.0 - h * h)
-
-
+# name -> (offset, scale) of offset + scale * tanh(t/2), or None for the identity.
+# logistic: sigma(t) = (1 + tanh(t/2)) / 2, which saturates instead of
+# overflowing; shifted_logistic: 2 sigma(t) - 1 = tanh(t/2), zero at zero (the
+# offset -0.0 keeps tanh's sign of zero)
 _ACTIVATIONS = {
-    "identity": (_identity, _identity_deriv),
-    "logistic": (_logistic, _logistic_deriv),
-    "shifted_logistic": (_shifted_logistic, _shifted_logistic_deriv),
+    "identity": None,
+    "logistic": (0.5, 0.5),
+    "shifted_logistic": (-0.0, 1.0),
 }
 
 ACTIVATION_NAMES = tuple(sorted(_ACTIVATIONS))
@@ -118,12 +89,14 @@ ACTIVATION_NAMES = tuple(sorted(_ACTIVATIONS))
 
 @dataclass(frozen=True)
 class Activation:
-    """Named increasing scalar function with an available derivative.
+    """Named increasing scalar function ``offset + scale * tanh(t/2)``, or the identity.
 
-    All activation inputs in this package are non-negative (divergence
-    expectations and their convex combinations), where every registered
-    choice is concave. ``shifted_logistic`` maps zero divergence to zero
-    activation and is the default.
+    In training every input is non-negative (divergence expectations and
+    their convex combinations), where every registered choice is concave.
+    Inference applies phi1 to weighted raw scores, which may be negative;
+    there only monotonicity matters (phi2 never changes a ranking).
+    ``shifted_logistic`` maps zero divergence to zero activation and is the
+    default.
     """
 
     name: str = "shifted_logistic"
@@ -134,15 +107,18 @@ class Activation:
                              f"expected one of {ACTIVATION_NAMES}")
 
     def __call__(self, t):
-        return _ACTIVATIONS[self.name][0](t)
+        t = np.asarray(t, dtype=np.float64)
+        if (form := _ACTIVATIONS[self.name]) is None:
+            return t + 0.0
+        offset, scale = form
+        return offset + scale * np.tanh(0.5 * t)
 
     def deriv(self, t):
-        return _ACTIVATIONS[self.name][1](t)
-
-
-def default_hidden_units(k1: int) -> int:
-    """Default hidden layer width: max(10, 2 K1), capped at 64."""
-    return min(64, max(10, 2 * k1))
+        t = np.asarray(t, dtype=np.float64)
+        if (form := _ACTIVATIONS[self.name]) is None:
+            return np.ones_like(t)
+        h = np.tanh(0.5 * t)
+        return 0.5 * form[1] * (1.0 - h * h)
 
 
 @dataclass(frozen=True)
@@ -167,8 +143,8 @@ class NestedHyper:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
 
     def hidden_units(self, k1: int) -> int:
-        """K2 for K1 score lists: ``k2``, or ``default_hidden_units(k1)`` if it is None."""
-        return default_hidden_units(k1) if self.k2 is None else self.k2
+        """K2 for K1 score lists: ``k2``, or max(10, 2 K1) capped at 64 if it is None."""
+        return min(64, max(10, 2 * k1)) if self.k2 is None else self.k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,23 +234,20 @@ def bottom_gradient(w1: np.ndarray, phi1: Activation, lam1: float,
                     div_means: np.ndarray, delta1: np.ndarray) -> np.ndarray:
     """grad1(i, j) = phi1'(delta1(i)) E[d(x_j || pi)] + lam1 W1(i, j)."""
     div_means = np.asarray(div_means, dtype=np.float64)
-    slopes = phi1.deriv(np.asarray(delta1, dtype=np.float64))
+    slopes = phi1.deriv(delta1)
     return slopes[:, np.newaxis] * div_means + lam1 * w1
 
 
 def output_preactivation(w2: np.ndarray, phi1: Activation,
                          delta1_next: np.ndarray) -> float:
     """delta2 = sum_i W2(i) phi1(delta1(i)), the activated hidden mix."""
-    activated = phi1(np.asarray(delta1_next, dtype=np.float64))
-    return float(w2 @ activated)
+    return float(w2 @ phi1(delta1_next))
 
 
 def top_gradient(w2: np.ndarray, phi1: Activation, phi2: Activation, lam2: float,
                  delta2: float, delta1_next: np.ndarray) -> np.ndarray:
     """grad2(i) = phi2'(delta2) phi1(delta1(i)) + lam2 W2(i)."""
-    activated = phi1(np.asarray(delta1_next, dtype=np.float64))
-    slope = float(phi2.deriv(delta2))
-    return slope * activated + lam2 * w2
+    return float(phi2.deriv(delta2)) * phi1(delta1_next) + lam2 * w2
 
 
 # the row-wise hidden-layer and the output-layer updates, each under its own

@@ -249,6 +249,29 @@ class TestNormalize:
         assert all(0.0 <= value <= 1.0 for value in scores)
 
 
+class TestBooleanFlags:
+    def test_false_normalize_trains_the_default_model(self, tmp_path, synth_csv):
+        for name, flags in (("default", []), ("false", ["--normalize", "false"]),
+                            ("off", ["--normalize", " Off"])):
+            assert run("train", "--data", synth_csv, "--out", tmp_path / f"{name}.txt",
+                       "--epochs", 1, "--samples", 5, "--burn-in", 10, *flags) == EXIT_OK
+        default = (tmp_path / "default.txt").read_bytes()
+        assert (tmp_path / "false.txt").read_bytes() == default
+        assert (tmp_path / "off.txt").read_bytes() == default
+
+    def test_false_strict_zero_fills(self, tmp_path):
+        gap, filled = tmp_path / "gap.csv", tmp_path / "filled.csv"
+        header = "query_id,candidate_id,ranker_0,ranker_1\n"
+        gap.write_text(header + "q1,0,0.5,\nq1,1,0.25,0.9\n")
+        filled.write_text(header + "q1,0,0.5,0\nq1,1,0.25,0.9\n")
+        assert run("infer", "--data", gap, "--baseline", "averaging",
+                   "--out", tmp_path / "strict.csv") == EXIT_DATA
+        for path in (gap, filled):
+            assert run("infer", "--data", path, "--baseline", "averaging", "--strict", 0,
+                       "--out", path.with_suffix(".out")) == EXIT_OK
+        assert gap.with_suffix(".out").read_bytes() == filled.with_suffix(".out").read_bytes()
+
+
 class TestInfer:
     def test_rankings_csv_schema(self, tmp_path, synth_csv):
         model_path = tmp_path / "model.txt"
@@ -459,6 +482,24 @@ def test_write_scores_csv_writes_the_bytes_csv_writer_writes(tmp_path, with_rele
     assert path.read_bytes() == _csv_module_bytes(rows)
 
 
+def test_outputs_read_back_ids_holding_carriage_returns(tmp_path):
+    # the csv reader ends a row at a bare \r, so every writer must quote one
+    data = tmp_path / "data.csv"
+    data.write_text('query_id,candidate_id,ranker_0,ranker_1,relevance\n"q\r",0,0.5,0.1,1\n'
+                    '"q\r",1,0.2,0.8,0\n"a\rb",0,0.3,0.3,2\n', encoding="utf-8", newline="")
+    ids = ["q\r", "a\rb"]
+    assert [q.query_id for q in parse_scores_csv(data).queries] == ids
+    rankings, report = tmp_path / "rankings.csv", tmp_path / "report.csv"
+    assert run("infer", "--data", data, "--baseline", "averaging", "--out", rankings) == EXIT_OK
+    assert run("eval", "--data", data, "--out", report, "--topk", 2) == EXIT_OK
+    for path, column, want in ((rankings, 0, ["q\r", "q\r", "a\rb"]),
+                               (report, 1, [*ids, *ids, "MEAN", "MEAN"])):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[column] for row in rows] == want
+
+
 class TestEval:
     def test_report_shape(self, tmp_path, synth_csv):
         model_path = tmp_path / "model.txt"
@@ -607,6 +648,18 @@ class TestSynth:
 
 
 class TestBench:
+    def test_super_linear_growth_is_flagged(self, tmp_path, monkeypatch, capsys):
+        times = iter([1.0, 3.0] * 3)  # x3 per doubling on each axis
+        monkeypatch.setattr(cli, "_time_epoch", lambda *args: next(times))
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--out", out, "--bench-doublings", 1,
+                   "--bench-queries", 1, "--bench-base-n", 2, "--bench-base-k", 1) == EXIT_OK
+        lines = out.read_text().splitlines()[1:]
+        assert [line.rsplit(",", 2)[1:] for line in lines] == (
+            [["", ""], ["3.000", "SUPER-LINEAR"]] * 3)
+        assert "warning: 3 measurement(s) grew faster than x2.5 per doubling" in (
+            capsys.readouterr().err)
+
     def test_single_point_report(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run("bench", "--out", out, "--bench-doublings", 0,
@@ -842,6 +895,12 @@ class TestMalformedInputs:
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
+    def test_letor_line_without_features(self, tmp_path, files, capsys):
+        files["data.letor"].write_text("1 qid:a\n")
+        assert run("eval", "--data", files["data.letor"],
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert "line 1: no features" in capsys.readouterr().err
+
     @staticmethod
     def _infer_capped(tmp_path: Path, line: str, *flags: str) -> subprocess.CompletedProcess:
         """``infer`` on a one-line LETOR file under a 1.5 GB address-space cap.
@@ -903,6 +962,7 @@ class TestMalformedInputs:
         ("linear.txt", "gain:", None),
         ("linear.txt", "w:", "w: 0.5 0.5"),
         ("linear.txt", "w:", "w: 0.5 0.5 0.5"),
+        ("linear.txt", "w:", "w: nan 0.5 0.5"),
         ("linear.txt", "gain:", "gain: bogus:3"),
         ("linear.txt", "mu:", "mu: -1"),
         ("nested.txt", "w1[1]:", None),

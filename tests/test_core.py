@@ -224,6 +224,8 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: gain_from_spec("custom:"), ValueError, "requires increment values"),
     (lambda: gain_from_spec("sigmoid:0"), ValueError, "capacity must be >= 1"),
     (lambda: SimplexWeights([]), ValueError, "non-empty sequence"),
+    (lambda: SimplexWeights([np.nan, 1.0]), ValueError, "weights must be finite"),
+    (lambda: ranking_from_scores([[1.0, 2.0]]), ValueError, "flat sequence"),
     (lambda: SimplexWeights.uniform(0), ValueError, "at least one ranker"),
     (lambda: QueryInstance("q", [1.0, 2.0]), ValueError, "must be 2-D"),
     (lambda: QueryInstance("q", np.zeros((2, 0))), ValueError, "empty ground set"),
@@ -243,8 +245,8 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: write_letor(Dataset((QueryInstance("q", _TWO),)), "never-written.letor"),
      DataError, "requires relevance"),
 ], ids=["gain-empty", "gain-inf", "gain-nan", "custom-without-values", "capacity-0",
-        "weights-empty", "uniform-0", "matrix-1d", "matrix-k-by-0", "update-gradient-shape",
-        "train-mixed-k", "nested-w1-1d", "nested-w2-short", "hidden-table-shape", "topk-0",
+        "weights-empty", "weights-nan", "scores-2d", "uniform-0", "matrix-1d", "matrix-k-by-0",
+        "update-gradient-shape", "train-mixed-k", "nested-w1-1d", "nested-w2-short", "hidden-table-shape", "topk-0",
         "table-label-short", "letor-without-relevance"])
 def test_library_refuses_malformed_arguments(make, error, match):
     with pytest.raises(error, match=match):

@@ -244,8 +244,10 @@ class TestParseScoresCsv:
 
     def test_write_scores_csv_keeps_ids_it_can_carry_and_refuses_the_rest(self, tmp_path):
         matrix, grades = [[0.5, 0.25], [1.0, 0.0]], [1.0, 0.0]
+        # the csv reader ends a row at a bare \r, so the writer must quote one
         kept = Dataset(tuple(QueryInstance(qid, matrix, grades)
-                             for qid in ("q0", "q 0", "q#0", 'q"0', "q,0", "q\n0", "é-1")))
+                             for qid in ("q0", "q 0", "q#0", 'q"0', "q,0", "q\n0", "é-1",
+                                         "q\r", "\r", "a\rb", "c\r\nd")))
         path = tmp_path / "ids.csv"
         write_scores_csv(kept, path)
         assert datasets_equal(parse_scores_csv(path), kept)
@@ -680,6 +682,12 @@ class TestSynthPlanted:
     def test_noise_levels_validated(self):
         with pytest.raises(ValueError, match="noise levels"):
             synth_planted(2, 3, 2, [0.5], seed=0)
+
+    def test_all_zero_grades_are_redrawn(self):
+        # seed 14 draws grade 0 for a lone candidate, then 4
+        assert np.random.default_rng(14).integers(0, 5, size=1).tolist() == [0]
+        (q,) = synth_planted(1, 1, 1, [0.0], seed=14).queries
+        assert q.relevance.tolist() == [4.0]
 
 
 class TestNormalizeMinmax:

@@ -12,6 +12,7 @@ from lbrank.core import (
     ranking_from_scores,
     sigmoid_gain,
 )
+from lbrank.io import DataError
 from lbrank.linear import LinearHyper, LinearModel
 from lbrank.linear import infer as linear_infer
 from lbrank.lovasz import lb_bound, lb_divergence
@@ -248,6 +249,14 @@ class TestReports:
         assert len(lines) == 1 + 4 + 2
         assert "averaging,MEAN,0.5,0.5" in lines
         assert "borda,MEAN,0.75,0.5" in lines
+
+    def test_query_named_mean_is_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "report.csv"
+        tables = [np.array([[1.0], [0.0]])]
+        with pytest.raises(DataError, match="query 'MEAN': the report names each method's "
+                                            "mean row MEAN; rename the query"):
+            write_metric_csv(path, ["Top-1"], ["averaging"], ["q1", "MEAN"], tables)
+        assert not path.exists()
 
     def test_text_table_is_aligned(self):
         table = format_table(["Top-1", "Top-2"], ["averaging", "borda"],

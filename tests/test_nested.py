@@ -18,7 +18,6 @@ from lbrank.nested import (
     NestedModel,
     aggregate_scores,
     bottom_gradient,
-    default_hidden_units,
     hidden_preactivation,
     infer,
     init_nested,
@@ -61,6 +60,22 @@ class TestActivations:
         phi = Activation("shifted_logistic")
         assert phi(0.0) == 0.0
         assert phi.deriv(0.0) == pytest.approx(0.5)
+
+    def test_values_and_slopes_are_the_closed_forms_bit_for_bit(self):
+        # the tanh(t/2) family and the identity, each written out on its own
+        t = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 50.0, -50.0, 1e300, -1e300])
+        h = np.tanh(t / 2)
+        forms = {"identity": (t + 0.0, np.ones_like(t)),
+                 "logistic": (0.5 + 0.5 * h, 0.25 * (1.0 - h * h)),
+                 "shifted_logistic": (h, 0.5 * (1.0 - h * h))}
+        for name, (value, slope) in forms.items():
+            phi = Activation(name)
+            assert np.asarray(phi(t)).tobytes() == value.tobytes(), name
+            assert np.asarray(phi.deriv(t)).tobytes() == slope.tobytes(), name
+            for i, x in enumerate(t.tolist()):
+                assert np.float64(phi(x)).tobytes() == value[i].tobytes(), (name, x)
+                assert np.float64(phi.deriv(x)).tobytes() == slope[i].tobytes(), (name, x)
+        assert np.signbit(Activation("shifted_logistic")(-0.0))
 
     @pytest.mark.parametrize("name", ["logistic", "shifted_logistic", "identity"])
     def test_derivative_matches_finite_differences(self, name):
@@ -121,10 +136,11 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             NestedHyper(sampling="both")
 
-    def test_default_hidden_units(self):
-        assert default_hidden_units(3) == 10
-        assert default_hidden_units(8) == 16
-        assert default_hidden_units(40) == 64
+    def test_hidden_units(self):
+        assert NestedHyper().hidden_units(3) == 10
+        assert NestedHyper().hidden_units(8) == 16
+        assert NestedHyper().hidden_units(40) == 64
+        assert NestedHyper(k2=5).hidden_units(40) == 5
 
     def test_init_jitter_breaks_symmetry(self, gain6):
         model = init_nested(4, NestedHyper(k2=3, init_jitter=0.01), gain6, seed=1)
