@@ -294,6 +294,19 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
     return lambda q: module.aggregate_scores(model, q)
 
 
+def _finite_scores(dataset: Dataset, score_fn: Callable[[QueryInstance], np.ndarray],
+                   method: str) -> list[np.ndarray]:
+    """Every query's scores under ``score_fn``; one that overflows a double is a DataError."""
+    with np.errstate(over="ignore"):
+        scores = [score_fn(q) for q in dataset.queries]
+    if not np.isfinite(np.concatenate(scores)).all():
+        query_id = next(q.query_id for q, x in zip(dataset.queries, scores)
+                        if not np.isfinite(x).all())
+        raise DataError(f"query {query_id!r}: the {method} scores overflow a double; "
+                        "rescale the lists, e.g. with --normalize true")
+    return scores
+
+
 def _write_rankings_csv(path: Path, dataset: Dataset,
                         scores_by_query: list[np.ndarray]) -> None:
     """One row per (query, rank), as the csv module writes it, scores as Python reprs."""
@@ -311,10 +324,10 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     if cfg.baseline is None:  # argparse admits only "averaging", without --model-file
         _require(cfg, "model_file")
-        score_fn = _model_scores(cfg.model_file, dataset.k)
+        method, score_fn = Path(cfg.model_file).stem, _model_scores(cfg.model_file, dataset.k)
     else:
-        score_fn = _average_scores(dataset.k)
-    scores = [score_fn(q) for q in dataset.queries]
+        method, score_fn = cfg.baseline, _average_scores(dataset.k)
+    scores = _finite_scores(dataset, score_fn, method)
     _write_rankings_csv(Path(cfg.out), dataset, scores)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
     return EXIT_OK
@@ -347,9 +360,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         methods[label] = _model_scores(model_path, dataset.k)
 
     relevance = [q.relevance for q in dataset.queries]
-    tables = [metrics.ndcg_table([score_fn(q) for q in dataset.queries], relevance,
+    tables = [metrics.ndcg_table(_finite_scores(dataset, score_fn, label), relevance,
                                  cfg.topk, discount)
-              for score_fn in methods.values()]
+              for label, score_fn in methods.items()]
     labels = list(methods)
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)

@@ -45,18 +45,19 @@ def ndcg_at_k(sigma: Sequence[int] | np.ndarray, rel: Sequence[float] | np.ndarr
     """NDCG truncated at k with the truncated-ideal normalizer.
 
     ``sigma`` is an order array over the candidates that ``rel`` grades.
-    Value in [0, 1]; exactly 1 when the top k of ``sigma`` matches a
-    relevance-descending order up to ties among equal grades.
+    Both DCGs add grade x discount products left to right in rank order, so
+    the value is in [0, 1] and exactly 1 when the top k of ``sigma`` matches
+    a relevance-descending order up to ties among equal grades.
     """
     grades = _grade_vector(rel)
     order = _order_vector(sigma, grades.size)
     if not 1 <= k <= grades.size:
         raise ValueError(f"k={k} outside 1..{grades.size}")
     d = _increments(discount, k, "discount")
-    ideal = float(np.sort(grades)[::-1][:k] @ d)
+    ideal = float(np.cumsum(np.sort(grades)[::-1][:k] * d)[-1])
     if ideal == 0.0:
         raise ValueError("no relevant candidates")
-    return float(grades[order[:k]] @ d) / ideal
+    return float(np.cumsum(grades[order[:k]] * d)[-1]) / ideal
 
 
 def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
@@ -67,37 +68,30 @@ def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
     ``ndcg_at_k(ranking_from_scores(scores[q]), relevance[q], min(k, N_q),
     discount)``; queries without relevant candidates score 0 (the LETOR
     tooling convention). All queries are ranked by one stable argsort over
-    a padded (Q, width) block whose padding sorts last.
+    a padded (Q, N_max) block whose padding sorts last.
     """
     sizes = np.array([len(x) for x in scores], dtype=np.int64)
     if sizes.size == 0 or sizes.min() < 1 or [len(r) for r in relevance] != sizes.tolist():
         raise ValueError("need non-empty score vectors, each with relevance of equal length")
     if topk < 1:
         raise ValueError("topk must be >= 1")
-    covered = _increments(discount, min(topk, int(sizes.max())), "discount")
+    d = _increments(discount, min(topk, int(sizes.max())), "discount")
     flat_scores = np.concatenate(scores).astype(np.float64, copy=False)
     if not np.all(np.isfinite(flat_scores)):
         raise ValueError("scores must be finite")
     flat_rel = _grade_vector(np.concatenate(relevance))
 
-    filled = np.arange(max(int(sizes.max()), topk)) < sizes[:, np.newaxis]
+    filled = np.arange(int(sizes.max())) < sizes[:, np.newaxis]
     negated = np.full(filled.shape, np.inf)
     negated[filled] = -flat_scores
-    # copied so the full (Q, width) order block is freed at once
-    top = np.argsort(negated, axis=1, kind="stable")[:, :topk].copy()
+    # copied so the full (Q, N_max) order block is freed at once
+    top = np.argsort(negated, axis=1, kind="stable")[:, :d.size].copy()
     rel = np.zeros(filled.shape)
     rel[filled] = flat_rel
     gains = np.take_along_axis(rel, top, axis=1)
     rel.sort(axis=1)
-    d = np.zeros(topk)
-    d[:covered.size] = covered  # positions past every query's N are never read
-    # ndcg_at_k's numerator is a contiguous dot that BLAS may round with fused
-    # multiply-adds, which cumsum does not reproduce, so each prefix goes through
-    # the same dot kernel (matmul of 1 x k by k x 1). Its ideal is a strided dot
-    # that numpy adds left to right, exactly as cumsum does.
-    dcg = np.stack([np.matmul(gains[:, np.newaxis, :k], d[:k, np.newaxis])[:, 0, 0]
-                    for k in range(1, topk + 1)], axis=1)
-    ideal = np.cumsum(rel[:, ::-1][:, :topk] * d, axis=1)
+    dcg = np.cumsum(gains * d, axis=1)
+    ideal = np.cumsum(rel[:, ::-1][:, :d.size] * d, axis=1)
     ndcg = np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal > 0.0)
     # NDCG@k of a query with N < k candidates is its NDCG@N
     depth = np.minimum(np.arange(topk), sizes[:, np.newaxis] - 1)

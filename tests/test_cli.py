@@ -249,6 +249,45 @@ class TestNormalize:
         assert all(0.0 <= value <= 1.0 for value in scores)
 
 
+def _write_largest_scores(path: Path, k: int) -> Path:
+    """K lists; every score of query q2 is the largest double, those of q1 are small."""
+    rows = [f"q1,{c},{','.join([str(c)] * k)},{c}\n" for c in range(3)]
+    rows += [f"q2,{c},{','.join(['1.7976931348623157e308'] * k)},{c}\n" for c in range(3)]
+    rankers = ",".join(f"ranker_{i}" for i in range(k))
+    path.write_text(f"query_id,candidate_id,{rankers},relevance\n" + "".join(rows))
+    return path
+
+
+class TestAggregateScoresPastTheDoubleRange:
+    # the readers accept every score; the uniform mean of K = 11 lists rounds
+    # past the largest double, and so does a K = 2 model whose weights sum to
+    # 1 + 5e-10, within the loader's simplex tolerance
+    @pytest.mark.parametrize("command, k, weights, method", [
+        ("eval", 11, None, "averaging"),
+        ("infer", 11, None, "averaging"),
+        ("infer", 2, "0.5 0.5000000005", "lin"),
+    ], ids=["eval-mean-of-11", "infer-mean-of-11", "infer-model-weights-past-one"])
+    def test_is_data_error_naming_query_and_method(self, tmp_path, command, k, weights,
+                                                   method, capsys):
+        data = _write_largest_scores(tmp_path / "big.csv", k)
+        flags = ["--baseline", "averaging"] if command == "infer" else []
+        if weights is not None:
+            model = tmp_path / "lin.txt"
+            save_linear(LinearModel(SimplexWeights.uniform(k), sigmoid_gain(3)), model)
+            _replace_line(model, "w:", f"w: {weights}")
+            flags = ["--model-file", model]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(command, "--data", data, "--out", out, *flags) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"data error: query 'q2': the {method} scores overflow a double" in err
+            assert "--normalize true" in err
+            assert not list(tmp_path.glob("out.csv*"))
+            assert run(command, "--data", data, "--out", out, "--normalize", "true",
+                       *flags) == EXIT_OK
+
+
 class TestBooleanFlags:
     def test_false_normalize_trains_the_default_model(self, tmp_path, synth_csv):
         for name, flags in (("default", []), ("false", ["--normalize", "false"]),
@@ -582,10 +621,21 @@ class TestEval:
         write_scores_csv(synth_planted(5, 6, 2, [0.0, 0.0], seed=2), data)
         out = tmp_path / "report.csv"
         assert run("eval", "--data", data, "--out", out, "--topk", 3) == EXIT_OK
-        for line in out.read_text().strip().splitlines():
-            if ",MEAN," in line:
-                values = [float(v) for v in line.split(",")[2:]]
-                assert values == pytest.approx([1.0, 1.0, 1.0])
+        for line in out.read_text().strip().splitlines()[1:]:
+            assert line.split(",")[2:] == ["1.0", "1.0", "1.0"]
+
+    def test_perfect_ranking_of_one_decimal_grades_scores_exactly_one(self, tmp_path):
+        # the one ranker's scores are the grades, so both baselines rank perfectly
+        data = tmp_path / "perfect.csv"
+        data.write_text("query_id,candidate_id,ranker_0,relevance\n" + "".join(
+            f"q1,{c},{grade},{grade}\n" for c, grade in enumerate(["2.2", "3.7", "3.3",
+                                                                  "0.1", "3.4"])))
+        out = tmp_path / "report.csv"
+        assert run("eval", "--data", data, "--out", out, "--topk", 5) == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[0] == "method,query_id,Top-1,Top-2,Top-3,Top-4,Top-5"
+        assert rows[1:] == [f"{method},{query_id},1.0,1.0,1.0,1.0,1.0"
+                            for query_id in ("q1", "MEAN") for method in ("averaging", "borda")]
 
 
     @pytest.fixture

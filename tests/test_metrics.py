@@ -9,6 +9,7 @@ from lbrank.core import (
     ConcaveGain,
     QueryInstance,
     SimplexWeights,
+    log2_gain,
     ranking_from_scores,
     sigmoid_gain,
 )
@@ -46,15 +47,21 @@ class TestRelevanceJudgments:
         assert tuple(ranking_from_scores([1.0, 3.0, 2.0]).tolist()) == (1, 2, 0)
 
 
+# one-decimal grades whose perfect rankings score below 1 when the DCG and
+# its ideal are summed by kernels that round differently
+ONE_DECIMAL_GRADES = [([2.2, 3.7, 3.3, 0.1, 3.4], sigmoid_gain(5)), ([2.5, 4.0], log2_gain(2))]
+
+
 class TestNdcg:
     def test_perfect_ranking_scores_one_at_every_k(self, small_gain, rng):
-        for _ in range(10):
-            r = rng.integers(0, 4, size=3).astype(float)
+        cases = [(rng.integers(0, 4, size=3).astype(float), small_gain) for _ in range(10)]
+        for r, discount in cases + ONE_DECIMAL_GRADES:
+            r = np.asarray(r)
             if not np.any(r > 0):
                 continue
             sigma = ranking_from_scores(r)
-            for k in range(1, 4):
-                assert ndcg_at_k(sigma, r, k, small_gain) == pytest.approx(1.0)
+            for k in range(1, r.size + 1):
+                assert ndcg_at_k(sigma, r, k, discount) == 1.0
 
     def test_single_swap_value(self):
         discount = ConcaveGain([0.8, 0.3])
@@ -62,9 +69,13 @@ class TestNdcg:
         assert got == pytest.approx(0.3 / 0.8, abs=1e-15)
 
     def test_all_equal_relevance_is_one_for_any_ranking(self, small_gain):
-        rel = [2.0, 2.0, 2.0]
-        for order in oracles.all_orders(3):
-            assert ndcg_at_k(order, rel, 3, small_gain) == pytest.approx(1.0)
+        cases = [([2.0] * 3, small_gain)] + [([grade] * len(grades), discount)
+                                             for grades, discount in ONE_DECIMAL_GRADES
+                                             for grade in grades]
+        for rel, discount in cases:
+            for order in oracles.all_orders(len(rel)):
+                for k in range(1, len(rel) + 1):
+                    assert ndcg_at_k(order, rel, k, discount) == 1.0
 
     def test_no_relevant_candidates(self, small_gain):
         with pytest.raises(ValueError, match="no relevant candidates"):
@@ -135,6 +146,17 @@ class TestNdcgTable:
             assert got.shape == (len(sizes), topk)
             np.testing.assert_array_equal(got, want)
             assert not np.any(got[[2, 6]])
+
+    @pytest.mark.parametrize("discount", [sigmoid_gain(12), log2_gain(12)],
+                             ids=["sigmoid", "log2"])
+    def test_perfect_rankings_score_exactly_one(self, discount):
+        # ragged queries of one-decimal grades, each ranked by its own grades
+        rng = np.random.default_rng(5)
+        rel = [rng.integers(1, 41, size=n) / 10.0 for n in rng.integers(1, 13, size=500)]
+        for grades, _ in ONE_DECIMAL_GRADES:
+            rel.append(np.array(grades))
+        for topk in (1, 5, 12):
+            assert np.all(ndcg_table(rel, rel, topk, discount) == 1.0)
 
     @given(st.lists(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
                              min_size=1, max_size=15), min_size=1, max_size=6),
