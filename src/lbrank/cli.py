@@ -251,6 +251,11 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         dataset, lambda q: np.ptp(q.matrix, axis=1).max() * _increments(gain, q.n).sum(),
         "its score spans overflow a double in training; rescale them, e.g. with "
         "--normalize true")
+    # the weighted mean score of a candidate is at most its absolute scores' sum
+    _largest_per_query(
+        dataset, lambda q: np.abs(q.matrix).sum(axis=0).max(),
+        "a candidate's absolute scores, summed over the lists, overflow a double, so "
+        "its weighted mean score can; rescale them, e.g. with --normalize true")
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")

@@ -219,10 +219,11 @@ def train(data,
     Every chain of one query uses the same derived config, so all of them
     (the gradient and objective passes of every epoch) see the same random
     numbers: common random numbers across weight vectors. The query's
-    proposal stream is drawn on its first chain and replayed afterwards,
-    and its derived config and weight-free divergence terms are computed
-    once; the query holds one of each, for the run's config and gain
-    (see ``sample_orders``).
+    proposals are drawn on its first chain and kept as a replay plan, the
+    path on which every step accepts; each later chain tests only the
+    steps that can reject under its weights. The derived config and the
+    weight-free divergence terms are computed once too; the query holds
+    one of each, for the run's config and gain (see ``sample_orders``).
     """
     queries = _queries(data)
     hyper = hyper or LinearHyper()

@@ -208,7 +208,7 @@ def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
     In ``aggregate`` mode one chain per query is drawn under the aggregate
     weights W2 @ W1 and all rows share its estimates. In ``per_unit`` mode
     each hidden unit runs its own chain under its W1 row; all K2 chains
-    replay the query's one proposal stream.
+    share the query's one replay plan.
     """
     rows = np.empty(w1.shape, dtype=np.float64)
     cfg = query_config(q, cfg)

@@ -7,6 +7,12 @@ and never materialized. Proposals are uniform random transpositions of two
 distinct positions (symmetric, full support), so the plain Metropolis
 ratio is the correct acceptance ratio.
 
+A chain's proposals do not depend on the weights, so each query and config
+keeps them as a replay plan, the path on which every step accepts (see
+``_ReplayPlan``). A chain under given weights tests only the steps that can
+reject at the range of its weighted mean scores, and its retained states
+are the ones the step-by-step walk gives, bit for bit.
+
 An exact enumeration backend over all N! rankings backs the sampler for
 small N; trainers accept either backend. Both backends produce one mean
 h-vector ``hbar = E[h_pi]``, from which every list's expected divergence
@@ -16,9 +22,10 @@ follows as ``E[d(x_i || pi)] = sorted_i . delta - x_i . hbar``.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,7 +123,7 @@ class EnergyContext:
     depends on the weights, so that chain steps touch O(1) values and
     expectations are a few matrix-vector products. The weight-free terms
     (each list's minimum ``low_i`` and ``(sorted_i - low_i) . delta``)
-    and the chains' proposal streams live in ``memo``; ``from_query``
+    and the chains' replay plans live in ``memo``; ``from_query``
     passes the query's own memo, so they are computed once per query while
     its gain stays the same. ``matrix`` is the read-only matrix of a validated
     :class:`QueryInstance` and ``weights`` a float64 array of length K;
@@ -159,7 +166,8 @@ class EnergyContext:
         return int(self.matrix.shape[1])
 
 
-def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array, ...]:
+def _proposal_stream(cfg: ChainConfig, delta: np.ndarray,
+                     n: int) -> tuple[np.ndarray, ...]:
     """The whole chain's proposals: a, b, gain gap, threshold and retained flag per step.
 
     Per block of at most 8192 steps, ``a`` is drawn uniform over N
@@ -167,8 +175,7 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array
     uniforms, all from ``default_rng(cfg.rng_seed)``. Each uniform u is
     stored as ``log u``, the threshold the step's log acceptance ratio must
     exceed (u = 0 gives -inf, so the step accepts). Step j + 1 is retained
-    when it lies past burn-in on the thinning grid. The columns are typed
-    arrays, 25 bytes a step, which iterate as Python numbers.
+    when it lies past burn-in on the thinning grid.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     total = cfg.burn_in + cfg.num_samples * cfg.thinning
@@ -185,11 +192,73 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray, n: int) -> tuple[array
         cuts = np.log(uniforms)
     past = np.arange(1 - cfg.burn_in, total + 1 - cfg.burn_in)
     keep = (past > 0) & (past % cfg.thinning == 0)
-    return (array("i", pos_a.astype(np.intc).tobytes()),
-            array("i", pos_b.astype(np.intc).tobytes()),
-            array("d", (delta[pos_a] - delta[pos_b]).tobytes()),
-            array("d", cuts.tobytes()),
-            array("B", keep.tobytes()))
+    return pos_a, pos_b, delta[pos_a] - delta[pos_b], cuts, keep
+
+
+class _ReplayPlan(NamedTuple):
+    """A chain's proposals replayed on the path where every step accepts.
+
+    Write the chain's state as ``e[sigma]``: ``e`` a vector of candidates
+    (the start order) and ``sigma`` a slot map, position -> slot of ``e``.
+    If every step accepts, ``e`` stays the start order and step j swaps
+    positions a_j and b_j of ``sigma``. A rejection at step j instead
+    leaves the state in place, which is the same as swapping slots
+    ``sigma(a_j)`` and ``sigma(b_j)`` of ``e``; the candidates that meet at a
+    later step are then read through the updated ``e``. So per step the
+    plan holds those two slots (int32 ``slot_i`` and ``slot_k``) with the
+    step's gain gap and threshold (float64 ``gap`` and ``cut``), 24 bytes a
+    step, and per retained state the (M, N) int32 slot map after its step
+    (``kept_slots``, 4 N bytes a state) and the step's index (int64
+    ``kept_steps``, 8 bytes a state); ``first`` is the first retained step
+    and ``widest`` the largest ``|gap|``. Nothing here depends on the
+    weights.
+    """
+
+    slot_i: np.ndarray
+    slot_k: np.ndarray
+    gap: np.ndarray
+    cut: np.ndarray
+    kept_steps: np.ndarray
+    kept_slots: np.ndarray
+    first: int
+    widest: float
+
+    @classmethod
+    def build(cls, cfg: ChainConfig, delta: np.ndarray, n: int) -> "_ReplayPlan":
+        pos_a, pos_b, gap, cut, keep = _proposal_stream(cfg, delta, n)
+        kept_steps = np.flatnonzero(keep)
+        kept_slots = np.empty((len(kept_steps), n), dtype=np.int32)
+        slot_i: list[int] = []
+        slot_k: list[int] = []
+        sigma = list(range(n))
+        kept = 0
+        for a, b, retained in zip(pos_a.tolist(), pos_b.tolist(), keep.tolist()):
+            i = sigma[a]
+            k = sigma[b]
+            slot_i.append(i)
+            slot_k.append(k)
+            sigma[a] = k
+            sigma[b] = i
+            if retained:
+                kept_slots[kept] = sigma
+                kept += 1
+        return cls(np.array(slot_i, dtype=np.int32), np.array(slot_k, dtype=np.int32),
+                   gap, cut, kept_steps, kept_slots, int(kept_steps[0]),
+                   float(np.abs(gap).max()))
+
+    def may_reject(self, span: float) -> np.ndarray:
+        """The steps that can reject when ``ybar`` has range ``span``, in step order.
+
+        Any other step has ``-(|gap| * span) > cut``, and since rounding is
+        monotone, ``|gap * (y_b - y_a)| <= |gap| * span`` holds in floating
+        point for every two candidates: the step accepts whichever two meet.
+        When ``|gap| * span`` is not finite for the widest gap (a non-finite
+        ``ybar``, or a span near the float range), every step is kept; the
+        products are then neither formed nor warned about.
+        """
+        if not span * self.widest < math.inf:
+            return np.arange(len(self.gap))
+        return (~(-(np.abs(self.gap) * span) > self.cut)).nonzero()[0]
 
 
 def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
@@ -205,34 +274,58 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     only when u lies within about one ulp of ``exp(log_alpha)``, or when
     u = 0 and ``exp(log_alpha)`` underflows (``log_alpha < -745``).
 
-    The proposals do not depend on the weights: a chain's stream (the
-    position pairs, their gain gaps, the thresholds and which steps are
-    retained) is a function of ``cfg``, the gain and N alone. It is drawn
-    on a context's first chain with that config and gain and kept in the
-    context's memo until a chain with another config or gain replaces it;
-    the chains in between replay it, so every chain of one query and config
-    sees the same random numbers. Only the accept/swap walk runs per call.
+    The proposals do not depend on the weights: a chain's stream is a
+    function of ``cfg``, the gain and N alone. It is drawn on a context's
+    first chain with that config and gain and turned into a replay plan
+    (see ``_ReplayPlan``), kept in the context's memo until a chain with
+    another config or gain replaces it, so every chain of one query and
+    config sees the same random numbers. Per call, a step is skipped when
+    ``-(|gap| * span) > cut``, with ``span`` the range of ``ybar``: such a
+    step accepts whichever two candidates meet, because rounding is
+    monotone (see ``_ReplayPlan.may_reject``; a non-finite ``ybar`` skips
+    none). The other steps are tested in step order by the walk's own
+    expression ``gap * (y_b - y_a) > cut``. A rejection swaps two slots of
+    the start order, which is copied at each rejection from the first
+    retained step on; every retained state is then one of those copies
+    read through its slot map.
     """
     n = ctx.n
-    m = cfg.num_samples
     if n == 1:
-        return np.zeros((m, 1), dtype=np.int64)
+        return np.zeros((cfg.num_samples, 1), dtype=np.int64)
 
-    stream = _memoised(ctx.memo, "stream", (cfg, ctx.gain),
-                       lambda: _proposal_stream(cfg, ctx._delta, n))
-    state: list[int] = np.argsort(-ctx._ybar, kind="stable").tolist()
-    y = ctx._ybar.tolist()
+    plan = _memoised(ctx.memo, "plan", (cfg, ctx.gain),
+                     lambda: _ReplayPlan.build(cfg, ctx._delta, n))
+    ybar = ctx._ybar
+    order = (-ybar).argsort(kind="stable")
+    y = ybar[order].tolist()  # y[slot] is the mean score of e[slot]
+    span = y[0] - y[-1]  # max - min; a NaN sorts last
+    tested = plan.may_reject(span)
+    if not tested.size:
+        return order[plan.kept_slots]
 
-    kept_states: list[int] = []  # the retained states, concatenated
-    for a, b, gap, cut, kept in zip(*stream):
-        ca = state[a]
-        cb = state[b]
-        if gap * (y[cb] - y[ca]) > cut:
-            state[a] = cb
-            state[b] = ca
-        if kept:
-            kept_states += state
-    return np.fromiter(kept_states, np.int64, m * n).reshape(m, n)
+    e = order.tolist()
+    first = plan.first
+    snapshots = array("q")  # e before each rejection from ``first`` on, then e
+    rejected = array("q")  # the steps of those rejections
+    for j, i, k, gap, cut in zip(tested.tolist(), plan.slot_i[tested].tolist(),
+                                 plan.slot_k[tested].tolist(), plan.gap[tested].tolist(),
+                                 plan.cut[tested].tolist()):
+        yi = y[i]
+        yk = y[k]
+        if gap * (yk - yi) > cut:
+            continue
+        if j >= first:
+            snapshots.extend(e)
+            rejected.append(j)
+        y[i] = yk
+        y[k] = yi
+        e[i], e[k] = e[k], e[i]
+    snapshots.extend(e)
+    states = np.frombuffer(snapshots, dtype=np.int64).reshape(-1, n)
+    if not rejected:
+        return states[0][plan.kept_slots]
+    segment = np.frombuffer(rejected, dtype=np.int64).searchsorted(plan.kept_steps, "right")
+    return states[segment[:, None], plan.kept_slots]
 
 
 def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:

@@ -214,6 +214,24 @@ def chain_orders(ybar: Sequence[float], increments: Sequence[float],
     return kept
 
 
+def stream_orders(ybar: Sequence[float], stream) -> list[list[int]]:
+    """Retained states of a walk over a given proposal stream, one scalar step at a time.
+
+    ``stream`` holds the sampler's per-step columns: positions a and b, the
+    gain gap, the threshold ``log u`` and the retained flag. A step swaps
+    when ``gap * (y_b - y_a) > cut``, the sampler's own rule.
+    """
+    state = list(sorted_order(ybar))
+    kept: list[list[int]] = []
+    for a, b, gap, cut, retained in zip(*(np.asarray(column).tolist() for column in stream)):
+        ca, cb = state[a], state[b]
+        if gap * (ybar[cb] - ybar[ca]) > cut:
+            state[a], state[b] = cb, ca
+        if retained:
+            kept.append(list(state))
+    return kept
+
+
 def simplex_update_row(w, grad, mu: float):
     """One multiplicative simplex step on a single weight vector."""
     w = np.asarray(w, dtype=np.float64)

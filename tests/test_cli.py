@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
 import os
 import resource
@@ -286,6 +287,83 @@ class TestAggregateScoresPastTheDoubleRange:
             assert not list(tmp_path.glob("out.csv*"))
             assert run(command, "--data", data, "--out", out, "--normalize", "true",
                        *flags) == EXIT_OK
+
+
+    @pytest.mark.parametrize("model", ["linear", "nested"])
+    def test_train_refuses_a_weighted_mean_past_the_double_range(self, tmp_path, model,
+                                                                 capsys):
+        # each list's span is 0, but the mean of 11 lists rounds to infinity
+        data = _write_largest_scores(tmp_path / "big.csv", 11)
+        out = tmp_path / "m.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("train", "--model", model, "--data", data, "--out", out,
+                       "--epochs", 2) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert ("data error: query 'q2': a candidate's absolute scores, summed over "
+                    "the lists, overflow a double") in err
+            assert "--normalize true" in err
+            assert not list(tmp_path.glob("m.txt*"))
+            assert run("train", "--model", model, "--data", data, "--out", out,
+                       "--epochs", 2, "--normalize", "true") == EXIT_OK
+
+
+def _float_kernels_fingerprint() -> str:
+    """SHA-256 of the results of the BLAS and vectorised math kernels training uses.
+
+    A training run is reproducible bit for bit on one platform, but the
+    matrix-vector kernels that OpenBLAS picks for a CPU, and numpy's
+    SIMD exp, log and tanh, round differently on others; this probe, at
+    the shapes of ``TestGoldenOutputs``, tells those platforms apart.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, size=(5, 12))
+    w1 = rng.dirichlet(np.ones(5), size=4)
+    w2 = rng.dirichlet(np.ones(4))
+    v = rng.uniform(-4.0, 4.0, size=512)
+    parts = (w1[0] @ x, x @ v[:12], w1 @ x, w2 @ w1, np.exp(v), np.log(np.abs(v)),
+             np.tanh(v), np.sum(v))
+    return hashlib.sha256(b"".join(np.asarray(p).tobytes() for p in parts)).hexdigest()
+
+
+# SHA-256 of the model file and training log of each model TestGoldenOutputs
+# trains, keyed by _float_kernels_fingerprint. Recorded with the per-step chain
+# walk that the replay plan replaced: on an x86-64 host with AVX-512 (numpy
+# 2.4.6, OpenBLAS's SkylakeX kernels), and on the same host with numpy's
+# AVX-512 paths disabled and OpenBLAS's Haswell kernels, as on an AVX2 CPU.
+GOLDEN_DIGESTS = {
+    "eda6b5134966541d8d045a3fee724295796127bb22fb1079b6f86d67cd1ae064": {
+        "linear.txt": "123b8a141966a3e5237711817519aa91cb850bd47cc1fb739c82b351ce6680ee",
+        "linear.txt.log": "1289c0980630331f46237db5d03735775522cdb3ac2cc25dd4e6c11b15151711",
+        "nested.txt": "83847815c09e461d6bbab5782957ebf3a920ddfe49f5d41e9beadc91cf66aca3",
+        "nested.txt.log": "166dee5b275070e72ede038cb163b16199f1a3192b6e344e8efbea198162825d",
+    },
+    "ae658b95f1eb8757bb5249c9bacd92eb5852587c53f12a686c61a4c8d42df0ae": {
+        "linear.txt": "d099d4f897500c3bdd100f8c2c6afc64de20b990168474931097ce51fc4392c7",
+        "linear.txt.log": "442aa6190bf7e0995837a2050e86822e9ace6fe9ef95e0d599a10d9d2ac67d80",
+        "nested.txt": "550e2ed253e1ebc7b72040840275cef7ae74d1fac1d8e0af4f2fe34ae370ddc4",
+        "nested.txt.log": "fd205fb9478f8e8aeb941ea2c0ff2ea06f6d4c4a31ac91d6666c922cf2ac472a",
+    },
+}
+
+
+class TestGoldenOutputs:
+    def test_trained_files_match_recorded_digests(self, tmp_path):
+        # a change that moves any sampler output changes these bytes and must
+        # record new digests, saying why the outputs changed
+        fingerprint = _float_kernels_fingerprint()
+        if fingerprint not in GOLDEN_DIGESTS:
+            pytest.skip(f"no digests recorded for float-kernel fingerprint {fingerprint}")
+        data = tmp_path / "data.csv"
+        write_scores_csv(synth_planted(20, 12, 5, [0.0, 0.5, 1.0, 1.5, 2.0], seed=13), data)
+        got = {}
+        for model in ("linear", "nested"):
+            out = tmp_path / f"{model}.txt"
+            assert run("train", "--model", model, "--data", data, "--out", out,
+                       "--epochs", 3, "--normalize", "true", "--seed", 7, "--k2", 4) == EXIT_OK
+            for path in (out, out.with_name(out.name + ".log")):
+                got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == GOLDEN_DIGESTS[fingerprint]
 
 
 class TestBooleanFlags:

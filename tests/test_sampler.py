@@ -14,6 +14,7 @@ from lbrank.core import (
     log2_gain,
     sigmoid_gain,
 )
+from lbrank import sampler
 from lbrank.io import normalize_minmax, synth_planted
 from lbrank.sampler import (
     ChainConfig,
@@ -26,6 +27,7 @@ from lbrank.sampler import (
     query_config,
     sample_expectation,
     sample_orders,
+    _ReplayPlan,
 )
 
 import oracles
@@ -235,6 +237,130 @@ class TestQueryMemo:
         assert query_config(q, cfg) is derived
         assert query_config(q, replace(cfg, burn_in=5)).rng_seed == derived.rng_seed
         assert query_config(q, replace(cfg, rng_seed=1)).rng_seed == chain_seed(1, "q9")
+
+
+GAINS = {"sigmoid": sigmoid_gain, "log2": log2_gain,
+         "constant": lambda n: ConcaveGain([1.0] * n)}  # a zero gap at every step
+
+
+@st.composite
+def chain_cases(draw):
+    """K in 1..3 lists over N in 2..12 candidates at a span in 1e-3..1e4, often tied.
+
+    Returns the matrix, two weight vectors, a gain and a chain budget.
+    """
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    span = draw(st.floats(1e-3, 1e4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = rng.uniform(0.0, span, size=(k, n))
+    if draw(st.booleans()):
+        rows = np.round(rows * (3.0 / span)) * (span / 3.0)
+    weight_sets = rng.dirichlet(np.ones(k), size=2)
+    gain = GAINS[draw(st.sampled_from(sorted(GAINS)))](n)
+    cfg = ChainConfig(num_samples=draw(st.integers(1, 30)), burn_in=draw(st.integers(0, 20)),
+                      thinning=draw(st.integers(1, 3)), rng_seed=draw(st.integers(0, 2**64 - 1)))
+    return rows, weight_sets, gain, cfg
+
+
+class TestReplayPlan:
+    @given(chain_cases())
+    @settings(deadline=None)
+    def test_matches_the_scalar_chain(self, case):
+        rows, weight_sets, gain, cfg = case
+        q = make_query(rows)
+        for weights in weight_sets:  # the second chain replays the query's plan
+            ctx = EnergyContext.from_query(q, weights, gain)
+            ybar = (weights @ q.matrix).tolist()
+            want = oracles.chain_orders(ybar, gain.increments.tolist(), cfg.num_samples,
+                                        cfg.burn_in, cfg.thinning, cfg.rng_seed)
+            got = sample_orders(ctx, cfg)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @given(chain_cases())
+    @settings(deadline=None)
+    def test_every_skipped_step_accepts_every_pair(self, case):
+        rows, weight_sets, gain, cfg = case
+        q = make_query(rows)
+        plan = _ReplayPlan.build(cfg, gain.increments, q.n)
+        for weights in weight_sets:
+            y = weights @ q.matrix
+            tested = plan.may_reject(float(y.max() - y.min()))
+            diffs = y[None, :] - y[:, None]  # y_b - y_a at row a, column b
+            for j in np.setdiff1d(np.arange(len(plan.gap)), tested).tolist():
+                assert (plan.gap[j] * diffs > plan.cut[j]).all()
+
+    def test_zero_uniforms_accept_through_a_patched_stream(self, monkeypatch):
+        # u = 0 gives cut = -inf: every finite log ratio exceeds it, also one
+        # whose exp underflows, which the span of 2,000 gives on many steps
+        matrix = [[1990.0, -10.0, 730.0, 725.0, 40.0, 1210.0, 95.0],
+                  [1960.0, 15.0, -5.0, 1985.0, 20.0, 0.0, 455.0]]
+        gain = sigmoid_gain(7)
+        cfg = ChainConfig(num_samples=200, burn_in=50, rng_seed=17)
+        draw = sampler._proposal_stream
+        streams = []
+
+        def zero_every_third_uniform(*args):
+            pos_a, pos_b, gap, cut, keep = draw(*args)
+            cut = cut.copy()
+            cut[::3] = -np.inf
+            streams.append((pos_a, pos_b, gap, cut, keep))
+            return streams[-1]
+
+        unpatched = sample_orders(EnergyContext.from_query(make_query(matrix), [0.5, 0.5],
+                                                           gain), cfg)
+        monkeypatch.setattr(sampler, "_proposal_stream", zero_every_third_uniform)
+        q = make_query(matrix)
+        for weights in ([0.5, 0.5], [0.9, 0.1]):
+            got = sample_orders(EnergyContext.from_query(q, weights, gain), cfg)
+            want = oracles.stream_orders((np.asarray(weights) @ q.matrix).tolist(), streams[0])
+            np.testing.assert_array_equal(got, want)
+            if weights == [0.5, 0.5]:
+                assert not np.array_equal(want, unpatched)
+        assert len(streams) == 1
+
+    def test_a_step_on_the_skip_boundary_is_tested(self):
+        # with K = 1 the mean scores are the list itself, so the span is exact
+        gain = sigmoid_gain(5)
+        cfg = ChainConfig(num_samples=60, burn_in=10, rng_seed=3)
+        plan = _ReplayPlan.build(cfg, gain.increments, 5)
+        for j in np.flatnonzero(plan.gap != 0.0).tolist():
+            reach, floor = abs(plan.gap[j]), -plan.cut[j]
+            guess = floor / reach
+            spans = [s for s in (guess, np.nextafter(guess, 0.0), np.nextafter(guess, np.inf))
+                     if reach * s == floor]
+            if spans:
+                span = float(spans[0])
+                break
+        else:
+            pytest.fail("no step lands exactly on the skip boundary")
+        assert not -(reach * span) > plan.cut[j]
+        assert j in plan.may_reject(span)
+        matrix = [[span, 0.0, span / 2, span / 4, span / 8]]
+        ctx = EnergyContext.from_query(make_query(matrix), [1.0], gain)
+        want = oracles.chain_orders(matrix[0], gain.increments.tolist(), cfg.num_samples,
+                                    cfg.burn_in, cfg.thinning, cfg.rng_seed)
+        np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+
+    @pytest.mark.parametrize("finite", [0, 1], ids=["nan-span", "inf-span"])
+    @pytest.mark.parametrize("gain_name", ["sigmoid", "constant"])
+    def test_non_finite_mean_scores_test_every_step(self, finite, gain_name):
+        # weights that sum to 1 + 1e-9 take a mean of the largest double past it
+        matrix = np.full((2, 4), np.finfo(np.float64).max)
+        matrix[:, :finite] = 1.0
+        gain = GAINS[gain_name](4)
+        cfg = ChainConfig(num_samples=30, burn_in=5, rng_seed=8)
+        with np.errstate(over="ignore"):
+            ctx = EnergyContext.from_query(make_query(matrix), [0.5, 0.500000001], gain)
+        ybar = ctx._ybar.tolist()
+        assert ybar[-1] == math.inf
+        plan = _ReplayPlan.build(cfg, gain.increments, 4)
+        np.testing.assert_array_equal(plan.may_reject(max(ybar) - min(ybar)),
+                                      np.arange(cfg.burn_in + cfg.num_samples))
+        want = oracles.chain_orders(ybar, gain.increments.tolist(), cfg.num_samples,
+                                    cfg.burn_in, cfg.thinning, cfg.rng_seed)
+        np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
 
 
 class TestExactBackend:
