@@ -212,15 +212,20 @@ def _gain_covering(cfg: argparse.Namespace, dataset: Dataset, positions: int) ->
     return gain
 
 
-def _largest_per_query(dataset: Dataset, bound_of: Callable[[QueryInstance], float],
-                       overflow: str) -> float:
-    """The largest ``bound_of(q)``; if one is not a finite double, a DataError names its query."""
+_SCORES_OVERFLOW = ("the {} scores overflow a double; rescale the lists, e.g. with "
+                    "--normalize true")
+
+
+def _finite_per_query(dataset: Dataset, value_of: Callable[[QueryInstance], object],
+                      overflow: str) -> list:
+    """Every query's ``value_of(q)``; the first one not finite is a DataError naming its query."""
     with np.errstate(over="ignore"):
-        bounds = np.array([bound_of(q) for q in dataset.queries])
-    finite = np.isfinite(bounds)
-    if not finite.all():
-        raise DataError(f"query {dataset.queries[int(np.argmin(finite))].query_id!r}: {overflow}")
-    return float(bounds.max())
+        values = [value_of(q) for q in dataset.queries]
+    if not np.isfinite(np.concatenate(values, axis=None)).all():
+        query_id = next(q.query_id for q, v in zip(dataset.queries, values)
+                        if not np.isfinite(v).all())
+        raise DataError(f"query {query_id!r}: {overflow}")
+    return values
 
 
 def _check_training_range(cfg: argparse.Namespace, k: int, divergence: float) -> None:
@@ -247,12 +252,12 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
     # a list's largest divergence is its score span times g(N)
-    divergence = _largest_per_query(
+    divergence = float(max(_finite_per_query(
         dataset, lambda q: np.ptp(q.matrix, axis=1).max() * _increments(gain, q.n).sum(),
         "its score spans overflow a double in training; rescale them, e.g. with "
-        "--normalize true")
+        "--normalize true")))
     # the weighted mean score of a candidate is at most its absolute scores' sum
-    _largest_per_query(
+    _finite_per_query(
         dataset, lambda q: np.abs(q.matrix).sum(axis=0).max(),
         "a candidate's absolute scores, summed over the lists, overflow a double, so "
         "its weighted mean score can; rescale them, e.g. with --normalize true")
@@ -299,19 +304,6 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
     return lambda q: module.aggregate_scores(model, q)
 
 
-def _finite_scores(dataset: Dataset, score_fn: Callable[[QueryInstance], np.ndarray],
-                   method: str) -> list[np.ndarray]:
-    """Every query's scores under ``score_fn``; one that overflows a double is a DataError."""
-    with np.errstate(over="ignore"):
-        scores = [score_fn(q) for q in dataset.queries]
-    if not np.isfinite(np.concatenate(scores)).all():
-        query_id = next(q.query_id for q, x in zip(dataset.queries, scores)
-                        if not np.isfinite(x).all())
-        raise DataError(f"query {query_id!r}: the {method} scores overflow a double; "
-                        "rescale the lists, e.g. with --normalize true")
-    return scores
-
-
 def _write_rankings_csv(path: Path, dataset: Dataset,
                         scores_by_query: list[np.ndarray]) -> None:
     """One row per (query, rank), as the csv module writes it, scores as Python reprs."""
@@ -332,7 +324,7 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
         method, score_fn = Path(cfg.model_file).stem, _model_scores(cfg.model_file, dataset.k)
     else:
         method, score_fn = cfg.baseline, _average_scores(dataset.k)
-    scores = _finite_scores(dataset, score_fn, method)
+    scores = _finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(method))
     _write_rankings_csv(Path(cfg.out), dataset, scores)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
     return EXIT_OK
@@ -346,9 +338,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     depth = min(cfg.topk, dataset.n_max)
     discount = _gain_covering(cfg, dataset, depth)
     total = _increments(discount, depth).sum()
-    _largest_per_query(dataset, lambda q: q.relevance.max() * total,
-                       f"its largest relevance grade times the gain total g({depth}) "
-                       "overflows a double; rescale the grades")
+    _finite_per_query(dataset, lambda q: q.relevance.max() * total,
+                      f"its largest relevance grade times the gain total g({depth}) "
+                      "overflows a double; rescale the grades")
 
     methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
         "averaging": _average_scores(dataset.k),
@@ -365,9 +357,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         methods[label] = _model_scores(model_path, dataset.k)
 
     relevance = [q.relevance for q in dataset.queries]
-    tables = [metrics.ndcg_table(_finite_scores(dataset, score_fn, label), relevance,
-                                 cfg.topk, discount)
-              for label, score_fn in methods.items()]
+    tables = [metrics.ndcg_table(
+        _finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(label)), relevance,
+        cfg.topk, discount) for label, score_fn in methods.items()]
     labels = list(methods)
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,51 +115,56 @@ def _memoised(memo: dict, kind: str, key, make: Callable[[], object]):
     return held[1]
 
 
-@dataclass(frozen=True, eq=False)
+def _weight_free_terms(matrix: np.ndarray,
+                       gain: ConcaveGain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``delta``, each list minus its minimum ``low_i``, and ``(sorted_i - low_i) . delta``.
+
+    The last is taken from a fresh sort of ``matrix``: the same product over
+    a reversed view of the centred lists rounds differently.
+    """
+    delta = _increments(gain, matrix.shape[1])
+    low = matrix.min(axis=1, keepdims=True)
+    centred = matrix - low
+    top = (np.sort(matrix, axis=1)[:, ::-1] - low) @ delta
+    centred.setflags(write=False)
+    top.setflags(write=False)
+    return delta, centred, top
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class EnergyContext:
     """One query's K x N score matrix, effective weights and gain, preprocessed.
 
-    Holds the weighted mean score vector ``ybar``, the only term that
-    depends on the weights, so that chain steps touch O(1) values and
-    expectations are a few matrix-vector products. The weight-free terms
-    (each list's minimum ``low_i`` and ``(sorted_i - low_i) . delta``)
-    and the chains' replay plans live in ``memo``; ``from_query``
-    passes the query's own memo, so they are computed once per query while
-    its gain stays the same. ``matrix`` is the read-only matrix of a validated
-    :class:`QueryInstance` and ``weights`` a float64 array of length K;
-    only their shapes are checked here. The trainers' weights stay on the
-    simplex by construction and are validated when the model is built.
+    Built only by ``from_query``. Holds the weighted mean score vector
+    ``ybar``, the only term that depends on the weights, so that chain steps
+    touch O(1) values and expectations are a few matrix-vector products.
+    The weight-free terms (see ``_weight_free_terms``) and the chains'
+    replay plans live in ``memo``, the query's own, so they are computed
+    once per query while its gain stays the same. Of the weights only the
+    shape is checked here; the trainers' stay on the simplex by
+    construction and are validated when the model is built.
     """
 
     matrix: np.ndarray
     weights: np.ndarray
     gain: ConcaveGain
-    memo: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        k, n = self.matrix.shape
-        if self.weights.shape != (k,):
-            raise ValueError(f"weights of shape {self.weights.shape} for {k} lists")
-        delta = _increments(self.gain, n)
-
-        def weight_free_terms():
-            low = self.matrix.min(axis=1, keepdims=True)
-            top = (np.sort(self.matrix, axis=1)[:, ::-1] - low) @ delta
-            top.setflags(write=False)
-            return delta, low, top
-
-        terms = _memoised(self.memo, "terms", self.gain, weight_free_terms)
-        ybar = self.weights @ self.matrix
-        ybar.setflags(write=False)
-        object.__setattr__(self, "_delta", terms[0])
-        object.__setattr__(self, "_low", terms[1])
-        object.__setattr__(self, "_top", terms[2])
-        object.__setattr__(self, "_ybar", ybar)
+    memo: dict
+    _delta: np.ndarray
+    _centred: np.ndarray
+    _top: np.ndarray
+    _ybar: np.ndarray
 
     @classmethod
     def from_query(cls, q: QueryInstance, weights: np.ndarray | Sequence[float],
                    gain: ConcaveGain) -> "EnergyContext":
-        return cls(q.matrix, np.asarray(weights, dtype=np.float64), gain, q._memo)
+        weights = np.asarray(weights, dtype=np.float64)
+        k = q.matrix.shape[0]
+        if weights.shape != (k,):
+            raise ValueError(f"weights of shape {weights.shape} for {k} lists")
+        terms = _memoised(q._memo, "terms", gain, lambda: _weight_free_terms(q.matrix, gain))
+        ybar = weights @ q.matrix
+        ybar.setflags(write=False)
+        return cls(q.matrix, weights, gain, q._memo, *terms, ybar)
 
     @property
     def n(self) -> int:
@@ -283,11 +288,11 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     ``-(|gap| * span) > cut``, with ``span`` the range of ``ybar``: such a
     step accepts whichever two candidates meet, because rounding is
     monotone (see ``_ReplayPlan.may_reject``; a non-finite ``ybar`` skips
-    none). The other steps are tested in step order by the walk's own
-    expression ``gap * (y_b - y_a) > cut``. A rejection swaps two slots of
-    the start order, which is copied at each rejection from the first
-    retained step on; every retained state is then one of those copies
-    read through its slot map.
+    none). The other steps, if any, are tested in step order by the walk's
+    own expression ``gap * (y_b - y_a) > cut``. A rejection swaps two slots
+    of the start order, which is copied at each rejection from the first
+    retained step on, and once after the last step; every retained state is
+    one of those copies read through its slot map.
     """
     n = ctx.n
     if n == 1:
@@ -300,9 +305,6 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     y = ybar[order].tolist()  # y[slot] is the mean score of e[slot]
     span = y[0] - y[-1]  # max - min; a NaN sorts last
     tested = plan.may_reject(span)
-    if not tested.size:
-        return order[plan.kept_slots]
-
     e = order.tolist()
     first = plan.first
     snapshots = array("q")  # e before each rejection from ``first`` on, then e
@@ -333,11 +335,11 @@ def _from_mean_h(ctx: EnergyContext, hbar: np.ndarray) -> np.ndarray:
 
     d(x_i || pi) = sorted_i . delta - x_i . h_pi is linear in h_pi, so its
     expectation needs only ``hbar``. Both terms are taken relative to the
-    list minimum ``low_i``: the divergence is unchanged by adding a
-    constant to a list, and a constant list gives exactly 0.0. The first
-    term is the context's weight-free ``_top``.
+    list minimum ``low_i``, as the query's memoised ``_top`` and centred
+    lists ``_centred``: the divergence is unchanged by adding a constant to
+    a list, and a constant list gives exactly 0.0.
     """
-    return ctx._top - (ctx.matrix - ctx._low) @ hbar
+    return ctx._top - ctx._centred @ hbar
 
 
 def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
@@ -355,12 +357,6 @@ def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     return _from_mean_h(ctx, hbar)
 
 
-def _all_orders(n: int) -> np.ndarray:
-    if n > MAX_ENUMERATION_N:
-        raise ValueError(f"exact enumeration limited to N <= {MAX_ENUMERATION_N}, got {n}")
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
 def _exact_law(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All N! orders, their (N!, N) h-vectors and their exact probabilities.
 
@@ -370,7 +366,9 @@ def _exact_law(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     relative to its minimum; every h-vector sums to g(N), so that shift
     cancels.
     """
-    orders = _all_orders(ctx.n)
+    if ctx.n > MAX_ENUMERATION_N:
+        raise ValueError(f"exact enumeration limited to N <= {MAX_ENUMERATION_N}, got {ctx.n}")
+    orders = np.array(list(itertools.permutations(range(ctx.n))), dtype=np.int64)
     h = ctx._delta[np.argsort(orders, axis=1)]
     logits = h @ (ctx._ybar - ctx._ybar.min())
     probs = np.exp(logits - logits.max())

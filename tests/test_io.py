@@ -13,6 +13,8 @@ from lbrank.core import QueryInstance, ranking_from_scores
 from lbrank.io import (
     DataError,
     Dataset,
+    _letor_lines,
+    _scores_csv_lines,
     normalize_minmax,
     parse_letor,
     parse_scores_csv,
@@ -100,6 +102,17 @@ class TestParseLetor:
         with pytest.raises(DataError, match="line 1.*malformed feature"):
             parse_letor(path)
 
+    def test_feature_index_below_one(self, tmp_path, monkeypatch):
+        # the fast path refuses index 0, so the line parser words the error
+        read = []
+        monkeypatch.setattr(dataio, "_letor_lines",
+                            lambda *args: read.append(args) or _letor_lines(*args))
+        path = tmp_path / "zero.txt"
+        path.write_text("0 qid:1 0:0.5\n")
+        with pytest.raises(DataError, match="line 1: feature index 0 < 1"):
+            parse_letor(path)
+        assert len(read) == 1
+
     def test_inconsistent_feature_counts_within_query(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("1 qid:1 1:0.5 2:0.5\n0 qid:1 1:0.1\n")
@@ -177,6 +190,22 @@ class TestParseScoresCsv:
             "q1,1,0.25,0\n")
         ds = parse_scores_csv(path)
         np.testing.assert_array_equal(ds.queries[0].relevance, [2.0, 0.0])
+
+    def test_quoted_query_id_and_blank_line(self, tmp_path, monkeypatch):
+        # the fast path refuses the quoted id; the line parser skips the blank row
+        read = []
+        monkeypatch.setattr(dataio, "_scores_csv_lines",
+                            lambda *args: read.append(args) or _scores_csv_lines(*args))
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "query_id,candidate_id,ranker_0\n"
+            '"q,1",0,0.5\n'
+            "\n"
+            '"q,1",1,0.25\n')
+        ds = parse_scores_csv(path)
+        assert len(read) == 1
+        assert [q.query_id for q in ds.queries] == ["q,1"]
+        np.testing.assert_array_equal(ds.queries[0].matrix, [[0.5, 0.25]])
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"

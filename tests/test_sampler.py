@@ -320,6 +320,23 @@ class TestReplayPlan:
                 assert not np.array_equal(want, unpatched)
         assert len(streams) == 1
 
+    @pytest.mark.parametrize("matrix, weights, gain", [
+        ([[0.9, 0.2, 0.5, 0.4, 0.1]], [1.0], GAINS["constant"](5)),
+        ([[0.25, 0.75, 0.5, 1.0, 0.0], [0.75, 0.25, 0.5, 0.0, 1.0]], [0.5, 0.5],
+         sigmoid_gain(5)),
+    ], ids=["zero-gaps", "equal-mean-scores"])
+    def test_no_step_can_reject(self, matrix, weights, gain):
+        # |gap| * span is 0 at every step, so none is tested and the start
+        # order is read through every retained slot map
+        cfg = ChainConfig(num_samples=40, burn_in=10, thinning=2, rng_seed=21)
+        ctx = EnergyContext.from_query(make_query(matrix), weights, gain)
+        ybar = ctx._ybar.tolist()
+        plan = _ReplayPlan.build(cfg, gain.increments, 5)
+        assert plan.may_reject(max(ybar) - min(ybar)).size == 0
+        want = oracles.chain_orders(ybar, gain.increments.tolist(), cfg.num_samples,
+                                    cfg.burn_in, cfg.thinning, cfg.rng_seed)
+        np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+
     def test_a_step_on_the_skip_boundary_is_tested(self):
         # with K = 1 the mean scores are the list itself, so the span is exact
         gain = sigmoid_gain(5)
