@@ -404,35 +404,33 @@ def _time_epoch(dataset: Dataset, chain: ChainConfig, kind: str, k2: int,
 def cmd_bench(cfg: argparse.Namespace) -> int:
     _require(cfg, "out")
     growth_limit = 2.5
-    report_rows: list[tuple[str, int, float, float | None, str]] = []
-    for axis in cfg.bench_axes:
-        times: list[float] = []
-        sizes: list[int] = []
-        for step in range(cfg.bench_doublings + 1):
-            scale = 2 ** step
-            n = cfg.bench_base_n * (scale if axis == "n" else 1)
-            k = cfg.bench_base_k * (scale if axis == "k" else 1)
-            k2 = cfg.bench_base_k * (scale if axis == "k1k2" else 1)
-            dataset = dataio.synth_planted(cfg.bench_queries, n, k,
-                                           [0.5] * k, seed=cfg.seed)
-            kind = "nested" if axis == "k1k2" else "linear"
-            seconds = _time_epoch(dataset, cfg.chain, kind, k2, cfg.bench_repeats)
-            sizes.append(n * k * (k2 if axis == "k1k2" else 1))
-            times.append(seconds)
-        for idx, seconds in enumerate(times):
-            ratio = times[idx] / times[idx - 1] if idx else None
-            flag = "SUPER-LINEAR" if ratio is not None and ratio > growth_limit else ""
-            report_rows.append((axis, sizes[idx], seconds, ratio, flag))
+    flagged = 0
+    with open(cfg.out, "w", encoding="utf-8") as report:
+        def emit(line: str) -> None:
+            print(line, file=report)
+            print(line)
 
-    lines = ["axis,size,seconds_per_epoch,ratio,flag"]
-    for axis, size, seconds, ratio, flag in report_rows:
-        ratio_s = "" if ratio is None else f"{ratio:.3f}"
-        lines.append(f"{axis},{size},{seconds:.6f},{ratio_s},{flag}")
-    Path(cfg.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    flagged = [row for row in report_rows if row[4]]
+        emit("axis,size,seconds_per_epoch,ratio,flag")
+        for axis in cfg.bench_axes:
+            for step in range(cfg.bench_doublings + 1):
+                scale = 2 ** step
+                n = cfg.bench_base_n * (scale if axis == "n" else 1)
+                k = cfg.bench_base_k * (scale if axis == "k" else 1)
+                k2 = cfg.bench_base_k * (scale if axis == "k1k2" else 1)
+                dataset = dataio.synth_planted(cfg.bench_queries, n, k,
+                                               [0.5] * k, seed=cfg.seed)
+                kind = "nested" if axis == "k1k2" else "linear"
+                seconds = _time_epoch(dataset, cfg.chain, kind, k2, cfg.bench_repeats)
+                size = n * k * (k2 if axis == "k1k2" else 1)
+                # each doubling after the first is flagged by its unrounded ratio
+                ratio = seconds / previous if step else None
+                flag = "SUPER-LINEAR" if step and ratio > growth_limit else ""
+                flagged += bool(flag)
+                ratio_s = "" if ratio is None else f"{ratio:.3f}"
+                emit(f"{axis},{size},{seconds:.6f},{ratio_s},{flag}")
+                previous = seconds
     if flagged:
-        print(f"warning: {len(flagged)} measurement(s) grew faster than "
+        print(f"warning: {flagged} measurement(s) grew faster than "
               f"x{growth_limit} per doubling", file=sys.stderr)
     return EXIT_OK
 

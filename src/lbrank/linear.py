@@ -95,12 +95,15 @@ class LinearModel:
 
 @dataclass
 class TrainingLog:
-    """Per-epoch objective values and weight snapshots."""
+    """Per-epoch objective values and weight snapshots; one objective per epoch run."""
 
     objectives: list[float] = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    epochs_run: int = 0
     converged: bool = False
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.objectives)
 
 
 def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
@@ -192,7 +195,6 @@ def _run_epochs(queries: tuple[QueryInstance, ...], weights: tuple[np.ndarray, .
             weights = step(queries[qi], *weights)
         log.objectives.append(objective_of(*weights))
         log.snapshots.append(tuple(w.copy() for w in weights))
-        log.epochs_run = epoch + 1
         moved = max(float(np.max(np.abs(w - b))) for w, b in zip(weights, before))
         if moved < EARLY_STOP_TOL:
             log.converged = True
@@ -245,8 +247,6 @@ def train(data,
 
 def aggregate_scores(model: LinearModel, q: QueryInstance) -> np.ndarray:
     """Aggregated score vector sum_i w_i x_i for one query."""
-    if q.k != model.k:
-        raise ValueError(f"query has K={q.k}, model has K={model.k}")
     return weighted_average_scores(q, model.weights)
 
 

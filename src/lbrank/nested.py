@@ -71,7 +71,10 @@ __all__ = [
 
 MODEL_FORMAT = "lbrank-nested/1"
 
-SAMPLING_MODES = ("aggregate", "per_unit")
+# sampling mode -> the weight rows its chains run under, given (W1, W2)
+_SAMPLED_ROWS = {"aggregate": lambda w1, w2: (w2 @ w1)[np.newaxis],
+                 "per_unit": lambda w1, w2: w1}
+SAMPLING_MODES = tuple(_SAMPLED_ROWS)
 
 
 # name -> (offset, scale) of offset + scale * tanh(t/2), or None for the identity.
@@ -205,21 +208,16 @@ def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
                          backend: str = "mh") -> np.ndarray:
     """K2 x K1 table of expected divergences; row i feeds hidden unit i.
 
-    In ``aggregate`` mode one chain per query is drawn under the aggregate
-    weights W2 @ W1 and all rows share its estimates. In ``per_unit`` mode
-    each hidden unit runs its own chain under its W1 row; all K2 chains
-    share the query's one replay plan.
+    One chain runs per weight row the mode samples under: in ``aggregate``
+    mode the single row W2 @ W1, whose estimates every hidden unit shares;
+    in ``per_unit`` mode each W1 row, one per hidden unit. All chains share
+    the query's one replay plan.
     """
-    rows = np.empty(w1.shape, dtype=np.float64)
     cfg = query_config(q, cfg)
-    if sampling == "aggregate":
-        ctx = EnergyContext.from_query(q, w2 @ w1, gain)
-        rows[:] = expected_divergences(ctx, cfg, backend)
-        return rows
-    for i in range(w1.shape[0]):
-        ctx = EnergyContext.from_query(q, w1[i], gain)
-        rows[i] = expected_divergences(ctx, cfg, backend)
-    return rows
+    table = np.empty(w1.shape, dtype=np.float64)
+    table[:] = [expected_divergences(EnergyContext.from_query(q, w, gain), cfg, backend)
+                for w in _SAMPLED_ROWS[sampling](w1, w2)]
+    return table
 
 
 def hidden_preactivation(w1: np.ndarray, div_means: np.ndarray) -> np.ndarray:

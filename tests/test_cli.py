@@ -331,18 +331,24 @@ def _float_kernels_fingerprint() -> str:
 # walk that the replay plan replaced: on an x86-64 host with AVX-512 (numpy
 # 2.4.6, OpenBLAS's SkylakeX kernels), and on the same host with numpy's
 # AVX-512 paths disabled and OpenBLAS's Haswell kernels, as on an AVX2 CPU.
+# The per_unit digests (nested training with one chain per hidden unit) were
+# recorded later, with the replay plan, on the same two settings.
 GOLDEN_DIGESTS = {
     "eda6b5134966541d8d045a3fee724295796127bb22fb1079b6f86d67cd1ae064": {
         "linear.txt": "123b8a141966a3e5237711817519aa91cb850bd47cc1fb739c82b351ce6680ee",
         "linear.txt.log": "1289c0980630331f46237db5d03735775522cdb3ac2cc25dd4e6c11b15151711",
         "nested.txt": "83847815c09e461d6bbab5782957ebf3a920ddfe49f5d41e9beadc91cf66aca3",
         "nested.txt.log": "166dee5b275070e72ede038cb163b16199f1a3192b6e344e8efbea198162825d",
+        "per_unit.txt": "515fa291b87522fdd06cf298b00a835555e894f1b35b6b05e4390a54fbc7aafa",
+        "per_unit.txt.log": "b67ee6dce652f92f2c30fbd8e1af985cacd9c2c14ca266ccdc4b7086e61402c0",
     },
     "ae658b95f1eb8757bb5249c9bacd92eb5852587c53f12a686c61a4c8d42df0ae": {
         "linear.txt": "d099d4f897500c3bdd100f8c2c6afc64de20b990168474931097ce51fc4392c7",
         "linear.txt.log": "442aa6190bf7e0995837a2050e86822e9ace6fe9ef95e0d599a10d9d2ac67d80",
         "nested.txt": "550e2ed253e1ebc7b72040840275cef7ae74d1fac1d8e0af4f2fe34ae370ddc4",
         "nested.txt.log": "fd205fb9478f8e8aeb941ea2c0ff2ea06f6d4c4a31ac91d6666c922cf2ac472a",
+        "per_unit.txt": "0b368c2162c3fd64a86f98903f79920c1bfe5aee7922f2f8bc8a29eba5d9d616",
+        "per_unit.txt.log": "e0862c94cdcf98a020faa688b32ce5bbbda9d59628147e3ad1ddb6b8b9a41820",
     },
 }
 
@@ -357,9 +363,10 @@ class TestGoldenOutputs:
         data = tmp_path / "data.csv"
         write_scores_csv(synth_planted(20, 12, 5, [0.0, 0.5, 1.0, 1.5, 2.0], seed=13), data)
         got = {}
-        for model in ("linear", "nested"):
-            out = tmp_path / f"{model}.txt"
-            assert run("train", "--model", model, "--data", data, "--out", out,
+        for name, flags in (("linear", ["--model", "linear"]), ("nested", ["--model", "nested"]),
+                            ("per_unit", ["--model", "nested", "--sampling", "per_unit"])):
+            out = tmp_path / f"{name}.txt"
+            assert run("train", *flags, "--data", data, "--out", out,
                        "--epochs", 3, "--normalize", "true", "--seed", 7, "--k2", 4) == EXIT_OK
             for path in (out, out.with_name(out.name + ".log")):
                 got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -432,6 +439,17 @@ class TestInfer:
         assert run("infer", "--data", synth_csv, "--baseline", "averaging",
                    "--model-file", model_path, "--out", out) == EXIT_USAGE
         assert not out.exists()
+
+    def test_baseline_beats_a_configured_model_file(self, tmp_path, synth_csv):
+        # only the two flags clash; the config's model file is never read
+        config = tmp_path / "run.cfg"
+        config.write_text(f"model_file = {tmp_path / 'missing.txt'}\n")
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        assert run("infer", "--data", synth_csv, "--baseline", "averaging",
+                   "--out", plain) == EXIT_OK
+        assert run("infer", "--config", config, "--data", synth_csv,
+                   "--baseline", "averaging", "--out", configured) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
 
     def test_k_mismatch_is_data_error(self, tmp_path, synth_csv):
         model_path = tmp_path / "uniform.txt"
@@ -787,6 +805,23 @@ class TestBench:
             [["", ""], ["3.000", "SUPER-LINEAR"]] * 3)
         assert "warning: 3 measurement(s) grew faster than x2.5 per doubling" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("second, ratio, flag, warned", [
+        (2.5, "2.500", "", False),
+        # rounds to the limit but exceeds it: the flag reads the unrounded ratio
+        (2.5004, "2.500", "SUPER-LINEAR", True),
+    ])
+    def test_flag_boundary(self, tmp_path, monkeypatch, capsys, second, ratio, flag, warned):
+        times = iter([1.0, second])
+        monkeypatch.setattr(cli, "_time_epoch", lambda *args: next(times))
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--out", out, "--bench-axes", "n", "--bench-doublings", 1,
+                   "--bench-queries", 1, "--bench-base-n", 2, "--bench-base-k", 1) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[2].endswith(f",{ratio},{flag}")
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert ("warning: 1 measurement(s) grew faster than x2.5" in captured.err) == warned
 
     def test_single_point_report(self, tmp_path):
         out = tmp_path / "bench.csv"
