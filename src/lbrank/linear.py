@@ -115,22 +115,28 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     subtracted before exponentiation; that leaves the normalized result
     unchanged but guarantees the denominator stays positive for any finite
     gradient (the best active coordinate contributes w_i * exp(0)). Given a
-    matrix, every row is updated on its own simplex.
+    matrix, every row is updated on its own simplex. A row with no positive
+    weight has no simplex to stay on (its max exponent is -inf) and raises
+    ValueError. The reductions are the ufuncs' own ``reduce`` calls, which
+    the ``np.max`` and ``np.sum`` wrappers dispatch to, so the result is the
+    same to the bit without their per-call Python overhead.
     """
     w = np.asarray(w, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != w.shape:
         raise ValueError("gradient shape does not match weights")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("gradient must be finite")
     active = w > 0.0
     t = -mu * grad
-    top = np.max(t, axis=-1, keepdims=True, where=active, initial=-np.inf)
-    scaled = np.zeros_like(w)
+    top = np.maximum.reduce(t, axis=-1, keepdims=True, where=active, initial=-np.inf)
+    if top.min() == -np.inf:
+        raise ValueError("a row of weights has no positive coordinate with finite -mu * grad")
+    scaled = np.zeros(w.shape)
     np.subtract(t, top, out=scaled, where=active)
     np.exp(scaled, out=scaled, where=active)
     scaled *= w
-    return scaled / scaled.sum(axis=-1, keepdims=True)
+    return scaled / np.add.reduce(scaled, axis=-1, keepdims=True)
 
 
 # one multiplicative step on the linear weights, under its own name so it can be traced

@@ -200,6 +200,18 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray,
     return pos_a, pos_b, delta[pos_a] - delta[pos_b], cuts, keep
 
 
+def _mean_gains(slots: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per index of an (M, N) array, the gains at the positions that hold it, summed over M.
+
+    One ``np.bincount`` in row order: each index adds its gains in the
+    order they appear, from 0.0, and the sums are divided by M.
+    """
+    m, n = slots.shape
+    gains = np.empty((m, n))
+    gains[:] = delta  # row r holds the gain at every position
+    return np.bincount(slots.ravel(), weights=gains.ravel(), minlength=n) / m
+
+
 class _ReplayPlan(NamedTuple):
     """A chain's proposals replayed on the path where every step accepts.
 
@@ -215,8 +227,14 @@ class _ReplayPlan(NamedTuple):
     step, and per retained state the (M, N) int32 slot map after its step
     (``kept_slots``, 4 N bytes a state) and the step's index (int64
     ``kept_steps``, 8 bytes a state); ``first`` is the first retained step
-    and ``widest`` the largest ``|gap|``. Nothing here depends on the
-    weights.
+    and ``widest`` the largest ``|gap|``. ``slot_means`` (N float64) is the
+    mean over the retained states of the gain each slot of ``e`` sits at:
+    when no step from ``first`` on rejects, every retained state reads one
+    ``e`` through its slot map, and the chain's mean h-vector is
+    ``slot_means`` read through that ``e``. It is summed by
+    ``_mean_gains``, as ``sample_expectation`` sums the states, so each
+    slot adds the same gains in the same order. Nothing here depends on
+    the weights.
     """
 
     slot_i: np.ndarray
@@ -225,6 +243,7 @@ class _ReplayPlan(NamedTuple):
     cut: np.ndarray
     kept_steps: np.ndarray
     kept_slots: np.ndarray
+    slot_means: np.ndarray
     first: int
     widest: float
 
@@ -248,8 +267,8 @@ class _ReplayPlan(NamedTuple):
                 kept_slots[kept] = sigma
                 kept += 1
         return cls(np.array(slot_i, dtype=np.int32), np.array(slot_k, dtype=np.int32),
-                   gap, cut, kept_steps, kept_slots, int(kept_steps[0]),
-                   float(np.abs(gap).max()))
+                   gap, cut, kept_steps, kept_slots, _mean_gains(kept_slots, delta),
+                   int(kept_steps[0]), float(np.abs(gap).max()))
 
     def may_reject(self, span: float) -> np.ndarray:
         """The steps that can reject when ``ybar`` has range ``span``, in step order.
@@ -294,10 +313,21 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     retained step on, and once after the last step; every retained state is
     one of those copies read through its slot map.
     """
-    n = ctx.n
-    if n == 1:
+    if ctx.n == 1:
         return np.zeros((cfg.num_samples, 1), dtype=np.int64)
+    return _retained(*_walk(ctx, cfg))
 
+
+def _walk(ctx: EnergyContext, cfg: ChainConfig) -> tuple[_ReplayPlan, np.ndarray, array]:
+    """Run one chain (N >= 2) on its replay plan.
+
+    Returns the plan, the snapshot rows and the late rejections. The
+    snapshot rows are an (R + 1, N) int64 array: the start order ``e``
+    before each of the R rejections from the plan's first retained step on,
+    then ``e`` after the last step. The late rejections are the steps of
+    those R rejections, in step order. See ``sample_orders``.
+    """
+    n = ctx.n
     plan = _memoised(ctx.memo, "plan", (cfg, ctx.gain),
                      lambda: _ReplayPlan.build(cfg, ctx._delta, n))
     ybar = ctx._ybar
@@ -323,7 +353,11 @@ def sample_orders(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
         y[k] = yi
         e[i], e[k] = e[k], e[i]
     snapshots.extend(e)
-    states = np.frombuffer(snapshots, dtype=np.int64).reshape(-1, n)
+    return plan, np.frombuffer(snapshots, dtype=np.int64).reshape(-1, n), rejected
+
+
+def _retained(plan: _ReplayPlan, states: np.ndarray, rejected: array) -> np.ndarray:
+    """The (M, N) retained states: each one's snapshot row read through its slot map."""
     if not rejected:
         return states[0][plan.kept_slots]
     segment = np.frombuffer(rejected, dtype=np.int64).searchsorted(plan.kept_steps, "right")
@@ -347,13 +381,22 @@ def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
 
     Averages the h-vectors of the M retained states into one mean h-vector
     (``h_pi[pi[p]] = delta[p]``) and reads every list's expectation off it.
+    When no step from the first retained one on rejects, every retained
+    state is the final start order ``e`` read through a slot map, so the
+    mean is the plan's weight-free ``slot_means`` placed at ``e``, with no
+    states gathered. Otherwise the states are gathered and their gains
+    summed per candidate. Both sums are ``_mean_gains``, so both give the
+    same bits: per candidate, the same gains added in the same order.
     Deterministic given the config seed.
     """
-    orders = sample_orders(ctx, cfg)
-    m, n = orders.shape
-    gains = np.empty((m, n))
-    gains[:] = ctx._delta  # row r holds the gain at every position of state r
-    hbar = np.bincount(orders.ravel(), weights=gains.ravel(), minlength=n) / m
+    if ctx.n == 1:
+        return _from_mean_h(ctx, _mean_gains(sample_orders(ctx, cfg), ctx._delta))
+    plan, states, rejected = _walk(ctx, cfg)
+    if rejected:
+        hbar = _mean_gains(_retained(plan, states, rejected), ctx._delta)
+    else:
+        hbar = np.empty(ctx.n)
+        hbar[states[0]] = plan.slot_means
     return _from_mean_h(ctx, hbar)
 
 

@@ -8,12 +8,16 @@ library now computes in bulk, so results can be compared exactly. The
 energy functions read only a sampler context's matrix, gain increments and
 weights, and sort the lists themselves.
 
-Two groups are the exception. The reference trainers (``train_linear``,
+Three groups are the exception. The reference trainers (``train_linear``,
 ``train_nested``) re-run training one written-out step at a time on the
 library's own expectation backend and simplex update, so their results
-are comparable bit for bit with the trainers'. The formula-level helpers
-at the end (NDCG loss and its divergence form, the top-1 error rate and
-the pairwise feature transform) have no caller in the library.
+are comparable bit for bit with the trainers'. ``gathered_expectation``
+and ``wrapped_simplex_update`` write the mean h-vector and the simplex
+step in plain numpy (one ``np.bincount`` over the gathered states; the
+``np.max`` and ``sum`` wrappers), so the library's faster forms can be
+compared bit for bit with them. The formula-level helpers at the end
+(NDCG loss and its divergence form, the top-1 error rate and the pairwise
+feature transform) have no caller in the library.
 """
 
 from __future__ import annotations
@@ -230,6 +234,59 @@ def stream_orders(ybar: Sequence[float], stream) -> list[list[int]]:
         if retained:
             kept.append(list(state))
     return kept
+
+
+def stream_rejections(ybar: Sequence[float], stream) -> list[int]:
+    """The steps at which a walk over a given proposal stream rejects, in step order.
+
+    The walk is ``stream_orders``': it starts at the stable descending sort
+    of ``ybar`` and swaps when ``gap * (y_b - y_a) > cut``.
+    """
+    state = list(sorted_order(ybar))
+    steps = []
+    for j, (a, b, gap, cut) in enumerate(zip(*(np.asarray(column).tolist()
+                                               for column in stream[:4]))):
+        ca, cb = state[a], state[b]
+        if gap * (ybar[cb] - ybar[ca]) > cut:
+            state[a], state[b] = cb, ca
+        else:
+            steps.append(j)
+    return steps
+
+
+def gathered_expectation(ctx, cfg) -> np.ndarray:
+    """E[d(x_i || pi)] from the gathered retained states of ``sample_orders``.
+
+    The states' gains are summed per candidate by one ``np.bincount`` over
+    the (M, N) states in row order, divided by M and read through the
+    library's ``_from_mean_h``.
+    """
+    from lbrank.sampler import _from_mean_h, sample_orders
+
+    orders = sample_orders(ctx, cfg)
+    m, n = orders.shape
+    gains = np.empty((m, n))
+    gains[:] = ctx._delta  # row r holds the gain at every position of state r
+    hbar = np.bincount(orders.ravel(), weights=gains.ravel(), minlength=n) / m
+    return _from_mean_h(ctx, hbar)
+
+
+def wrapped_simplex_update(w, grad, mu: float):
+    """The multiplicative simplex step through numpy's ``np.max``, ``zeros_like`` and ``sum``.
+
+    Every row of a matrix is updated on its own simplex; the input checks
+    are left to the library.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    active = w > 0.0
+    t = -mu * grad
+    top = np.max(t, axis=-1, keepdims=True, where=active, initial=-np.inf)
+    scaled = np.zeros_like(w)
+    np.subtract(t, top, out=scaled, where=active)
+    np.exp(scaled, out=scaled, where=active)
+    scaled *= w
+    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 def simplex_update_row(w, grad, mu: float):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbrank.core import (
     ConcaveGain,
@@ -68,7 +70,48 @@ class TestHyper:
         assert hyper.epochs == 20
 
 
+@st.composite
+def simplex_cases(draw):
+    """A weight vector (K in 1..10) or K2 x K1 matrix, a finite gradient and mu in 1e-3..1e3.
+
+    Each row keeps at least one positive coordinate; the rest are exactly
+    0.0, and many rows keep just one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 10))
+    rows = draw(st.integers(1, 16))
+    w = np.zeros((rows, k))
+    for row in w:
+        active = 1 if draw(st.booleans()) else int(rng.integers(1, k + 1))
+        row[rng.choice(k, size=active, replace=False)] = rng.dirichlet(np.ones(active))
+    grad = rng.normal(size=w.shape) * 10.0 ** rng.uniform(-3.0, 6.0, size=w.shape)
+    if draw(st.booleans()):
+        w, grad = w[0], grad[0]
+    return w, grad, 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
 class TestMultiplicativeUpdate:
+    @given(simplex_cases())
+    @settings(deadline=None)
+    def test_matches_the_wrapper_expression(self, case):
+        w, grad, mu = case
+        got = multiplicative_simplex_update(w, grad, mu)
+        assert got.tobytes() == oracles.wrapped_simplex_update(w, grad, mu).tobytes()
+
+    @pytest.mark.parametrize("w", [np.zeros(3), np.array([[0.5, 0.5], [0.0, 0.0]])],
+                             ids=["vector", "matrix-row"])
+    def test_a_row_without_positive_weight_raises(self, w):
+        with pytest.raises(ValueError, match="no positive coordinate"):
+            multiplicative_simplex_update(w, np.zeros_like(w), mu=0.1)
+
+    def test_input_errors_are_unchanged(self):
+        w = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="^gradient shape does not match weights$"):
+            multiplicative_simplex_update(w, np.zeros(2), mu=0.1)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^gradient must be finite$"):
+                multiplicative_simplex_update(w, np.array([[0.0, 0.0], [bad, 0.0]]), mu=0.1)
+
     def test_constant_gradient_is_a_no_op(self):
         w = np.array([0.2, 0.3, 0.5])
         out = multiplicative_simplex_update(w, np.array([3.0, 3.0, 3.0]), mu=0.1)

@@ -14,7 +14,7 @@ from lbrank.core import (
     log2_gain,
     sigmoid_gain,
 )
-from lbrank import sampler
+from lbrank import linear, sampler
 from lbrank.io import normalize_minmax, synth_planted
 from lbrank.sampler import (
     ChainConfig,
@@ -244,12 +244,12 @@ GAINS = {"sigmoid": sigmoid_gain, "log2": log2_gain,
 
 
 @st.composite
-def chain_cases(draw):
-    """K in 1..3 lists over N in 2..12 candidates at a span in 1e-3..1e4, often tied.
+def chain_cases(draw, min_n=2):
+    """K in 1..3 lists over N in ``min_n``..12 candidates at a span in 1e-3..1e4, often tied.
 
     Returns the matrix, two weight vectors, a gain and a chain budget.
     """
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(min_n, 12))
     k = draw(st.integers(1, 3))
     span = draw(st.floats(1e-3, 1e4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -290,6 +290,40 @@ class TestReplayPlan:
             diffs = y[None, :] - y[:, None]  # y_b - y_a at row a, column b
             for j in np.setdiff1d(np.arange(len(plan.gap)), tested).tolist():
                 assert (plan.gap[j] * diffs > plan.cut[j]).all()
+
+    @given(chain_cases(min_n=1))
+    @settings(deadline=None)
+    def test_expectation_matches_the_gathered_formula(self, case):
+        rows, weight_sets, gain, cfg = case
+        q = make_query(rows)
+        for weights in weight_sets:  # the second chain replays the query's plan
+            ctx = EnergyContext.from_query(q, weights, gain)
+            got = sample_expectation(ctx, cfg)
+            assert got.tobytes() == oracles.gathered_expectation(ctx, cfg).tobytes()
+
+    @pytest.mark.parametrize("matrix, burn_in, seed, rejects, rejects_late", [
+        ([[0.13, 0.05, 0.01, 0.0, 0.16, 0.18], [0.12, 0.15, 0.11, 0.19, 0.16, 0.0]],
+         20, 0, False, False),
+        ([[0.51, 0.95, 0.14, 0.95, 0.31, 0.42], [0.83, 0.41, 0.55, 0.03, 0.75, 0.54]],
+         20, 1, True, False),
+        # burn-in 0 makes every rejection late
+        ([[0.64, 0.27, 0.04, 0.02, 0.81, 0.91], [0.61, 0.73, 0.54, 0.94, 0.82, 0.0]],
+         0, 0, True, True),
+    ], ids=["no-rejection", "burn-in-rejections-only", "late-rejection"])
+    def test_expectation_on_each_kind_of_chain(self, matrix, burn_in, seed, rejects,
+                                               rejects_late):
+        gain = sigmoid_gain(6)
+        cfg = ChainConfig(num_samples=30, burn_in=burn_in, rng_seed=seed)
+        ctx = EnergyContext.from_query(make_query(matrix), [0.5, 0.5], gain)
+        plan, _, rejected = sampler._walk(ctx, cfg)
+        assert plan.may_reject(float(np.ptp(ctx._ybar))).size > 0
+        steps = oracles.stream_rejections(ctx._ybar.tolist(),
+                                          sampler._proposal_stream(cfg, gain.increments, 6))
+        late = [j for j in steps if j >= plan.first]
+        assert (bool(steps), bool(late)) == (rejects, rejects_late)
+        assert rejected.tolist() == late
+        got = sample_expectation(ctx, cfg)
+        assert got.tobytes() == oracles.gathered_expectation(ctx, cfg).tobytes()
 
     def test_zero_uniforms_accept_through_a_patched_stream(self, monkeypatch):
         # u = 0 gives cut = -inf: every finite log ratio exceeds it, also one
@@ -378,6 +412,26 @@ class TestReplayPlan:
         want = oracles.chain_orders(ybar, gain.increments.tolist(), cfg.num_samples,
                                     cfg.burn_in, cfg.thinning, cfg.rng_seed)
         np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+
+
+class TestExpectationPaths:
+    def test_plan_and_gather_counts_on_train_shaped_data(self, monkeypatch):
+        # planted min-max data at the train workload's N = 30 and K = 8 under
+        # the default chain: the chains that reject nothing from their first
+        # retained step on read the mean h-vector off the plan, the rest gather
+        data = synth_planted(10, 30, 8, np.linspace(0.5, 3.0, 8), seed=11)
+        queries = [normalize_minmax(q) for q in data.queries]
+        walk = sampler._walk
+        late = []
+
+        def counted(ctx, cfg):
+            plan, states, rejected = walk(ctx, cfg)
+            late.append(bool(rejected))
+            return plan, states, rejected
+
+        monkeypatch.setattr(sampler, "_walk", counted)
+        linear.train(queries, linear.LinearHyper(epochs=3), ChainConfig())
+        assert (late.count(False), late.count(True)) == (42, 18)
 
 
 class TestExactBackend:
