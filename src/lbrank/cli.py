@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -306,14 +307,18 @@ def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndar
 
 def _write_rankings_csv(path: Path, dataset: Dataset,
                         scores_by_query: list[np.ndarray]) -> None:
-    """One row per (query, rank), as the csv module writes it, scores as Python reprs."""
+    """One row per (query, rank), as the csv module writes it, scores as Python reprs.
+
+    A query's rows are formatted at once, by one ``%`` template per row
+    repeated N times; ``%r`` of a float is its repr.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("query_id,rank,candidate_id,aggregated_score\n")
         for q, scores in zip(dataset.queries, scores_by_query):
             order = ranking_from_scores(scores)
-            query_id = _csv_field(q.query_id)
-            fh.write("".join(f"{query_id},{rank},{cand},{score!r}\n" for rank, (cand, score)
-                             in enumerate(zip(order.tolist(), scores[order].tolist()), start=1)))
+            row = _csv_field(q.query_id).replace("%", "%%") + ",%d,%d,%r\n"
+            values = zip(range(1, order.size + 1), order.tolist(), scores[order].tolist())
+            fh.write((row * order.size) % tuple(itertools.chain.from_iterable(values)))
 
 
 def cmd_infer(cfg: argparse.Namespace) -> int:

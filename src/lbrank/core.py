@@ -198,7 +198,9 @@ class QueryInstance:
     """A query id plus its K x N score matrix over one shared candidate set.
 
     Row i of ``matrix`` holds ranker i's scores. The matrix is validated
-    and stored once, as a read-only C-ordered float64 copy. ``relevance``
+    and stored once, as a read-only C-ordered float64 copy (the parsers,
+    which check whole files, hand over arrays of their own through
+    ``_checked``). ``relevance``
     carries optional graded judgments, used by evaluation only; training
     never reads it.
     """
@@ -237,6 +239,23 @@ class QueryInstance:
     def from_matrix(cls, query_id: str, matrix, relevance=None) -> "QueryInstance":
         """Build from a K x N score matrix (row i is ranker i)."""
         return cls(query_id, matrix, relevance)
+
+    @classmethod
+    def _checked(cls, query_id: str, matrix: np.ndarray,
+                 relevance: np.ndarray | None) -> "QueryInstance":
+        """A query of arrays its caller owns and has checked, kept as they are.
+
+        ``matrix`` must be a C-ordered float64 K x N array (K, N >= 1) of
+        finite scores, and ``relevance`` None or N finite non-negative
+        float64 grades. Both are made read-only, not copied or checked
+        again: the parsers check a whole file's rows at once.
+        """
+        matrix.setflags(write=False)
+        if relevance is not None:
+            relevance.setflags(write=False)
+        query = cls.__new__(cls)
+        query.__dict__.update(query_id=query_id, matrix=matrix, relevance=relevance)
+        return query
 
     @property
     def k(self) -> int:

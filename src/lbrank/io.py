@@ -168,12 +168,18 @@ def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
     """Group flat rows into one query per id of ``codes``, in first-seen order.
 
     Row r belongs to the query coded ``group[r]``: ``x[r]`` holds its K
-    scores and ``rel[r]`` its grade. Each query's rows are gathered once,
-    straight from ``x`` and ``rel``. With ``cand`` they are put in
-    candidate-id order, and the ids must be dense 0..N-1; without it they
-    keep file order. ``QueryInstance`` checks that scores are finite and
-    grades finite and non-negative.
+    scores (K >= 1) and ``rel[r]`` its grade. The whole block is checked
+    once: every score must be finite and every grade finite and
+    non-negative, or ValueError names the fault (the fast paths then fall
+    back to the line parsers, which name the line). Each query's rows are
+    then gathered once, straight from ``x`` and ``rel``, into arrays the
+    query keeps. With ``cand`` they are put in candidate-id order, and the
+    ids must be dense 0..N-1; without it they keep file order.
     """
+    if not np.isfinite(x).all():
+        raise ValueError("scores must be finite (no NaN or infinity)")
+    if rel is not None and not ((rel >= 0.0) & (rel < np.inf)).all():
+        raise ValueError("relevance grades must be finite and non-negative")
     names = list(codes)
     group = np.asarray(group, dtype=np.intp)
     sizes = np.bincount(group, minlength=len(names))
@@ -187,7 +193,9 @@ def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
             g = group[order[np.argmin(dense)]]
             raise DataError(f"{path} qid {names[g]}: candidate ids must be dense "
                             f"0..{sizes[g] - 1}")
-    queries = [QueryInstance(name, x.T[:, rows], None if rel is None else rel[rows])
+    # x.T[:, rows] comes out Fortran-ordered; np.take would copy all of x, a strided view
+    queries = [QueryInstance._checked(name, np.ascontiguousarray(x.T[:, rows]),
+                                      None if rel is None else rel[rows])
                for name, rows in zip(names, np.split(order, starts[1:]))]
     provenance = f"{fmt}:{path}" + (" (missing scores zero-filled)" if filled else "")
     return Dataset(tuple(queries), provenance)
@@ -332,8 +340,13 @@ def write_letor(dataset: Dataset, path: str | Path) -> None:
                              for rel, row in zip(q.relevance.tolist(), q.matrix.T.tolist())))
 
 
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
 def _csv_field(text: str) -> str:
     """``text`` as the csv module writes it as one field of a row, quoted where it must be."""
+    if text and not _CSV_QUOTED.search(text):
+        return text  # the csv module writes it as it is
     buf = io.StringIO()
     # a lone empty field would be written as "", so the field is written beside another;
     # the writer quotes a field holding a character of its terminator, and the reader

@@ -12,6 +12,7 @@ available for comparability with LETOR conventions.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Sequence
 
@@ -116,7 +117,7 @@ def borda_points(q: QueryInstance) -> np.ndarray:
     """Total Borda points per candidate; see :func:`baseline_borda`."""
     orders = np.argsort(-q.matrix, axis=1, kind="stable")
     points = np.empty(q.matrix.shape)
-    np.put_along_axis(points, orders, np.arange(q.n - 1, -1, -1, dtype=np.float64), axis=1)
+    points[np.arange(q.k)[:, np.newaxis], orders] = np.arange(q.n - 1, -1, -1, dtype=np.float64)
     return points.sum(axis=0)
 
 
@@ -135,14 +136,15 @@ def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: S
                         "rename the query")
     means = np.array([np.mean(table, axis=0) for table in tables])
     ids = [_csv_field(query_id) for query_id in query_ids]
-    labels = [_csv_field(method) for method in methods]
+    # a method's rows: its label, a query id, then each value's repr
+    rows = [_csv_field(method).replace("%", "%%") + ",%s" + ",%r" * len(metric_columns) + "\n"
+            for method in methods]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["method", "query_id", *map(_csv_field, metric_columns)]) + "\n")
-        for label, table in zip(labels, tables):
-            fh.write("".join(f"{label},{query_id},{','.join(map(repr, values))}\n"
-                             for query_id, values in zip(ids, table.tolist())))
-        fh.write("".join(f"{label},MEAN,{','.join(map(repr, values))}\n"
-                         for label, values in zip(labels, means.tolist())))
+        for row, table in zip(rows, tables):
+            fh.write((row * len(ids)) % tuple(itertools.chain.from_iterable(
+                (query_id, *values) for query_id, values in zip(ids, table.tolist()))))
+        fh.write("".join(row % ("MEAN", *values) for row, values in zip(rows, means.tolist())))
     return means
 
 

@@ -8,20 +8,25 @@ library now computes in bulk, so results can be compared exactly. The
 energy functions read only a sampler context's matrix, gain increments and
 weights, and sort the lists themselves.
 
-Three groups are the exception. The reference trainers (``train_linear``,
+Four groups are the exception. The reference trainers (``train_linear``,
 ``train_nested``) re-run training one written-out step at a time on the
 library's own expectation backend and simplex update, so their results
 are comparable bit for bit with the trainers'. ``gathered_expectation``
 and ``wrapped_simplex_update`` write the mean h-vector and the simplex
 step in plain numpy (one ``np.bincount`` over the gathered states; the
 ``np.max`` and ``sum`` wrappers), so the library's faster forms can be
-compared bit for bit with them. The formula-level helpers at the end
+compared bit for bit with them. ``csv_field``, ``write_rankings_csv`` and
+``write_metric_csv`` keep the csv module's form of a field and the
+row-at-a-time f-string writers, so the library's per-query templates can
+be compared byte for byte with them. The formula-level helpers at the end
 (NDCG loss and its divergence form, the top-1 error rate and the pairwise
 feature transform) have no caller in the library.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from typing import Sequence
@@ -287,6 +292,41 @@ def wrapped_simplex_update(w, grad, mu: float):
     np.exp(scaled, out=scaled, where=active)
     scaled *= w
     return scaled / scaled.sum(axis=-1, keepdims=True)
+
+
+def csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a row."""
+    buf = io.StringIO()
+    # beside a second field, so a lone empty field is not written as "";
+    # a terminator holding both \r and \n quotes a field holding either
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def write_rankings_csv(path, query_ids: Sequence[str], scores_by_query) -> None:
+    """``infer``'s rankings file, one f-string per (query, rank) row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("query_id,rank,candidate_id,aggregated_score\n")
+        for query_id, scores in zip(query_ids, scores_by_query):
+            scores = np.asarray(scores, dtype=np.float64).tolist()
+            field = csv_field(query_id)
+            fh.write("".join(f"{field},{rank},{cand},{scores[cand]!r}\n"
+                             for rank, cand in enumerate(sorted_order(scores), start=1)))
+
+
+def write_metric_csv(path, metric_columns: Sequence[str], methods: Sequence[str],
+                     query_ids: Sequence[str], tables) -> None:
+    """``eval``'s report, one f-string per (method, query) row and per mean row."""
+    means = np.array([np.mean(table, axis=0) for table in tables])
+    ids = [csv_field(query_id) for query_id in query_ids]
+    labels = [csv_field(method) for method in methods]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["method", "query_id", *map(csv_field, metric_columns)]) + "\n")
+        for label, table in zip(labels, tables):
+            fh.write("".join(f"{label},{query_id},{','.join(map(repr, values))}\n"
+                             for query_id, values in zip(ids, np.asarray(table).tolist())))
+        fh.write("".join(f"{label},MEAN,{','.join(map(repr, values))}\n"
+                         for label, values in zip(labels, means.tolist())))
 
 
 def simplex_update_row(w, grad, mu: float):

@@ -40,6 +40,8 @@ from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
 from lbrank.nested import Activation, NestedHyper, init_nested, save_nested
 from lbrank.sampler import ChainConfig
 
+import oracles
+
 
 @pytest.fixture
 def synth_csv(tmp_path):
@@ -633,6 +635,48 @@ def test_outputs_read_back_ids_holding_carriage_returns(tmp_path):
             rows = list(csv.reader(fh))[1:]
         assert all(len(row) == 4 for row in rows)
         assert [row[column] for row in rows] == want
+
+
+# ids and a report label that a % template or a quoted field could get wrong;
+# a LETOR id holds no whitespace
+_TEMPLATE_IDS = {
+    "csv": ["%", "%%", "%s", "a%d", "x,y", 'a"b', "q\r", "line\nbreak", "héllo✓", "100%"],
+    "letor": ["%", "%%", "%s", "a%d", "x,y", 'a"b', "héllo✓", "100%", '"%,"'],
+}
+
+
+@pytest.mark.parametrize("fmt", list(_TEMPLATE_IDS))
+def test_outputs_are_the_bytes_the_row_at_a_time_writers_write(tmp_path, fmt):
+    rng = np.random.default_rng(4)
+    dataset = Dataset(tuple(
+        QueryInstance(qid, rng.normal(size=(2, n)), rng.integers(0, 3, size=n))
+        for qid, n in zip(_TEMPLATE_IDS[fmt], [1, 3, 5] * 4)))
+    data = tmp_path / f"data.{fmt}"
+    (write_scores_csv if fmt == "csv" else write_letor)(dataset, data)
+    model = tmp_path / 'm%s,%d"%%ü.txt'
+    save_linear(LinearModel(SimplexWeights([0.25, 0.75]), sigmoid_gain(8), LinearHyper()), model)
+    rankings, report, want = tmp_path / "rankings.csv", tmp_path / "report.csv", tmp_path / "want"
+    assert run("infer", "--data", data, "--model-file", model, "--out", rankings) == EXIT_OK
+    assert run("eval", "--data", data, "--model-file", model, "--out", report,
+               "--topk", 3) == EXIT_OK
+    ids = [q.query_id for q in dataset.queries]
+
+    # each file read back and written again one f-string per row
+    with open(rankings, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    scores = {qid: np.zeros(q.n) for qid, q in zip(ids, dataset.queries)}
+    for qid, _, cand, score in rows:
+        scores[qid][int(cand)] = float(score)
+    oracles.write_rankings_csv(want, ids, list(scores.values()))
+    assert rankings.read_bytes() == want.read_bytes()
+
+    with open(report, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    methods = ["averaging", "borda", 'm%s,%d"%%ü']
+    tables = [[[float(v) for v in row[2:]] for row in rows if row[0] == method][:-1]
+              for method in methods]
+    oracles.write_metric_csv(want, header[2:], methods, ids, tables)
+    assert report.read_bytes() == want.read_bytes()
 
 
 class TestEval:

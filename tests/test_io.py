@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import codecs
+import csv
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lbrank import cli
 from lbrank import io as dataio
 from lbrank.core import QueryInstance, ranking_from_scores
 from lbrank.io import (
@@ -23,10 +26,11 @@ from lbrank.io import (
     write_scores_csv,
 )
 from lbrank.linear import LinearHyper, train
-from lbrank.metrics import ndcg_at_k
+from lbrank.metrics import ndcg_at_k, write_metric_csv
 from lbrank.sampler import ChainConfig
 from lbrank.core import sigmoid_gain
 
+import oracles
 from conftest import make_query
 from oracles import pairwise_feature_transform
 
@@ -775,6 +779,7 @@ class TestMatrixLayout:
     def check(self, q: QueryInstance) -> None:
         assert q.matrix.flags.c_contiguous
         assert not q.matrix.flags.writeable
+        assert q.relevance is None or not q.relevance.flags.writeable
         w = np.random.default_rng(3).dirichlet(np.ones(q.k))
         assert (w @ q.matrix).tobytes() == (w @ np.ascontiguousarray(q.matrix)).tobytes()
 
@@ -802,6 +807,77 @@ class TestMatrixLayout:
     def test_normalize_minmax(self, rng):
         for q in self.dataset(rng).queries:
             self.check(normalize_minmax(q))
+
+
+class TestParsedBlockCheck:
+    """A fault the fast path finds in the parsed block is named by the line parser."""
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("csv", "q0,0,0.5,1\nq0,1,nan,1\n", 3),  # a score that is not finite
+        ("csv", "q0,0,0.5,1\nq0,1,0.5,-1\n", 3),  # a negative grade
+        ("letor", "1 qid:q0 1:0.5\n1 qid:q0 1:inf\n", 2),
+        ("letor", "1 qid:q0 1:0.5\n-2 qid:q0 1:0.5\n", 2),
+    ])
+    def test_fault_is_named_by_the_line_parser(self, tmp_path, fmt, text, line):
+        path = tmp_path / f"data.{fmt}"
+        header = "query_id,candidate_id,ranker_0,relevance\n" if fmt == "csv" else ""
+        path.write_text(header + text, encoding="utf-8")
+        public = parse_scores_csv if fmt == "csv" else parse_letor
+        line_parser = dataio._scores_csv_lines if fmt == "csv" else dataio._letor_lines
+        for strict in (True, False):
+            with pytest.raises(DataError, match=f" line {line}: "):
+                public(path, strict=strict)
+            assert _outcome(public, path, strict) == _outcome(line_parser, path, strict)
+
+
+# Text that a quoted CSV field or a % template could get wrong, among any other characters.
+_TRICKY = [",", '"', "\r", "\n", "\x00", " ", "%", "%%", "%s", "%d", "%r", "%(q)s", "é", "\u2028",
+           "\U0001f600"]
+_FIELD_TEXT = st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters(codec="utf-8")),
+                       max_size=8).map("".join)
+# no parser lets NUL into a query id, and a model file's stem cannot hold one
+_ID_TEXT = _FIELD_TEXT.map(lambda text: text.replace("\x00", ""))
+_SCORE = st.one_of(st.integers(-2, 2).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCsvWriters:
+    """The CSV writers write the bytes of the csv module and of row-at-a-time f-strings."""
+
+    @given(_FIELD_TEXT)
+    @settings(deadline=None)
+    def test_csv_field_is_the_csv_module_form(self, text):
+        try:
+            expected = oracles.csv_field(text)
+        except csv.Error:  # Python 3.10's writer cannot write NUL without an escapechar
+            assert "\x00" in text and sys.version_info < (3, 11)
+            return
+        assert dataio._csv_field(text) == expected
+
+    @given(ids=st.lists(_ID_TEXT, min_size=1, max_size=4, unique=True), data=st.data())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rankings_rows(self, tmp_path, ids, data):
+        scores = [np.array(data.draw(st.lists(_SCORE, min_size=1, max_size=6))) for _ in ids]
+        dataset = Dataset(tuple(QueryInstance(qid, [x]) for qid, x in zip(ids, scores)))
+        cli._write_rankings_csv(tmp_path / "got.csv", dataset, scores)
+        oracles.write_rankings_csv(tmp_path / "want.csv", ids, scores)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @given(columns=st.lists(_ID_TEXT, min_size=1, max_size=3),
+           methods=st.lists(_ID_TEXT, min_size=1, max_size=3),
+           ids=st.lists(_ID_TEXT.filter(lambda text: text != "MEAN"), min_size=1, max_size=4,
+                        unique=True),
+           data=st.data())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_metric_rows(self, tmp_path, columns, methods, ids, data):
+        value = st.floats(0.0, 1.0)
+        tables = [np.array(data.draw(st.lists(st.lists(value, min_size=len(columns),
+                                                        max_size=len(columns)),
+                                               min_size=len(ids), max_size=len(ids))))
+                  for _ in methods]
+        write_metric_csv(tmp_path / "got.csv", columns, methods, ids, tables)
+        oracles.write_metric_csv(tmp_path / "want.csv", columns, methods, ids, tables)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestDataset:

@@ -112,6 +112,11 @@ class TestMultiplicativeUpdate:
             with pytest.raises(ValueError, match="^gradient must be finite$"):
                 multiplicative_simplex_update(w, np.array([[0.0, 0.0], [bad, 0.0]]), mu=0.1)
 
+    def test_finite_gradient_whose_step_overflows_raises(self):
+        # -10 * -1e308 is past the float range: the step would be NaN everywhere
+        with pytest.raises(ValueError, match=r"^-mu \* gradient overflows a double \(mu=10.0\)$"):
+            multiplicative_simplex_update(np.array([0.5, 0.5]), np.array([-1e308, 0.0]), 10.0)
+
     def test_constant_gradient_is_a_no_op(self):
         w = np.array([0.2, 0.3, 0.5])
         out = multiplicative_simplex_update(w, np.array([3.0, 3.0, 3.0]), mu=0.1)
