@@ -11,7 +11,6 @@ model file codec and the training log writer live here too.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import re
@@ -344,15 +343,14 @@ _CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as the csv module writes it as one field of a row, quoted where it must be."""
-    if text and not _CSV_QUOTED.search(text):
-        return text  # the csv module writes it as it is
-    buf = io.StringIO()
-    # a lone empty field would be written as "", so the field is written beside another;
-    # the writer quotes a field holding a character of its terminator, and the reader
-    # ends a row at \r as at \n, so the terminator holds both
-    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
-    return buf.getvalue()[:-len(",\r\n")]
+    """``text`` as the csv module writes it as one field of a row, quoted where it must be.
+
+    The csv module quotes a field holding the delimiter, the quote character
+    or a character of the row terminator (the reader ends a row at \r as at
+    \n), doubling each quote inside; an empty field beside another is
+    written as it is.
+    """
+    return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
 
 
 def _csv_header(k: int, with_relevance: bool) -> list[str]:

@@ -113,12 +113,14 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     smaller gradient. Coordinates at exactly zero stay zero (the update is
     multiplicative). The max exponent over the mass-carrying coordinates is
     subtracted before exponentiation; that leaves the normalized result
-    unchanged but guarantees the denominator stays positive whenever
-    ``-mu * grad`` is finite (the best active coordinate contributes
-    w_i * exp(0)). A non-finite gradient, or a finite one whose ``-mu *
-    grad`` overflows, raises ValueError. Given a matrix, every row is
-    updated on its own simplex. A row with no positive weight has no
-    simplex to stay on (its max exponent is -inf) and raises ValueError.
+    unchanged but guarantees the denominator stays positive whenever that
+    max is finite (the best active coordinate contributes w_i * exp(0)). A
+    non-finite gradient raises ValueError. A finite one whose ``-mu * grad``
+    overflows is fine on a zero-weight coordinate, and to -inf below the
+    max (its mass goes to zero); where it makes the max of a row infinite
+    it raises ValueError. Given a matrix, every row is updated on its own
+    simplex. A row with no positive weight has no simplex to stay on (its
+    max exponent is -inf) and raises ValueError.
     The reductions are the ufuncs' own ``reduce`` calls, which the
     ``np.max`` and ``np.sum`` wrappers dispatch to, so the result is the
     same to the bit without their per-call Python overhead.
@@ -127,16 +129,16 @@ def multiplicative_simplex_update(w: np.ndarray, grad: np.ndarray, mu: float) ->
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != w.shape:
         raise ValueError("gradient shape does not match weights")
+    if not np.isfinite(grad).all():
+        raise ValueError("gradient must be finite")
+    active = w > 0.0
     with np.errstate(over="ignore"):
         t = -mu * grad
-    if not np.isfinite(t).all():
-        if not np.isfinite(grad).all():
-            raise ValueError("gradient must be finite")
-        raise ValueError(f"-mu * gradient overflows a double (mu={mu!r})")
-    active = w > 0.0
     top = np.maximum.reduce(t, axis=-1, keepdims=True, where=active, initial=-np.inf)
-    if top.min() == -np.inf:
-        raise ValueError("a row of weights has no positive coordinate")
+    if not np.isfinite(top).all():
+        if not active.any(axis=-1).all():
+            raise ValueError("a row of weights has no positive coordinate")
+        raise ValueError(f"-mu * gradient overflows a double (mu={mu!r})")
     scaled = np.zeros(w.shape)
     np.subtract(t, top, out=scaled, where=active)
     np.exp(scaled, out=scaled, where=active)

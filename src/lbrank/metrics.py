@@ -129,8 +129,13 @@ def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: S
     ``query_ids`` order. Returns the (methods, columns) array of the means
     written, so a summary table shows the same numbers. The bytes are those
     the csv module writes, values as Python reprs. A query id ``MEAN``
-    would read as a mean row, so it is refused before the file is opened.
+    would read as a mean row, so it is refused before the file is opened,
+    as are no columns and a table of another shape.
     """
+    if not metric_columns:
+        raise ValueError("at least one metric column required")
+    if any(np.shape(table) != (len(query_ids), len(metric_columns)) for table in tables):
+        raise ValueError("each table must hold one row per query and one column per metric")
     if "MEAN" in query_ids:
         raise DataError("query 'MEAN': the report names each method's mean row MEAN; "
                         "rename the query")

@@ -879,6 +879,12 @@ class TestCsvWriters:
         oracles.write_metric_csv(tmp_path / "want.csv", columns, methods, ids, tables)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("columns, shape", [([], (1, 0)), (["a"], (1, 2)), (["a"], (2, 1))])
+    def test_metric_rows_refuse_no_columns_and_misshapen_tables(self, tmp_path, columns, shape):
+        with pytest.raises(ValueError):
+            write_metric_csv(tmp_path / "got.csv", columns, ["m"], ["q"], [np.zeros(shape)])
+        assert not (tmp_path / "got.csv").exists()
+
 
 class TestDataset:
     def test_uniform_k_enforced(self):

@@ -116,6 +116,18 @@ class TestMultiplicativeUpdate:
         # -10 * -1e308 is past the float range: the step would be NaN everywhere
         with pytest.raises(ValueError, match=r"^-mu \* gradient overflows a double \(mu=10.0\)$"):
             multiplicative_simplex_update(np.array([0.5, 0.5]), np.array([-1e308, 0.0]), 10.0)
+        # every mass-carrying step going to -inf leaves no finite max either
+        with pytest.raises(ValueError, match=r"^-mu \* gradient overflows a double"):
+            multiplicative_simplex_update(np.array([0.5, 0.5]), np.array([1e308, 1e308]), 10.0)
+
+    @pytest.mark.parametrize("w, grad", [
+        ([1.0, 0.0], [0.0, 1e308]),   # +inf or -inf on a zero-weight coordinate
+        ([1.0, 0.0], [0.0, -1e308]),
+        ([0.5, 0.5], [0.0, 1e308]),   # -inf below the max: that coordinate's mass goes to 0
+    ])
+    def test_step_overflowing_where_it_moves_no_mass_is_kept(self, w, grad):
+        out = multiplicative_simplex_update(np.array(w), np.array(grad), 10.0)
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_constant_gradient_is_a_no_op(self):
         w = np.array([0.2, 0.3, 0.5])
