@@ -31,14 +31,21 @@ from . import io as dataio
 from . import linear, metrics, nested
 from .core import (
     ConcaveGain,
-    QueryInstance,
     SimplexWeights,
     _increments,
     gain_from_spec,
     ranking_from_scores,
     weighted_average_scores,
 )
-from .io import DataError, Dataset, _csv_field, _is_scores_csv, _model_fields, _write_training_log
+from .io import (
+    Block,
+    DataError,
+    Dataset,
+    _csv_field,
+    _is_scores_csv,
+    _model_fields,
+    _write_training_log,
+)
 from .linear import LinearHyper
 from .nested import Activation, NestedHyper
 from .sampler import BACKENDS, MAX_ENUMERATION_N, ChainConfig
@@ -217,15 +224,20 @@ _SCORES_OVERFLOW = ("the {} scores overflow a double; rescale the lists, e.g. wi
                     "--normalize true")
 
 
-def _finite_per_query(dataset: Dataset, value_of: Callable[[QueryInstance], object],
-                      overflow: str) -> list:
-    """Every query's ``value_of(q)``; the first one not finite is a DataError naming its query."""
+def _finite_per_query(dataset: Dataset, value_of: Callable[[Block], np.ndarray],
+                      overflow: str) -> list[np.ndarray]:
+    """``value_of(block)`` of each of the dataset's blocks, whose leading axis runs over its queries.
+
+    The first query, in file order, with a value that is not finite is a
+    DataError naming it.
+    """
     with np.errstate(over="ignore"):
-        values = [value_of(q) for q in dataset.queries]
+        values = [value_of(block) for block in dataset.blocks]
     if not np.isfinite(np.concatenate(values, axis=None)).all():
-        query_id = next(q.query_id for q, v in zip(dataset.queries, values)
-                        if not np.isfinite(v).all())
-        raise DataError(f"query {query_id!r}: {overflow}")
+        bad = [block.index[~np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)]
+               for block, v in zip(dataset.blocks, values)]
+        raise DataError(f"query {dataset.queries[np.concatenate(bad).min()].query_id!r}: "
+                        f"{overflow}")
     return values
 
 
@@ -253,13 +265,14 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
     # a list's largest divergence is its score span times g(N)
-    divergence = float(max(_finite_per_query(
-        dataset, lambda q: np.ptp(q.matrix, axis=1).max() * _increments(gain, q.n).sum(),
+    divergence = float(max(v.max() for v in _finite_per_query(
+        dataset, lambda b: np.ptp(b.scores, axis=-1).max(axis=-1)
+        * _increments(gain, b.scores.shape[-1]).sum(),
         "its score spans overflow a double in training; rescale them, e.g. with "
         "--normalize true")))
     # the weighted mean score of a candidate is at most its absolute scores' sum
     _finite_per_query(
-        dataset, lambda q: np.abs(q.matrix).sum(axis=0).max(),
+        dataset, lambda b: np.abs(b.scores).sum(axis=-2).max(axis=-1),
         "a candidate's absolute scores, summed over the lists, overflow a double, so "
         "its weighted mean score can; rescale them, e.g. with --normalize true")
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
@@ -282,43 +295,54 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _average_scores(k: int) -> Callable[[QueryInstance], np.ndarray]:
+# A scoring function maps a block to the (Q_N, N) scores of its queries.
+Scores = Callable[[Block], np.ndarray]
+
+
+def _average_scores(k: int) -> Scores:
     """The averaging baseline's scoring function for queries of ``k`` lists."""
     uniform = SimplexWeights.uniform(k)
-    return lambda q: weighted_average_scores(q, uniform)
+    return lambda block: weighted_average_scores(block.scores, uniform)
 
 
-def _model_scores(path: str | Path, k: int) -> Callable[[QueryInstance], np.ndarray]:
+def _model_scores(path: str | Path, k: int) -> Scores:
     """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
     path = Path(path)
-    model_format = _model_fields(path).get("format")
+    fields = _model_fields(path)
+    model_format = fields.get("format")
     if model_format == linear.MODEL_FORMAT:
-        model = linear.load_linear(path)
+        model = linear.load_linear(path, fields)
         module, model_k = linear, model.k
     elif model_format == nested.MODEL_FORMAT:
-        model = nested.load_nested(path)
+        model = nested.load_nested(path, fields)
         module, model_k = nested, model.k1
     else:
         raise DataError(f"{path}: unrecognized model format")
     if model_k != k:
         raise DataError(f"{path}: model expects K={model_k}, data has K={k}")
-    return lambda q: module.aggregate_scores(model, q)
+    return lambda block: module.aggregate_scores(model, block.scores)
 
 
-def _write_rankings_csv(path: Path, dataset: Dataset,
-                        scores_by_query: list[np.ndarray]) -> None:
+def _write_rankings_csv(path: Path, dataset: Dataset, scores: list[np.ndarray]) -> None:
     """One row per (query, rank), as the csv module writes it, scores as Python reprs.
 
-    A query's rows are formatted at once, by one ``%`` template per row
-    repeated N times; ``%r`` of a float is its repr.
+    ``scores[b]`` holds the scores of block b's queries. Each block is
+    ranked at once; the rows are written in file order, a query's rows at
+    once by one ``%`` template per row repeated N times (``%r`` of a float
+    is its repr).
     """
+    ranked = [None] * len(dataset.queries)  # per query: its order and its scores in that order
+    for block, block_scores in zip(dataset.blocks, scores):
+        orders = ranking_from_scores(block_scores)
+        sorted_scores = np.take_along_axis(block_scores, orders, axis=-1)
+        for i, order, values in zip(block.index.tolist(), orders.tolist(), sorted_scores.tolist()):
+            ranked[i] = order, values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("query_id,rank,candidate_id,aggregated_score\n")
-        for q, scores in zip(dataset.queries, scores_by_query):
-            order = ranking_from_scores(scores)
+        for q, (order, values) in zip(dataset.queries, ranked):
             row = _csv_field(q.query_id).replace("%", "%%") + ",%d,%d,%r\n"
-            values = zip(range(1, order.size + 1), order.tolist(), scores[order].tolist())
-            fh.write((row * order.size) % tuple(itertools.chain.from_iterable(values)))
+            rows = zip(range(1, len(order) + 1), order, values)
+            fh.write((row * len(order)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def cmd_infer(cfg: argparse.Namespace) -> int:
@@ -343,13 +367,13 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     depth = min(cfg.topk, dataset.n_max)
     discount = _gain_covering(cfg, dataset, depth)
     total = _increments(discount, depth).sum()
-    _finite_per_query(dataset, lambda q: q.relevance.max() * total,
+    _finite_per_query(dataset, lambda b: b.relevance.max(axis=-1) * total,
                       f"its largest relevance grade times the gain total g({depth}) "
                       "overflows a double; rescale the grades")
 
-    methods: dict[str, Callable[[QueryInstance], np.ndarray]] = {
+    methods: dict[str, Scores] = {
         "averaging": _average_scores(dataset.k),
-        "borda": metrics.borda_points,
+        "borda": lambda block: metrics.borda_points(block.scores),
     }
     # --model-file flags replace the config file's model_file
     model_paths = cfg.model_files or ([cfg.model_file] if cfg.model_file else [])
@@ -361,10 +385,13 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
                               f"file's label is its stem ({named}); rename the file")
         methods[label] = _model_scores(model_path, dataset.k)
 
-    relevance = [q.relevance for q in dataset.queries]
-    tables = [metrics.ndcg_table(
-        _finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(label)), relevance,
-        cfg.topk, discount) for label, score_fn in methods.items()]
+    scores = [_finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(label))
+              for label, score_fn in methods.items()]
+    # per block, every method's NDCG at once: one (methods, Q_N, topk) array
+    tables = np.empty((len(methods), len(dataset.queries), cfg.topk))
+    for block, *block_scores in zip(dataset.blocks, *scores):
+        tables[:, block.index] = metrics.ndcg_table(np.stack(block_scores), block.relevance,
+                                                    cfg.topk, discount)
     labels = list(methods)
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
     out = Path(cfg.out)

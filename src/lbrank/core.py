@@ -4,8 +4,11 @@ Candidates of a query are indexed 0..N-1. A ranking is an int64 order
 array, a permutation with ``order[i]`` the candidate ranked i-th; one
 ranker's scores over the same candidates (a score list) and the relevance
 grades of a query are 1-D float arrays, and a :class:`QueryInstance` holds
-the K lists of a query as one K x N matrix. Each kind of array is checked
-by one private helper where it enters the library.
+the K lists of a query as one K x N matrix. The functions that score and
+rank one query also take a block of queries with one candidate count N,
+stacked along a leading axis, and treat each item as that query alone.
+Each kind of array is checked by one private helper where it enters the
+library.
 :class:`SimplexWeights` is a validated weight vector on the simplex;
 trainers carry plain arrays and build it once, at the end. A concave gain
 function g, stored through its increments delta_g(i) = g(i) - g(i-1), drives
@@ -276,12 +279,15 @@ class QueryInstance:
         return {}
 
 
-def _score_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """One score list as a float64 array: flat, non-empty and finite."""
+def _score_vector(x: Sequence[float] | np.ndarray, stacked: bool = False) -> np.ndarray:
+    """One score list as a float64 array: flat, non-empty and finite.
+
+    With ``stacked``, equally long lists stacked along leading axes pass too.
+    """
     scores = np.asarray(x, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("scores must be a flat sequence")
-    if scores.size == 0:
+    if scores.ndim != 1 and not (stacked and scores.ndim > 1):
+        raise ValueError("scores must be a flat sequence" + " or a stack of them" * stacked)
+    if scores.shape[-1] == 0:
         raise ValueError("empty ground set")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite (no NaN or infinity)")
@@ -311,23 +317,38 @@ def _grade_vector(r: Sequence[float] | np.ndarray) -> np.ndarray:
 def ranking_from_scores(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Order array that sorts scores in non-increasing order.
 
-    Ties are broken by the lower candidate index, so the result is
-    deterministic and invariant under adding a constant or scaling all
-    scores by a positive factor.
+    ``x`` is one score list, or a stack of equally long lists (such as the
+    aggregated scores of a block of queries), each sorted along the last
+    axis into its own order array. Ties are broken by the lower candidate
+    index, so the result is deterministic and invariant under adding a
+    constant or scaling all scores by a positive factor.
     """
-    scores = _score_vector(x)
+    scores = _score_vector(x, stacked=True)
     # stable sort of the negated scores: equal scores keep index order
-    return np.argsort(-scores, kind="stable")
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def weighted_average_scores(q: QueryInstance,
+def _score_matrices(q: QueryInstance | np.ndarray) -> np.ndarray:
+    """The K x N matrix of a query, or a (..., K, N) stack of such matrices as it is."""
+    if isinstance(q, QueryInstance):
+        return q.matrix
+    x = np.asarray(q, dtype=np.float64)
+    if x.ndim < 2:
+        raise ValueError("score matrices must be K x N, or stacked along leading axes")
+    return x
+
+
+def weighted_average_scores(q: QueryInstance | np.ndarray,
                             weights: SimplexWeights | np.ndarray) -> np.ndarray:
-    """Aggregated score vector sum_i w_i * x_i for one query.
+    """Aggregated score vector sum_i w_i * x_i for one query, or for each query of a block.
 
-    This is the closed-form aggregation step shared by model inference and
-    the averaging baseline; both call it so their outputs agree exactly.
+    ``q`` is a query or a (Q, K, N) block of score matrices; a block gives
+    (Q, N) scores, item j bit for bit those of matrix j alone. This is the
+    closed-form aggregation step shared by model inference and the averaging
+    baseline; both call it so their outputs agree exactly.
     """
+    x = _score_matrices(q)
     w = weights.w if isinstance(weights, SimplexWeights) else np.asarray(weights, float)
-    if w.shape != (q.k,):
-        raise ValueError(f"weight length {w.shape} does not match K={q.k}")
-    return w @ q.matrix
+    if w.shape != (x.shape[-2],):
+        raise ValueError(f"weight length {w.shape} does not match K={x.shape[-2]}")
+    return w @ x

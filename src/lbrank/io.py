@@ -11,19 +11,21 @@ model file codec and the training log writer live here too.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .core import QueryInstance
 
 __all__ = [
+    "Block",
     "DataError",
     "Dataset",
     "parse_letor",
@@ -58,6 +60,20 @@ def _grade(token: str, where: str) -> float:
     return rel
 
 
+class Block(NamedTuple):
+    """The queries of a dataset that have one candidate count N, stacked in file order.
+
+    ``index`` holds their positions in ``Dataset.queries``, ascending;
+    ``scores`` is a read-only, C-ordered (Q_N, K, N) array whose item j is
+    the score matrix of query ``index[j]``, and ``relevance`` the read-only
+    (Q_N, N) array of their grades, or None.
+    """
+
+    index: np.ndarray
+    scores: np.ndarray
+    relevance: np.ndarray | None
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of queries sharing one ranker count K."""
@@ -87,6 +103,39 @@ class Dataset:
 
     def has_relevance(self) -> bool:
         return all(q.relevance is not None for q in self.queries)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The queries grouped by candidate count, one :class:`Block` per N, N ascending.
+
+        A parsed dataset's query matrices and grades are views of its
+        blocks; any other dataset's are stacked into blocks on first use.
+        The grades are stacked only when every query has them.
+        """
+        sizes = np.array([q.n for q in self.queries])
+        with_relevance = self.has_relevance()
+        blocks = []
+        for n, index in _size_groups(sizes):
+            queries = [self.queries[i] for i in index.tolist()]
+            scores = np.stack([q.matrix for q in queries])
+            relevance = np.stack([q.relevance for q in queries]) if with_relevance else None
+            blocks.append(_block(index, scores, relevance))
+        return tuple(blocks)
+
+
+def _size_groups(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each size N in ``sizes``, ascending, with the positions that hold it."""
+    # not np.unique, which imports numpy.ma (1 MB of RSS) on first use
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        yield n, np.flatnonzero(sizes == n)
+
+
+def _block(index: np.ndarray, scores: np.ndarray, relevance: np.ndarray | None) -> Block:
+    """A :class:`Block` of the given arrays, made read-only."""
+    for array in (index, scores, relevance):
+        if array is not None:
+            array.setflags(write=False)
+    return Block(index, scores, relevance)
 
 
 def _fmt_number(v: float) -> str:
@@ -170,10 +219,11 @@ def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
     scores (K >= 1) and ``rel[r]`` its grade. The whole block is checked
     once: every score must be finite and every grade finite and
     non-negative, or ValueError names the fault (the fast paths then fall
-    back to the line parsers, which name the line). Each query's rows are
-    then gathered once, straight from ``x`` and ``rel``, into arrays the
-    query keeps. With ``cand`` they are put in candidate-id order, and the
-    ids must be dense 0..N-1; without it they keep file order.
+    back to the line parsers, which name the line). With ``cand`` each
+    query's rows are put in candidate-id order, and the ids must be dense
+    0..N-1; without it they keep file order. The queries of each candidate
+    count N are gathered at once into the dataset's block for N (see
+    ``Dataset.blocks``), and each query keeps views of its item there.
     """
     if not np.isfinite(x).all():
         raise ValueError("scores must be finite (no NaN or infinity)")
@@ -192,12 +242,21 @@ def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
             g = group[order[np.argmin(dense)]]
             raise DataError(f"{path} qid {names[g]}: candidate ids must be dense "
                             f"0..{sizes[g] - 1}")
-    # x.T[:, rows] comes out Fortran-ordered; np.take would copy all of x, a strided view
-    queries = [QueryInstance._checked(name, np.ascontiguousarray(x.T[:, rows]),
-                                      None if rel is None else rel[rows])
-               for name, rows in zip(names, np.split(order, starts[1:]))]
+    queries = [None] * len(names)
+    blocks = []
+    for n, index in _size_groups(sizes):
+        rows = order[starts[index][:, np.newaxis] + np.arange(n)]  # (Q_N, N) row numbers
+        # gathered row-major, then laid out (Q_N, K, N) in C order: BLAS rounds w @ X by
+        # memory layout, and this is faster than one gather straight into that layout
+        scores, grades = x[rows].transpose(0, 2, 1).copy(), None if rel is None else rel[rows]
+        blocks.append(_block(index, scores, grades))
+        for j, i in enumerate(index.tolist()):
+            queries[i] = QueryInstance._checked(names[i], scores[j],
+                                                None if grades is None else grades[j])
     provenance = f"{fmt}:{path}" + (" (missing scores zero-filled)" if filled else "")
-    return Dataset(tuple(queries), provenance)
+    dataset = Dataset(tuple(queries), provenance)
+    dataset.__dict__["blocks"] = tuple(blocks)  # the cached Dataset.blocks the queries view
+    return dataset
 
 
 def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
@@ -537,12 +596,14 @@ def _model_fields(path: str | Path) -> dict[str, str]:
 
 
 def _read_model(path: str | Path, model_format: str,
-                build: Callable[[dict[str, str]], object]):
+                build: Callable[[dict[str, str]], object],
+                fields: dict[str, str] | None = None):
     """``build(fields)`` of the fields of a ``model_format`` file; any fault raises a DataError.
 
+    ``fields`` are those ``_model_fields(path)`` read, and are read if None.
     ``build`` pops each key it reads: a missing one raises KeyError, and one it leaves is unknown.
     """
-    fields = _model_fields(path)
+    fields = _model_fields(path) if fields is None else fields
     try:
         if fields.pop("format", None) != model_format:
             raise ValueError(f"not a {model_format} model file")

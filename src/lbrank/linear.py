@@ -258,8 +258,11 @@ def train(data,
     return LinearModel(SimplexWeights(w), gain, hyper), log
 
 
-def aggregate_scores(model: LinearModel, q: QueryInstance) -> np.ndarray:
-    """Aggregated score vector sum_i w_i x_i for one query."""
+def aggregate_scores(model: LinearModel, q: QueryInstance | np.ndarray) -> np.ndarray:
+    """Aggregated score vector sum_i w_i x_i for one query, or for each query of a block.
+
+    See :func:`lbrank.core.weighted_average_scores`.
+    """
     return weighted_average_scores(q, model.weights)
 
 
@@ -280,11 +283,11 @@ def save_linear(model: LinearModel, path: str | Path) -> None:
         ("lam", model.hyper.lam), ("epochs", model.hyper.epochs), ("w", model.weights.w)])
 
 
-def load_linear(path: str | Path) -> LinearModel:
-    """Read a model file; any malformed content raises DataError."""
+def load_linear(path: str | Path, fields: dict[str, str] | None = None) -> LinearModel:
+    """Read a model file, or its ``fields`` already read; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> LinearModel:
         hyper = LinearHyper(mu=float(fields.pop("mu")), lam=float(fields.pop("lam")),
                             epochs=int(fields.pop("epochs")))
         w = _parse_floats(fields.pop("w"), int(fields.pop("k")), "w")
         return LinearModel(SimplexWeights(w), gain_from_spec(fields.pop("gain")), hyper)
-    return _read_model(path, MODEL_FORMAT, build)
+    return _read_model(path, MODEL_FORMAT, build, fields)

@@ -25,6 +25,7 @@ from .core import (
     _grade_vector,
     _increments,
     _order_vector,
+    _score_matrices,
     ranking_from_scores,
     weighted_average_scores,
 )
@@ -61,42 +62,47 @@ def ndcg_at_k(sigma: Sequence[int] | np.ndarray, rel: Sequence[float] | np.ndarr
     return float(np.cumsum(grades[order[:k]] * d)[-1]) / ideal
 
 
-def ndcg_table(scores: Sequence[np.ndarray], relevance: Sequence[np.ndarray],
+def ndcg_table(scores: Sequence[np.ndarray] | np.ndarray,
+               relevance: Sequence[np.ndarray] | np.ndarray,
                topk: int, discount: ConcaveGain) -> np.ndarray:
     """NDCG@1..topk of many queries, each ranked by its own score vector.
 
-    Returns a (Q, topk) array whose entry (q, k-1) equals, bit for bit,
-    ``ndcg_at_k(ranking_from_scores(scores[q]), relevance[q], min(k, N_q),
-    discount)``; queries without relevant candidates score 0 (the LETOR
-    tooling convention). All queries are ranked by one stable argsort over
-    a padded (Q, N_max) block whose padding sorts last.
+    Entry (q, k-1) equals, bit for bit, ``ndcg_at_k(ranking_from_scores(
+    scores[q]), relevance[q], min(k, N_q), discount)``; queries without
+    relevant candidates score 0 (the LETOR tooling convention).
+
+    ``scores`` and ``relevance`` are either two sequences of Q vectors of
+    any lengths, giving a (Q, topk) array, or a block of queries with one
+    candidate count N: a (..., Q, N) score array, whose leading axes stack
+    methods that rank the same queries, and their (Q, N) grades, giving a
+    (..., Q, topk) array. A block is ranked by one stable argsort, and its
+    ideal DCGs are computed once for every method; sequences are split into
+    blocks by length.
     """
-    sizes = np.array([len(x) for x in scores], dtype=np.int64)
-    if sizes.size == 0 or sizes.min() < 1 or [len(r) for r in relevance] != sizes.tolist():
-        raise ValueError("need non-empty score vectors, each with relevance of equal length")
     if topk < 1:
         raise ValueError("topk must be >= 1")
-    d = _increments(discount, min(topk, int(sizes.max())), "discount")
-    flat_scores = np.concatenate(scores).astype(np.float64, copy=False)
-    if not np.all(np.isfinite(flat_scores)):
-        raise ValueError("scores must be finite")
-    flat_rel = _grade_vector(np.concatenate(relevance))
-
-    filled = np.arange(int(sizes.max())) < sizes[:, np.newaxis]
-    negated = np.full(filled.shape, np.inf)
-    negated[filled] = -flat_scores
-    # copied so the full (Q, N_max) order block is freed at once
-    top = np.argsort(negated, axis=1, kind="stable")[:, :d.size].copy()
-    rel = np.zeros(filled.shape)
-    rel[filled] = flat_rel
-    gains = np.take_along_axis(rel, top, axis=1)
-    rel.sort(axis=1)
-    dcg = np.cumsum(gains * d, axis=1)
-    ideal = np.cumsum(rel[:, ::-1][:, :d.size] * d, axis=1)
-    ndcg = np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal > 0.0)
+    if not isinstance(scores, np.ndarray):
+        sizes = [len(x) for x in scores]
+        if not sizes or min(sizes) < 1 or [len(r) for r in relevance] != sizes:
+            raise ValueError("need non-empty score vectors, each with relevance of equal length")
+        table = np.empty((len(sizes), topk))
+        for n in sorted(set(sizes)):
+            index = [i for i, size in enumerate(sizes) if size == n]
+            table[index] = ndcg_table(np.array([scores[i] for i in index], dtype=np.float64),
+                                      [relevance[i] for i in index], topk, discount)
+        return table
+    rel = np.asarray(relevance, dtype=np.float64)
+    if scores.ndim < 2 or scores.shape[-2:] != rel.shape or 0 in rel.shape:
+        raise ValueError("need non-empty score vectors, each with relevance of equal length")
+    _grade_vector(rel.ravel())
+    n = rel.shape[-1]
+    d = _increments(discount, min(topk, n), "discount")
+    top = ranking_from_scores(scores)[..., :d.size]
+    dcg = np.cumsum(rel[np.arange(rel.shape[0])[:, np.newaxis], top] * d, axis=-1)
+    ideal = np.cumsum(np.sort(rel, axis=-1)[:, ::-1][:, :d.size] * d, axis=-1)
+    ndcg = np.divide(dcg, ideal, out=np.zeros(dcg.shape), where=ideal > 0.0)
     # NDCG@k of a query with N < k candidates is its NDCG@N
-    depth = np.minimum(np.arange(topk), sizes[:, np.newaxis] - 1)
-    return np.take_along_axis(ndcg, depth, axis=1)
+    return ndcg[..., np.minimum(np.arange(topk), n - 1)]
 
 
 def baseline_average(q: QueryInstance) -> np.ndarray:
@@ -113,12 +119,19 @@ def baseline_borda(q: QueryInstance) -> np.ndarray:
     return ranking_from_scores(borda_points(q))
 
 
-def borda_points(q: QueryInstance) -> np.ndarray:
-    """Total Borda points per candidate; see :func:`baseline_borda`."""
-    orders = np.argsort(-q.matrix, axis=1, kind="stable")
-    points = np.empty(q.matrix.shape)
-    points[np.arange(q.k)[:, np.newaxis], orders] = np.arange(q.n - 1, -1, -1, dtype=np.float64)
-    return points.sum(axis=0)
+def borda_points(q: QueryInstance | np.ndarray) -> np.ndarray:
+    """Total Borda points per candidate; see :func:`baseline_borda`.
+
+    ``q`` is a query, or a (Q, K, N) block of score matrices, which gives
+    (Q, N) points, item j those of matrix j alone. Points are whole
+    numbers, so every sum is exact.
+    """
+    x = _score_matrices(q)
+    orders = np.argsort(-x, axis=-1, kind="stable")
+    points = np.empty(x.shape)
+    np.put_along_axis(points, orders, np.arange(x.shape[-1] - 1, -1, -1, dtype=np.float64),
+                      axis=-1)
+    return points.sum(axis=-2)
 
 
 def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: Sequence[str],

@@ -26,6 +26,7 @@ from .core import (
     ConcaveGain,
     QueryInstance,
     SimplexWeights,
+    _score_matrices,
     _simplex_rows,
     gain_from_spec,
     gain_spec,
@@ -310,11 +311,16 @@ def train(data,
     return NestedModel(w1, SimplexWeights(w2), gain, phi1, phi2, hyper), log
 
 
-def aggregate_scores(model: NestedModel, q: QueryInstance) -> np.ndarray:
-    """Per-candidate aggregated scores phi2(W2 @ phi1(W1 @ X))."""
-    if q.k != model.k1:
-        raise ValueError(f"query has K={q.k}, model has K1={model.k1}")
-    hidden = model.phi1(model.w1 @ q.matrix)
+def aggregate_scores(model: NestedModel, q: QueryInstance | np.ndarray) -> np.ndarray:
+    """Per-candidate aggregated scores phi2(W2 @ phi1(W1 @ X)).
+
+    ``q`` is a query or a (Q, K, N) block of score matrices; a block gives
+    (Q, N) scores, item j bit for bit those of matrix j alone.
+    """
+    x = _score_matrices(q)
+    if x.shape[-2] != model.k1:
+        raise ValueError(f"query has K={x.shape[-2]}, model has K1={model.k1}")
+    hidden = model.phi1(model.w1 @ x)
     return model.phi2(model.w2.w @ hidden)
 
 
@@ -337,8 +343,8 @@ def save_nested(model: NestedModel, path: str | Path) -> None:
         ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))])
 
 
-def load_nested(path: str | Path) -> NestedModel:
-    """Read a model file; any malformed content raises DataError."""
+def load_nested(path: str | Path, fields: dict[str, str] | None = None) -> NestedModel:
+    """Read a model file, or its ``fields`` already read; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> NestedModel:
         k1, k2 = int(fields.pop("k1")), int(fields.pop("k2"))
         hyper = NestedHyper(mu=float(fields.pop("mu")), lam1=float(fields.pop("lam1")),
@@ -349,4 +355,4 @@ def load_nested(path: str | Path) -> NestedModel:
         w1 = [_parse_floats(fields.pop(f"w1[{i}]"), k1, f"w1[{i}]") for i in range(k2)]
         return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields.pop("gain")),
                            Activation(fields.pop("phi1")), Activation(fields.pop("phi2")), hyper)
-    return _read_model(path, MODEL_FORMAT, build)
+    return _read_model(path, MODEL_FORMAT, build, fields)

@@ -18,7 +18,11 @@ step in plain numpy (one ``np.bincount`` over the gathered states; the
 compared bit for bit with them. ``csv_field``, ``write_rankings_csv`` and
 ``write_metric_csv`` keep the csv module's form of a field and the
 row-at-a-time f-string writers, so the library's per-query templates can
-be compared byte for byte with them. The formula-level helpers at the end
+be compared byte for byte with them. ``query_scores``, ``nested_query_scores``,
+``borda_query_points``, ``query_ranking`` and ``ndcg_query_row`` keep the
+one-query numpy form of what ``infer`` and ``eval`` now compute a block
+of queries at a time, so the block results can be compared bit for bit
+with them. The formula-level helpers at the end
 (NDCG loss and its divergence form, the top-1 error rate and the pairwise
 feature transform) have no caller in the library.
 """
@@ -327,6 +331,56 @@ def write_metric_csv(path, metric_columns: Sequence[str], methods: Sequence[str]
                              for query_id, values in zip(ids, np.asarray(table).tolist())))
         fh.write("".join(f"{label},MEAN,{','.join(map(repr, values))}\n"
                          for label, values in zip(labels, means.tolist())))
+
+
+def query_scores(w, matrix) -> np.ndarray:
+    """sum_i w_i x_i of one K x N score matrix, by one BLAS call on its C-ordered copy."""
+    return np.asarray(w, dtype=np.float64) @ np.ascontiguousarray(matrix, dtype=np.float64)
+
+
+# activation name -> (offset, scale) of offset + scale * tanh(t/2), None for the identity
+_ACTIVATION_FORMS = {"identity": None, "logistic": (0.5, 0.5), "shifted_logistic": (-0.0, 1.0)}
+
+
+def _activate(name: str, t: np.ndarray) -> np.ndarray:
+    form = _ACTIVATION_FORMS[name]
+    return t + 0.0 if form is None else form[0] + form[1] * np.tanh(0.5 * t)
+
+
+def nested_query_scores(w1, w2, phi1: str, phi2: str, matrix) -> np.ndarray:
+    """phi2(w2 @ phi1(W1 @ X)) of one K x N score matrix."""
+    hidden = _activate(phi1, np.asarray(w1, dtype=np.float64)
+                       @ np.ascontiguousarray(matrix, dtype=np.float64))
+    return _activate(phi2, np.asarray(w2, dtype=np.float64) @ hidden)
+
+
+def borda_query_points(matrix) -> np.ndarray:
+    """Borda points of one K x N matrix: list i's candidate at position p gets N - 1 - p."""
+    x = np.asarray(matrix, dtype=np.float64)
+    orders = np.argsort(-x, axis=1, kind="stable")
+    points = np.empty(x.shape)
+    points[np.arange(x.shape[0])[:, np.newaxis], orders] = np.arange(x.shape[1] - 1, -1, -1,
+                                                                     dtype=np.float64)
+    return points.sum(axis=0)
+
+
+def query_ranking(scores) -> np.ndarray:
+    """The order array of one score vector: descending, ties by the lower index."""
+    return np.array(sorted_order(np.asarray(scores, dtype=np.float64).tolist()), dtype=np.int64)
+
+
+def ndcg_query_row(scores, relevance, topk: int, increments) -> np.ndarray:
+    """NDCG@1..topk of one query, each DCG and ideal a left-to-right np.cumsum.
+
+    A query with N < k candidates scores its NDCG@N at k, and one without a
+    relevant candidate scores 0.
+    """
+    rel = np.asarray(relevance, dtype=np.float64)
+    d = np.asarray(increments, dtype=np.float64)[:min(topk, rel.size)]
+    dcg = np.cumsum(rel[query_ranking(scores)[:d.size]] * d)
+    ideal = np.cumsum(np.sort(rel)[::-1][:d.size] * d)
+    row = dcg / ideal if ideal[0] > 0.0 else np.zeros(d.size)
+    return row[np.minimum(np.arange(topk), rel.size - 1)]
 
 
 def simplex_update_row(w, grad, mu: float):

@@ -291,6 +291,29 @@ class TestAggregateScoresPastTheDoubleRange:
                        *flags) == EXIT_OK
 
 
+    @pytest.mark.parametrize("command, what", [
+        ("infer", "the averaging scores overflow a double"),
+        ("eval", "the averaging scores overflow a double"),
+        ("train", "a candidate's absolute scores, summed over the lists, overflow a double"),
+    ])
+    def test_names_the_first_bad_query_in_file_order(self, tmp_path, command, what, capsys):
+        # the commands check the queries a candidate count N at a time, N
+        # ascending, yet name the first bad query in the file: q3 (N = 3)
+        # comes before q4 (N = 2), whose lines are not adjacent
+        big = ",".join(["1.7976931348623157e308"] * 11)
+        rows = [f"q1,0,{','.join(['1'] * 11)},1\n", f"q3,0,{big},1\n", f"q4,0,{big},0\n",
+                f"q3,1,{big},0\n", f"q1,1,{','.join(['2'] * 11)},0\n", f"q4,1,{big},1\n",
+                f"q3,2,{big},0\n"]
+        rankers = ",".join(f"ranker_{i}" for i in range(11))
+        data = tmp_path / "big.csv"
+        data.write_text(f"query_id,candidate_id,{rankers},relevance\n" + "".join(rows))
+        flags = {"infer": ["--baseline", "averaging"], "eval": [], "train": ["--epochs", 1]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(command, "--data", data, "--out", tmp_path / "out.csv",
+                       *flags[command]) == EXIT_DATA
+        assert f"data error: query 'q3': {what}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["linear", "nested"])
     def test_train_refuses_a_weighted_mean_past_the_double_range(self, tmp_path, model,
                                                                  capsys):

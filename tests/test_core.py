@@ -58,6 +58,13 @@ class TestRankingFromScores:
         assert np.array_equal(shifted, base)
         assert np.array_equal(scaled, base)
 
+    def test_each_list_of_a_stack_is_ranked_on_its_own(self, rng):
+        stack = np.round(rng.normal(size=(3, 4, 6)), 1)  # one decimal: ties within lists
+        orders = ranking_from_scores(stack)
+        assert orders.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            assert tuple(orders[index].tolist()) == oracles.sorted_order(stack[index].tolist())
+
     def test_sorting_sorted_scores_is_idempotent(self, rng):
         # scores that already realize a ranking's order sort back to it
         for _ in range(25):
@@ -225,7 +232,8 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: gain_from_spec("sigmoid:0"), ValueError, "capacity must be >= 1"),
     (lambda: SimplexWeights([]), ValueError, "non-empty sequence"),
     (lambda: SimplexWeights([np.nan, 1.0]), ValueError, "weights must be finite"),
-    (lambda: ranking_from_scores([[1.0, 2.0]]), ValueError, "flat sequence"),
+    # a 2-D array is a stack of score lists, each ranked on its own; a scalar is none
+    (lambda: ranking_from_scores(1.0), ValueError, "flat sequence or a stack of them"),
     (lambda: SimplexWeights.uniform(0), ValueError, "at least one ranker"),
     (lambda: QueryInstance("q", [1.0, 2.0]), ValueError, "must be 2-D"),
     (lambda: QueryInstance("q", np.zeros((2, 0))), ValueError, "empty ground set"),
@@ -245,7 +253,7 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: write_letor(Dataset((QueryInstance("q", _TWO),)), "never-written.letor"),
      DataError, "requires relevance"),
 ], ids=["gain-empty", "gain-inf", "gain-nan", "custom-without-values", "capacity-0",
-        "weights-empty", "weights-nan", "scores-2d", "uniform-0", "matrix-1d", "matrix-k-by-0",
+        "weights-empty", "weights-nan", "scores-0d", "uniform-0", "matrix-1d", "matrix-k-by-0",
         "update-gradient-shape", "train-mixed-k", "nested-w1-1d", "nested-w2-short", "hidden-table-shape", "topk-0",
         "table-label-short", "letor-without-relevance"])
 def test_library_refuses_malformed_arguments(make, error, match):

@@ -771,10 +771,12 @@ class TestMatrixLayout:
 
     BLAS rounds ``w @ X`` by memory layout, so a Fortran-ordered matrix
     (a CSV parse assembles the transpose) would change the last digit of
-    aggregated scores against a contiguous copy.
+    aggregated scores against a contiguous copy. A parsed query's matrix
+    and grades are views of the dataset's block for its N, which is
+    C-ordered and read-only too.
     """
 
-    K, N = 8, 50
+    K, SIZES = 8, (50, 7, 50, 1)
 
     def check(self, q: QueryInstance) -> None:
         assert q.matrix.flags.c_contiguous
@@ -783,26 +785,49 @@ class TestMatrixLayout:
         w = np.random.default_rng(3).dirichlet(np.ones(q.k))
         assert (w @ q.matrix).tobytes() == (w @ np.ascontiguousarray(q.matrix)).tobytes()
 
+    def check_blocks(self, dataset: Dataset) -> None:
+        for block in dataset.blocks:
+            for array in (block.scores, block.relevance):
+                assert array.flags.c_contiguous and not array.flags.writeable
+            for j, i in enumerate(block.index.tolist()):
+                q = dataset.queries[i]
+                self.check(q)
+                assert q.matrix.base is block.scores and q.relevance.base is block.relevance
+                assert q.matrix.tobytes() == block.scores[j].tobytes()
+                assert q.relevance.tobytes() == block.relevance[j].tobytes()
+
     def dataset(self, rng) -> Dataset:
         return Dataset(tuple(
-            make_query(rng.normal(size=(self.K, self.N)), query_id=f"q{i}",
-                       relevance=rng.integers(0, 3, size=self.N))
-            for i in range(3)))
+            make_query(rng.normal(size=(self.K, n)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate(self.SIZES)))
 
     def test_from_matrix_of_a_transpose(self, rng):
-        transposed = rng.normal(size=(self.N, self.K)).T
+        transposed = rng.normal(size=(self.SIZES[0], self.K)).T
         assert not transposed.flags.c_contiguous
         self.check(QueryInstance.from_matrix("q", transposed))
 
     def test_parse_scores_csv(self, tmp_path, rng):
         write_scores_csv(self.dataset(rng), tmp_path / "s.csv")
-        for q in parse_scores_csv(tmp_path / "s.csv").queries:
-            self.check(q)
+        for parse in (parse_scores_csv, lambda path: _scores_csv_lines(path, True)):
+            self.check_blocks(parse(tmp_path / "s.csv"))
 
     def test_parse_letor(self, tmp_path, rng):
         write_letor(self.dataset(rng), tmp_path / "s.letor")
-        for q in parse_letor(tmp_path / "s.letor").queries:
-            self.check(q)
+        for parse in (parse_letor, lambda path: _letor_lines(path, True)):
+            self.check_blocks(parse(tmp_path / "s.letor"))
+
+    def test_blocks_of_a_dataset_built_by_hand(self, rng):
+        # stacked on first use: the queries keep their own arrays
+        dataset = self.dataset(rng)
+        assert [block.index.tolist() for block in dataset.blocks] == [[3], [1], [0, 2]]
+        for block in dataset.blocks:
+            assert block.scores.flags.c_contiguous and not block.scores.flags.writeable
+            for j, i in enumerate(block.index.tolist()):
+                assert block.scores[j].tobytes() == dataset.queries[i].matrix.tobytes()
+                assert block.relevance[j].tobytes() == dataset.queries[i].relevance.tobytes()
+        assert Dataset(tuple(QueryInstance(f"q{n}", np.ones((1, n))) for n in (2, 1))).blocks[
+            0].relevance is None
 
     def test_normalize_minmax(self, rng):
         for q in self.dataset(rng).queries:
@@ -859,7 +884,9 @@ class TestCsvWriters:
     def test_rankings_rows(self, tmp_path, ids, data):
         scores = [np.array(data.draw(st.lists(_SCORE, min_size=1, max_size=6))) for _ in ids]
         dataset = Dataset(tuple(QueryInstance(qid, [x]) for qid, x in zip(ids, scores)))
-        cli._write_rankings_csv(tmp_path / "got.csv", dataset, scores)
+        # each query's one list is its score vector; the writer takes them a block at a time
+        cli._write_rankings_csv(tmp_path / "got.csv", dataset,
+                                [block.scores[:, 0] for block in dataset.blocks])
         oracles.write_rankings_csv(tmp_path / "want.csv", ids, scores)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
