@@ -301,7 +301,7 @@ Scores = Callable[[Block], np.ndarray]
 
 def _average_scores(k: int) -> Scores:
     """The averaging baseline's scoring function for queries of ``k`` lists."""
-    uniform = SimplexWeights.uniform(k)
+    uniform = SimplexWeights.uniform(k).w
     return lambda block: weighted_average_scores(block.scores, uniform)
 
 

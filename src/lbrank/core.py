@@ -5,8 +5,9 @@ array, a permutation with ``order[i]`` the candidate ranked i-th; one
 ranker's scores over the same candidates (a score list) and the relevance
 grades of a query are 1-D float arrays, and a :class:`QueryInstance` holds
 the K lists of a query as one K x N matrix. The functions that score and
-rank one query also take a block of queries with one candidate count N,
-stacked along a leading axis, and treat each item as that query alone.
+rank take a (..., K, N) score array: a query's matrix, or a block of
+queries with one candidate count N stacked along a leading axis, each
+item treated as that query alone.
 Each kind of array is checked by one private helper where it enters the
 library.
 :class:`SimplexWeights` is a validated weight vector on the simplex;
@@ -222,18 +223,14 @@ class QueryInstance:
                              "or hold non-numbers") from None
         if mat.ndim != 2:
             raise ValueError("score matrix must be 2-D (K x N)")
-        k, n = mat.shape
-        if k == 0:
+        if mat.shape[0] == 0:
             raise ValueError("query requires at least one score list")
-        if n == 0:
-            raise ValueError("empty ground set")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("scores must be finite (no NaN or infinity)")
+        _score_vector(mat, stacked=True)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         if self.relevance is not None:
             rel = _grade_vector(np.array(self.relevance, dtype=np.float64))
-            if rel.size != n:
+            if rel.size != mat.shape[1]:
                 raise ValueError(f"query {self.query_id!r}: relevance length != N")
             rel.setflags(write=False)
             object.__setattr__(self, "relevance", rel)
@@ -328,27 +325,28 @@ def ranking_from_scores(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def _score_matrices(q: QueryInstance | np.ndarray) -> np.ndarray:
-    """The K x N matrix of a query, or a (..., K, N) stack of such matrices as it is."""
-    if isinstance(q, QueryInstance):
-        return q.matrix
-    x = np.asarray(q, dtype=np.float64)
+def _score_matrices(x: np.ndarray) -> np.ndarray:
+    """A K x N score matrix, or a (..., K, N) stack of them, as a float64 array.
+
+    This is the one input form of every scoring function: a query passes
+    its ``matrix``, a block of queries its ``scores``.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError("score matrices must be K x N, or stacked along leading axes")
     return x
 
 
-def weighted_average_scores(q: QueryInstance | np.ndarray,
-                            weights: SimplexWeights | np.ndarray) -> np.ndarray:
-    """Aggregated score vector sum_i w_i * x_i for one query, or for each query of a block.
+def weighted_average_scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Aggregated scores sum_i w_i * x_i of a (..., K, N) score array and K weights.
 
-    ``q`` is a query or a (Q, K, N) block of score matrices; a block gives
-    (Q, N) scores, item j bit for bit those of matrix j alone. This is the
-    closed-form aggregation step shared by model inference and the averaging
-    baseline; both call it so their outputs agree exactly.
+    A (Q, K, N) block gives (Q, N) scores, item j bit for bit those of
+    matrix j alone. This is the closed-form aggregation step shared by
+    model inference and the averaging baseline; both call it so their
+    outputs agree exactly.
     """
-    x = _score_matrices(q)
-    w = weights.w if isinstance(weights, SimplexWeights) else np.asarray(weights, float)
+    x = _score_matrices(x)
+    w = np.asarray(w, dtype=np.float64)
     if w.shape != (x.shape[-2],):
         raise ValueError(f"weight length {w.shape} does not match K={x.shape[-2]}")
     return w @ x

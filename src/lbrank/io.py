@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .core import QueryInstance
+from .core import QueryInstance, _grade_vector, _score_vector
 
 __all__ = [
     "Block",
@@ -225,10 +225,9 @@ def _dataset(path: Path, fmt: str, codes: dict[str, int], group: Sequence[int],
     count N are gathered at once into the dataset's block for N (see
     ``Dataset.blocks``), and each query keeps views of its item there.
     """
-    if not np.isfinite(x).all():
-        raise ValueError("scores must be finite (no NaN or infinity)")
-    if rel is not None and not ((rel >= 0.0) & (rel < np.inf)).all():
-        raise ValueError("relevance grades must be finite and non-negative")
+    _score_vector(x, stacked=True)
+    if rel is not None:
+        _grade_vector(rel)
     names = list(codes)
     group = np.asarray(group, dtype=np.intp)
     sizes = np.bincount(group, minlength=len(names))

@@ -258,12 +258,12 @@ def train(data,
     return LinearModel(SimplexWeights(w), gain, hyper), log
 
 
-def aggregate_scores(model: LinearModel, q: QueryInstance | np.ndarray) -> np.ndarray:
-    """Aggregated score vector sum_i w_i x_i for one query, or for each query of a block.
+def aggregate_scores(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """Aggregated scores sum_i w_i x_i of a (..., K, N) score array.
 
     See :func:`lbrank.core.weighted_average_scores`.
     """
-    return weighted_average_scores(q, model.weights)
+    return weighted_average_scores(x, model.weights.w)
 
 
 def infer(model: LinearModel, q: QueryInstance) -> np.ndarray:
@@ -273,7 +273,7 @@ def infer(model: LinearModel, q: QueryInstance) -> np.ndarray:
     rankings; with uniform weights it coincides with the averaging
     baseline exactly.
     """
-    return ranking_from_scores(aggregate_scores(model, q))
+    return ranking_from_scores(aggregate_scores(model, q.matrix))
 
 
 def save_linear(model: LinearModel, path: str | Path) -> None:

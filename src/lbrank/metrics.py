@@ -62,37 +62,24 @@ def ndcg_at_k(sigma: Sequence[int] | np.ndarray, rel: Sequence[float] | np.ndarr
     return float(np.cumsum(grades[order[:k]] * d)[-1]) / ideal
 
 
-def ndcg_table(scores: Sequence[np.ndarray] | np.ndarray,
-               relevance: Sequence[np.ndarray] | np.ndarray,
-               topk: int, discount: ConcaveGain) -> np.ndarray:
-    """NDCG@1..topk of many queries, each ranked by its own score vector.
+def ndcg_table(scores: np.ndarray, relevance: np.ndarray, topk: int,
+               discount: ConcaveGain) -> np.ndarray:
+    """NDCG@1..topk of a block of queries with one candidate count N.
 
-    Entry (q, k-1) equals, bit for bit, ``ndcg_at_k(ranking_from_scores(
-    scores[q]), relevance[q], min(k, N_q), discount)``; queries without
-    relevant candidates score 0 (the LETOR tooling convention).
-
-    ``scores`` and ``relevance`` are either two sequences of Q vectors of
-    any lengths, giving a (Q, topk) array, or a block of queries with one
-    candidate count N: a (..., Q, N) score array, whose leading axes stack
-    methods that rank the same queries, and their (Q, N) grades, giving a
-    (..., Q, topk) array. A block is ranked by one stable argsort, and its
-    ideal DCGs are computed once for every method; sequences are split into
-    blocks by length.
+    ``scores`` is a (..., Q, N) array, whose leading axes stack methods
+    that rank the same queries, and ``relevance`` their (Q, N) grades; the
+    result is a (..., Q, topk) array. Entry (..., q, k-1) equals, bit for
+    bit, ``ndcg_at_k(ranking_from_scores(scores[..., q, :]), relevance[q],
+    min(k, N), discount)``; queries without relevant candidates score 0
+    (the LETOR tooling convention). The block is ranked by one stable
+    argsort, and its ideal DCGs are computed once for every method.
+    Queries of other candidate counts go in blocks of their own, as
+    ``Dataset.blocks`` groups them.
     """
     if topk < 1:
         raise ValueError("topk must be >= 1")
-    if not isinstance(scores, np.ndarray):
-        sizes = [len(x) for x in scores]
-        if not sizes or min(sizes) < 1 or [len(r) for r in relevance] != sizes:
-            raise ValueError("need non-empty score vectors, each with relevance of equal length")
-        table = np.empty((len(sizes), topk))
-        for n in sorted(set(sizes)):
-            index = [i for i, size in enumerate(sizes) if size == n]
-            table[index] = ndcg_table(np.array([scores[i] for i in index], dtype=np.float64),
-                                      [relevance[i] for i in index], topk, discount)
-        return table
     rel = np.asarray(relevance, dtype=np.float64)
-    if scores.ndim < 2 or scores.shape[-2:] != rel.shape or 0 in rel.shape:
+    if np.ndim(scores) < 2 or np.shape(scores)[-2:] != rel.shape or 0 in rel.shape:
         raise ValueError("need non-empty score vectors, each with relevance of equal length")
     _grade_vector(rel.ravel())
     n = rel.shape[-1]
@@ -107,7 +94,7 @@ def ndcg_table(scores: Sequence[np.ndarray] | np.ndarray,
 
 def baseline_average(q: QueryInstance) -> np.ndarray:
     """Uniform-mean baseline; agrees exactly with uniform-weight inference."""
-    return ranking_from_scores(weighted_average_scores(q, SimplexWeights.uniform(q.k)))
+    return ranking_from_scores(weighted_average_scores(q.matrix, SimplexWeights.uniform(q.k).w))
 
 
 def baseline_borda(q: QueryInstance) -> np.ndarray:
@@ -116,17 +103,16 @@ def baseline_borda(q: QueryInstance) -> np.ndarray:
     Every list votes through its own sorted order (ties by lower index);
     candidates are ranked by total points, ties again by lower index.
     """
-    return ranking_from_scores(borda_points(q))
+    return ranking_from_scores(borda_points(q.matrix))
 
 
-def borda_points(q: QueryInstance | np.ndarray) -> np.ndarray:
-    """Total Borda points per candidate; see :func:`baseline_borda`.
+def borda_points(x: np.ndarray) -> np.ndarray:
+    """Total Borda points per candidate of a (..., K, N) score array; see :func:`baseline_borda`.
 
-    ``q`` is a query, or a (Q, K, N) block of score matrices, which gives
-    (Q, N) points, item j those of matrix j alone. Points are whole
-    numbers, so every sum is exact.
+    A (Q, K, N) block gives (Q, N) points, item j those of matrix j alone.
+    Points are whole numbers, so every sum is exact.
     """
-    x = _score_matrices(q)
+    x = _score_matrices(x)
     orders = np.argsort(-x, axis=-1, kind="stable")
     points = np.empty(x.shape)
     np.put_along_axis(points, orders, np.arange(x.shape[-1] - 1, -1, -1, dtype=np.float64),

@@ -311,13 +311,13 @@ def train(data,
     return NestedModel(w1, SimplexWeights(w2), gain, phi1, phi2, hyper), log
 
 
-def aggregate_scores(model: NestedModel, q: QueryInstance | np.ndarray) -> np.ndarray:
-    """Per-candidate aggregated scores phi2(W2 @ phi1(W1 @ X)).
+def aggregate_scores(model: NestedModel, x: np.ndarray) -> np.ndarray:
+    """Per-candidate aggregated scores phi2(W2 @ phi1(W1 @ X)) of a (..., K, N) score array.
 
-    ``q`` is a query or a (Q, K, N) block of score matrices; a block gives
-    (Q, N) scores, item j bit for bit those of matrix j alone.
+    A (Q, K, N) block gives (Q, N) scores, item j bit for bit those of
+    matrix j alone.
     """
-    x = _score_matrices(q)
+    x = _score_matrices(x)
     if x.shape[-2] != model.k1:
         raise ValueError(f"query has K={x.shape[-2]}, model has K1={model.k1}")
     hidden = model.phi1(model.w1 @ x)
@@ -330,7 +330,7 @@ def infer(model: NestedModel, q: QueryInstance) -> np.ndarray:
     The outer activation is increasing, so it never changes the argsort;
     it is applied anyway to keep the emitted scores on the documented scale.
     """
-    return ranking_from_scores(aggregate_scores(model, q))
+    return ranking_from_scores(aggregate_scores(model, q.matrix))
 
 
 def save_nested(model: NestedModel, path: str | Path) -> None:

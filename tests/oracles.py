@@ -105,6 +105,33 @@ def exact_distribution(matrix, weights, increments):
     return orders, probs, divs
 
 
+def divergence_table(matrix, increments) -> list[list[float]]:
+    """[d(x_1 || order), ..., d(x_K || order)] for every order of ``all_orders(N)``.
+
+    The values ``divergence`` gives, with the h-vector of each list's sort
+    and of each order built once rather than once per pair.
+    """
+    sorts = [h_vector_chain(sorted_order(row), increments) for row in matrix]
+    table = []
+    for order in all_orders(len(matrix[0])):
+        h_s = h_vector_chain(order, increments)
+        table.append([math.fsum(x * (a - b) for x, a, b in zip(row, h_x, h_s))
+                      for row, h_x in zip(matrix, sorts)])
+    return table
+
+
+def log_partition(matrix, weights, increments) -> float:
+    """log Z(w) = log sum_pi exp(-w . d(pi)) over all N! orders, by log-sum-exp.
+
+    ``-log Z`` is a query's free energy; its gradient in w is E_p[d] under
+    the Gibbs law p(pi) = exp(-w . d(pi)) / Z.
+    """
+    energies = [math.fsum(w * d for w, d in zip(weights, row))
+                for row in divergence_table(matrix, increments)]
+    low = min(energies)
+    return math.log(math.fsum(math.exp(low - e) for e in energies)) - low
+
+
 def exact_expectations(matrix, weights, increments) -> list[float]:
     """E[d(x_i || pi)] under the exact Gibbs distribution, one per list."""
     orders, probs, divs = exact_distribution(matrix, weights, increments)

@@ -110,10 +110,10 @@ def _nested_models(k: int, seed: int):
 
 def _methods(k: int, weights, seed: int):
     """(block scoring, one-query scoring) of averaging, Borda, linear and each nested model."""
-    uniform = SimplexWeights.uniform(k)
+    uniform = SimplexWeights.uniform(k).w
     model = LinearModel(SimplexWeights(np.array(weights) / sum(weights)), sigmoid_gain(N_MAX))
     methods = [(lambda x: weighted_average_scores(x, uniform),
-                lambda m: oracles.query_scores(uniform.w, m)),
+                lambda m: oracles.query_scores(uniform, m)),
                (metrics.borda_points, oracles.borda_query_points),
                (lambda x: linear.aggregate_scores(model, x),
                 lambda m: oracles.query_scores(model.weights.w, m))]

@@ -605,7 +605,7 @@ def test_outputs_are_the_bytes_csv_writer_writes(tmp_path, fmt):
     assert run("infer", "--data", data, "--baseline", "averaging", "--out", rankings) == EXIT_OK
     rows = [["query_id", "rank", "candidate_id", "aggregated_score"]]
     for q in dataset.queries:
-        scores = weighted_average_scores(q, SimplexWeights.uniform(q.k))
+        scores = weighted_average_scores(q.matrix, SimplexWeights.uniform(q.k).w)
         rows += [[q.query_id, rank, cand, repr(float(scores[cand]))]
                  for rank, cand in enumerate(ranking_from_scores(scores).tolist(), start=1)]
     assert rankings.read_bytes() == _csv_module_bytes(rows)

@@ -213,12 +213,12 @@ class TestQueryInstance:
 
 class TestWeightedAverageScores:
     def test_uniform_mean(self, two_list_query):
-        out = weighted_average_scores(two_list_query, SimplexWeights.uniform(2))
+        out = weighted_average_scores(two_list_query.matrix, SimplexWeights.uniform(2).w)
         np.testing.assert_array_equal(out, [2.0, 2.0, 2.0])
 
     def test_length_checked(self, two_list_query):
         with pytest.raises(ValueError, match="weight length"):
-            weighted_average_scores(two_list_query, np.array([1.0, 0.0, 0.0]))
+            weighted_average_scores(two_list_query.matrix, np.array([1.0, 0.0, 0.0]))
 
 
 _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2 W1
@@ -247,7 +247,7 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
      ValueError, "W2 length"),
     (lambda: hidden_preactivation(np.full((1, 2), 0.5), np.zeros((2, 2))),
      ValueError, "does not match W1"),
-    (lambda: ndcg_table([np.array([1.0, 2.0])], [np.array([1.0, 0.0])], 0, ConcaveGain([1.0])),
+    (lambda: ndcg_table(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]), 0, ConcaveGain([1.0])),
      ValueError, "topk must be >= 1"),
     (lambda: format_table(["Top-1"], ["a"], [[1.0], [0.5]]), ValueError, "one value row"),
     (lambda: write_letor(Dataset((QueryInstance("q", _TWO),)), "never-written.letor"),

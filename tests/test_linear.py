@@ -11,6 +11,7 @@ from lbrank.core import (
     ConcaveGain,
     QueryInstance,
     SimplexWeights,
+    log2_gain,
     ranking_from_scores,
     sigmoid_gain,
 )
@@ -36,7 +37,7 @@ from lbrank.nested import (
     save_nested,
 )
 from lbrank.sampler import ChainConfig
-from lbrank.io import synth_planted
+from lbrank.io import Dataset, normalize_minmax, synth_planted
 
 import oracles
 from conftest import make_query
@@ -233,6 +234,22 @@ class TestGradientAndObjective:
                 fd = oracles.central_difference(frozen_objective, w.tolist(), i)
                 assert abs(fd - grad[i]) / max(abs(grad[i]), 1e-12) < 1e-4
 
+    @pytest.mark.parametrize("gain", [sigmoid_gain(6), log2_gain(6)], ids=["sigmoid", "log2"])
+    def test_update_direction_is_the_free_energy_gradient(self, gain):
+        # E_p[d] is the gradient of the free energy -log Z(w), so the paper's
+        # gradient E_p[d] + lam * w is that of -log Z(w) + lam/2 |w|^2
+        data = synth_planted(3, 6, 4, [0.5, 1.0, 2.0, 3.0], seed=1)
+        increments = gain.increments.tolist()
+        lam = 0.01
+        for q in data.queries:
+            matrix = q.matrix.tolist()
+            free_energy = lambda v: -oracles.log_partition(matrix, v, increments)
+            for w in np.random.default_rng(1).dirichlet(np.ones(4), size=3):
+                grad = sgd_gradient(w, gain, lam, q, ChainConfig(rng_seed=1), backend="exact")
+                fd = [oracles.central_difference(free_energy, w.tolist(), i, h=1e-5)
+                      for i in range(4)]
+                np.testing.assert_allclose(grad - lam * w, fd, rtol=1e-7)
+
 
 class TestTrain:
     def test_single_ranker_stays_at_one(self, rng):
@@ -308,6 +325,71 @@ class TestTrain:
         assert log.epochs_run >= 1
         for q in queries:
             assert infer(model, q).size == q.n
+
+
+class TestWhatTrainingConvergesTo:
+    """Where exact-backend training ends on planted data, against the free energy.
+
+    The free energy Phi(w) = mean_q -log Z_q(w) + lam/2 |w|^2 has the
+    Hessian lam * I - Cov_p(d). Where the tangent eigenvalues of Cov_p(d)
+    exceed lam, Phi is concave on the simplex and training ends at one
+    ranker. Where they straddle lam, Phi is nearly flat and the default
+    epochs end inside the simplex; the weights are still drifting then
+    (200 epochs reach the vertex of least free energy).
+    """
+
+    LAM = LinearHyper().lam
+    GAIN = sigmoid_gain(6)
+
+    @classmethod
+    def curvature_and_vertex_free_energies(cls, data):
+        """Tangent eigenvalues of the mean Cov_p(d) at uniform weights, and Phi(e_i) per i."""
+        k = data.k
+        tables = [np.array(oracles.divergence_table(q.matrix.tolist(),
+                                                    cls.GAIN.increments.tolist()))
+                  for q in data.queries]
+
+        def law(table, w):  # the Gibbs law p at w, and -log Z(w)
+            energies = table @ w
+            weight = np.exp(energies.min() - energies)
+            return weight / weight.sum(), energies.min() - np.log(weight.sum())
+
+        cov = np.zeros((k, k))
+        for table in tables:
+            p, _ = law(table, np.full(k, 1.0 / k))
+            mean = p @ table
+            cov += ((table * p[:, np.newaxis]).T @ table - np.outer(mean, mean)) / len(tables)
+        tangent = np.linalg.svd(np.eye(k) - 1.0 / k)[0][:, :k - 1]  # orthonormal, sums 0
+        vertices = [np.mean([law(table, e)[1] for table in tables]) + cls.LAM / 2
+                    for e in np.eye(k)]
+        return np.linalg.eigvalsh(tangent.T @ cov @ tangent), np.array(vertices)
+
+    @classmethod
+    def trained(cls, data):
+        model, _ = train(data, LinearHyper(), ChainConfig(rng_seed=11), cls.GAIN,
+                         backend="exact")
+        return model.weights.w
+
+    @staticmethod
+    def planted():
+        return synth_planted(20, 6, 8, np.linspace(0.5, 3.0, 8), seed=11)
+
+    def test_raw_data_ends_at_the_vertex_of_least_free_energy(self):
+        # measured: eigenvalues 0.064-1.81; Phi(e_0) = -5.524, next -5.461; w[0] = 0.988
+        data = self.planted()
+        eigenvalues, vertices = self.curvature_and_vertex_free_energies(data)
+        assert eigenvalues.min() > 4 * self.LAM
+        best, runner_up = np.argsort(vertices)[:2]
+        assert best == 0 and vertices[runner_up] - vertices[best] > 0.02
+        assert self.trained(data)[0] > 0.95
+
+    def test_minmax_data_is_inside_the_simplex_after_the_default_epochs(self):
+        # measured: eigenvalues 0.0042-0.0286; weights 0.049-0.230
+        data = Dataset(tuple(normalize_minmax(q) for q in self.planted().queries))
+        eigenvalues, _ = self.curvature_and_vertex_free_energies(data)
+        assert eigenvalues.min() < 0.75 * self.LAM and eigenvalues.max() > 2 * self.LAM
+        w = self.trained(data)
+        assert w.min() > 0.02 and w.max() < 0.5
 
 
 class TestInfer:

@@ -13,7 +13,7 @@ from lbrank.core import (
     ranking_from_scores,
     sigmoid_gain,
 )
-from lbrank.io import DataError
+from lbrank.io import DataError, Dataset
 from lbrank.linear import LinearHyper, LinearModel
 from lbrank.linear import infer as linear_infer
 from lbrank.lovasz import lb_bound, lb_divergence
@@ -122,6 +122,17 @@ class TestNdcg:
 
 class TestNdcgTable:
     @staticmethod
+    def grouped(scores, rel, topk, discount):
+        """ndcg_table of ragged queries, one call per block of a hand-built dataset."""
+        dataset = Dataset(tuple(QueryInstance(f"q{i}", [x], r)
+                                for i, (x, r) in enumerate(zip(scores, rel))))
+        table = np.empty((len(dataset.queries), topk))
+        for block in dataset.blocks:
+            # each query's one score list is its item of a (Q_N, N) block
+            table[block.index] = ndcg_table(block.scores[:, 0], block.relevance, topk, discount)
+        return table
+
+    @staticmethod
     def per_query(scores, rel, topk, discount):
         rows = []
         for x, r in zip(scores, rel):
@@ -141,7 +152,7 @@ class TestNdcgTable:
         rel[6] = np.zeros(5)
         discount = sigmoid_gain(max(sizes))
         for topk in (1, 4, 10, 45):
-            got = ndcg_table(scores, rel, topk, discount)
+            got = self.grouped(scores, rel, topk, discount)
             want = self.per_query(scores, rel, topk, discount)
             assert got.shape == (len(sizes), topk)
             np.testing.assert_array_equal(got, want)
@@ -156,7 +167,7 @@ class TestNdcgTable:
         for grades, _ in ONE_DECIMAL_GRADES:
             rel.append(np.array(grades))
         for topk in (1, 5, 12):
-            assert np.all(ndcg_table(rel, rel, topk, discount) == 1.0)
+            assert np.all(self.grouped(rel, rel, topk, discount) == 1.0)
 
     @given(st.lists(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
                              min_size=1, max_size=15), min_size=1, max_size=6),
@@ -166,19 +177,21 @@ class TestNdcgTable:
         scores = [np.array([s for s, _ in q], dtype=float) for q in queries]
         rel = [np.array([r for _, r in q], dtype=float) for q in queries]
         discount = sigmoid_gain(15)
-        np.testing.assert_array_equal(ndcg_table(scores, rel, topk, discount),
+        np.testing.assert_array_equal(self.grouped(scores, rel, topk, discount),
                                       self.per_query(scores, rel, topk, discount))
 
     def test_rejects_bad_inputs(self, small_gain):
-        x = [np.array([1.0, 2.0, 3.0])]
+        x = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError, match="equal length"):
-            ndcg_table(x, [np.array([1.0, 0.0])], 2, small_gain)
+            ndcg_table(x, np.array([[1.0, 0.0]]), 2, small_gain)
+        with pytest.raises(ValueError, match="equal length"):
+            ndcg_table(x[0], np.ones(3), 2, small_gain)  # one query is a block of one
         with pytest.raises(ValueError, match="non-negative"):
-            ndcg_table(x, [np.array([1.0, -1.0, 0.0])], 2, small_gain)
+            ndcg_table(x, np.array([[1.0, -1.0, 0.0]]), 2, small_gain)
         with pytest.raises(ValueError, match="finite"):
-            ndcg_table([np.array([1.0, np.nan, 0.0])], [np.ones(3)], 2, small_gain)
+            ndcg_table(np.array([[1.0, np.nan, 0.0]]), np.ones((1, 3)), 2, small_gain)
         with pytest.raises(ValueError, match="discount covers"):
-            ndcg_table([np.arange(5.0)], [np.ones(5)], 4, small_gain)
+            ndcg_table(np.arange(5.0)[np.newaxis], np.ones((1, 5)), 4, small_gain)
 
 
 class TestDivergenceLinkage:
@@ -257,7 +270,7 @@ class TestBaselines:
             matrix = rng.integers(0, 3, size=(3, 6)) if i % 2 else rng.normal(size=(3, 6))
             q = make_query(matrix)
             points = oracles.borda_points(q.matrix.tolist())
-            np.testing.assert_array_equal(borda_points(q), points)
+            np.testing.assert_array_equal(borda_points(q.matrix), points)
             assert np.array_equal(baseline_borda(q), ranking_from_scores(points))
 
 
