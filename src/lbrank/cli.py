@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 from pathlib import Path
@@ -41,9 +40,9 @@ from .io import (
     Block,
     DataError,
     Dataset,
-    _csv_field,
     _is_scores_csv,
     _model_fields,
+    _write_rankings_csv,
     _write_training_log,
 )
 from .linear import LinearHyper
@@ -323,28 +322,6 @@ def _model_scores(path: str | Path, k: int) -> Scores:
     return lambda block: module.aggregate_scores(model, block.scores)
 
 
-def _write_rankings_csv(path: Path, dataset: Dataset, scores: list[np.ndarray]) -> None:
-    """One row per (query, rank), as the csv module writes it, scores as Python reprs.
-
-    ``scores[b]`` holds the scores of block b's queries. Each block is
-    ranked at once; the rows are written in file order, a query's rows at
-    once by one ``%`` template per row repeated N times (``%r`` of a float
-    is its repr).
-    """
-    ranked = [None] * len(dataset.queries)  # per query: its order and its scores in that order
-    for block, block_scores in zip(dataset.blocks, scores):
-        orders = ranking_from_scores(block_scores)
-        sorted_scores = np.take_along_axis(block_scores, orders, axis=-1)
-        for i, order, values in zip(block.index.tolist(), orders.tolist(), sorted_scores.tolist()):
-            ranked[i] = order, values
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("query_id,rank,candidate_id,aggregated_score\n")
-        for q, (order, values) in zip(dataset.queries, ranked):
-            row = _csv_field(q.query_id).replace("%", "%%") + ",%d,%d,%r\n"
-            rows = zip(range(1, len(order) + 1), order, values)
-            fh.write((row * len(order)) % tuple(itertools.chain.from_iterable(rows)))
-
-
 def cmd_infer(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
@@ -354,7 +331,14 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
     else:
         method, score_fn = cfg.baseline, _average_scores(dataset.k)
     scores = _finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(method))
-    _write_rankings_csv(Path(cfg.out), dataset, scores)
+    # each block is ranked at once; per query, in file order: its order and its scores in it
+    ranked = [None] * len(dataset.queries)
+    for block, block_scores in zip(dataset.blocks, scores):
+        orders = ranking_from_scores(block_scores)
+        sorted_scores = np.take_along_axis(block_scores, orders, axis=-1)
+        for i, order, values in zip(block.index.tolist(), orders.tolist(), sorted_scores.tolist()):
+            ranked[i] = order, values
+    _write_rankings_csv(cfg.out, [q.query_id for q in dataset.queries], ranked)
     print(f"wrote rankings for {len(dataset.queries)} queries to {cfg.out}")
     return EXIT_OK
 

@@ -299,7 +299,9 @@ def _letor_tokenized(path: Path) -> Dataset:
         # a checked line reads rel:qid:id:i1:v1:i2:v2:...
         lines = itertools.chain.from_iterable(
             _letor_checked(itertools.chain([first], texts), k, codes, group))
-        rows = np.loadtxt(lines, dtype=[("rel", "f8"), ("f", [("i", "i8"), ("v", "f8")], (k,))],
+        # an index past the smallest unsigned type that holds K, or below 0, fails to parse
+        index = np.min_scalar_type(k)
+        rows = np.loadtxt(lines, dtype=[("rel", "f8"), ("f", [("i", index), ("v", "f8")], (k,))],
                           usecols=[0, *range(3, 3 + 2 * k)], delimiter=":", comments=None,
                           ndmin=1)
     if not (rows["f"]["i"] == np.arange(1, k + 1)).all():
@@ -390,11 +392,13 @@ def write_letor(dataset: Dataset, path: str | Path) -> None:
         if q.query_id.split() != [q.query_id] or "#" in q.query_id or "\x00" in q.query_id:
             raise DataError(f"query id {q.query_id!r} cannot be written to LETOR: "
                             "it is empty or holds whitespace, '#' or NUL")
-    features = " ".join(f"{i}:{{!r}}" for i in range(1, dataset.k + 1))  # "1:{!r} 2:{!r} ..."
     with open(path, "w", encoding="utf-8") as fh:
         for q in dataset.queries:
-            fh.write("".join(f"{_fmt_number(rel)} qid:{q.query_id} {features.format(*row)}\n"
-                             for rel, row in zip(q.relevance.tolist(), q.matrix.T.tolist())))
+            # each line's "1:v1 2:v2 ...", its fields made a feature column at a time
+            cells = map(" ".join, zip(*[[f"{i}:{v!r}" for v in column]
+                                        for i, column in enumerate(q.matrix.tolist(), 1)]))
+            fh.write("".join(f"{_fmt_number(rel)} qid:{q.query_id} {features}\n"
+                             for rel, features in zip(q.relevance.tolist(), cells)))
 
 
 _CSV_QUOTED = re.compile('[,"\r\n]')
@@ -559,6 +563,17 @@ def write_scores_csv(dataset: Dataset, path: str | Path) -> None:
                 cells = [f"{row},{rel!r}" for row, rel in zip(cells, q.relevance.tolist())]
             query_id = _csv_field(q.query_id)
             fh.write("".join(f"{query_id},{cand},{row}\n" for cand, row in enumerate(cells)))
+
+
+def _write_rankings_csv(path: str | Path, query_ids: Sequence[str],
+                        ranked: Iterable[tuple[list[int], list[float]]]) -> None:
+    """``infer``'s rankings: a row per (query, rank) of each query's (order, scores in it) lists."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("query_id,rank,candidate_id,aggregated_score\n")
+        for query_id, (order, values) in zip(query_ids, ranked):
+            query_id = _csv_field(query_id)
+            fh.write("".join(f"{query_id},{rank},{cand},{value!r}\n"
+                             for rank, cand, value in zip(itertools.count(1), order, values)))
 
 
 def _field_text(value) -> str:

@@ -12,7 +12,6 @@ available for comparability with LETOR conventions.
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 from typing import Sequence
 
@@ -140,15 +139,14 @@ def write_metric_csv(path: str | Path, metric_columns: Sequence[str], methods: S
                         "rename the query")
     means = np.array([np.mean(table, axis=0) for table in tables])
     ids = [_csv_field(query_id) for query_id in query_ids]
-    # a method's rows: its label, a query id, then each value's repr
-    rows = [_csv_field(method).replace("%", "%%") + ",%s" + ",%r" * len(metric_columns) + "\n"
-            for method in methods]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["method", "query_id", *map(_csv_field, metric_columns)]) + "\n")
-        for row, table in zip(rows, tables):
-            fh.write((row * len(ids)) % tuple(itertools.chain.from_iterable(
-                (query_id, *values) for query_id, values in zip(ids, table.tolist()))))
-        fh.write("".join(row % ("MEAN", *values) for row, values in zip(rows, means.tolist())))
+        for method, table in zip(methods, tables):
+            method = _csv_field(method)
+            fh.write("".join(f"{method},{query_id},{','.join(map(repr, values))}\n"
+                             for query_id, values in zip(ids, table.tolist())))
+        fh.write("".join(f"{_csv_field(method)},MEAN,{','.join(map(repr, values))}\n"
+                         for method, values in zip(methods, means.tolist())))
     return means
 
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lbrank import cli
 from lbrank import io as dataio
 from lbrank.core import QueryInstance, ranking_from_scores
 from lbrank.io import (
@@ -453,6 +452,35 @@ class TestTokenizerAgreesWithLineParser:
         for strict in (True, False):
             assert _outcome(public, path, strict) == _outcome(line_parser, path, strict)
 
+    # K = 8 reads feature indices into uint8, which holds none of these; 264 would wrap to 8
+    # and pass the 1..K check if numpy wrapped instead of raising
+    @pytest.mark.parametrize("index, error", [("300", "line 2: missing feature index 8"),
+                                              ("264", "line 2: missing feature index 8"),
+                                              ("-1", "line 2: feature index -1 < 1")])
+    def test_letor_index_outside_its_field(self, tmp_path, index, error):
+        features = [f"{i}:0.5" for i in range(1, 9)]
+        path = tmp_path / "data.letor"
+        path.write_text(f"1 qid:q0 {' '.join(features)}\n"
+                        f"0 qid:q0 {' '.join(features[:7])} {index}:0.5\n", encoding="utf-8")
+        assert dataio._tokenized(dataio._letor_tokenized, path) is None
+        with pytest.raises(DataError, match=error):
+            parse_letor(path)
+        for strict in (True, False):
+            assert _outcome(parse_letor, path, strict) == _outcome(_letor_lines, path, strict)
+
+    def test_letor_with_more_rankers_than_uint8_holds(self, tmp_path):
+        rng = np.random.default_rng(3)
+        original = Dataset(tuple(
+            make_query(rng.normal(size=(300, n)), query_id=f"q{i}",
+                       relevance=rng.integers(0, 3, size=n))
+            for i, n in enumerate([4, 1, 6])))
+        path = tmp_path / "wide.letor"
+        write_letor(original, path)
+        fast = dataio._tokenized(dataio._letor_tokenized, path)  # a uint16 index field
+        assert fast is not None
+        assert datasets_equal(fast, _letor_lines(path, True))
+        assert datasets_equal(original, fast)
+
 
 class TestTokenizerIsUsed:
     """Well-formed files never reach the line parser, which is 2-3x slower."""
@@ -855,9 +883,10 @@ class TestParsedBlockCheck:
             assert _outcome(public, path, strict) == _outcome(line_parser, path, strict)
 
 
-# Text that a quoted CSV field or a % template could get wrong, among any other characters.
-_TRICKY = [",", '"', "\r", "\n", "\x00", " ", "%", "%%", "%s", "%d", "%r", "%(q)s", "é", "\u2028",
-           "\U0001f600"]
+# Text that a quoted CSV field or a % or str.format template could get wrong, among any
+# other characters.
+_TRICKY = [",", '"', "\r", "\n", "\x00", " ", "%", "%%", "%s", "%d", "%r", "%(q)s", "{", "}", "{0}",
+           "é", "\u2028", "\U0001f600"]
 _FIELD_TEXT = st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters(codec="utf-8")),
                        max_size=8).map("".join)
 # no parser lets NUL into a query id, and a model file's stem cannot hold one
@@ -883,10 +912,10 @@ class TestCsvWriters:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_rankings_rows(self, tmp_path, ids, data):
         scores = [np.array(data.draw(st.lists(_SCORE, min_size=1, max_size=6))) for _ in ids]
-        dataset = Dataset(tuple(QueryInstance(qid, [x]) for qid, x in zip(ids, scores)))
-        # each query's one list is its score vector; the writer takes them a block at a time
-        cli._write_rankings_csv(tmp_path / "got.csv", dataset,
-                                [block.scores[:, 0] for block in dataset.blocks])
+        orders = [ranking_from_scores(x) for x in scores]
+        dataio._write_rankings_csv(tmp_path / "got.csv", ids,
+                                   [(order.tolist(), x[order].tolist())
+                                    for order, x in zip(orders, scores)])
         oracles.write_rankings_csv(tmp_path / "want.csv", ids, scores)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
