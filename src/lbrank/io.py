@@ -142,10 +142,10 @@ def _fmt_number(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-# Characters of whole lines the fast paths check at a time. Each chunk
-# costs about 30 numpy calls, which made 16 KiB chunks 28-30% slower than
-# these; lbrank's peak RSS is the same from 16 to 256 KiB, 1.2 MB more at 1 MiB.
-_CHUNK = 1 << 18
+# Characters of whole lines the fast paths check at a time. A chunk costs a
+# few str calls, so parsing takes as long at 16 KiB as at 256 KiB; at 256 KiB
+# eval's line lists add 1 MB to its peak RSS and 80% to its page faults.
+_CHUNK = 1 << 16
 
 
 def _chunks(fh: TextIO) -> Iterator[str]:
@@ -161,34 +161,26 @@ _CSV_OTHER = bytes(set(range(256)) - _SPLITTING - set(b',"'))
 _LETOR_OTHER = bytes(set(range(128)) - _SPLITTING - set(b":"))
 
 
-def _structure(text: str, other: bytes, line: bytes) -> np.ndarray:
-    """``text`` as newline-ended UTF-8; ValueError unless each line is blank or reads ``line``."""
+def _structure(text: str, other: bytes, line: bytes) -> None:
+    """ValueError unless each line of ``text``, as UTF-8 less ``other``, is blank or ``line``."""
     data = (text if text.endswith("\n") else text + "\n").encode()
     if data.translate(None, other).replace(line + b"\n", b"").strip(b"\n"):
         raise ValueError("a line the tokenizer may split differently")
-    return np.frombuffer(data, np.uint8)
 
 
-def _query_codes(data: np.ndarray, start: np.ndarray, end: np.ndarray,
-                 codes: dict[str, int]) -> np.ndarray:
-    """The codes of a chunk's query ids ``data[start[i]:end[i]]``, one per line.
+def _query_codes(ids: list[str], codes: dict[str, int]) -> list[int]:
+    """The codes of a chunk's query ids, one per id.
 
-    Each run of equal ids is decoded once and coded by the line parsers'
-    rule, ``codes.setdefault(id, len(codes))``, whichever chunk it is in.
-    Ids are NUL-padded to the longest, so none is cut short; padding past
-    4x the chunk raises ValueError.
+    Each run of equal ids is coded once by the line parsers' rule,
+    ``codes.setdefault(id, len(codes))``, whichever chunk it is in. An
+    empty id raises ValueError.
     """
-    sizes = end - start
-    if not sizes.size:
-        return sizes
-    width = int(sizes.max())
-    if sizes.min() < 1 or sizes.size * width > 4 * data.size:
-        raise ValueError("an empty query id, or ids too uneven to pad")
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(data, (0, width)), width)
-    ids = np.where(np.arange(width) < sizes[:, None], windows[start], 0).view(f"S{width}")[:, 0]
-    heads = np.flatnonzero(np.append(True, ids[1:] != ids[:-1]))
-    runs = [codes.setdefault(name.decode(), len(codes)) for name in ids[heads].tolist()]
-    return np.repeat(runs, np.diff(heads, append=ids.size))
+    if not all(ids):
+        raise ValueError("an empty query id")
+    group = []
+    for name, run in itertools.groupby(ids):
+        group += itertools.repeat(codes.setdefault(name, len(codes)), len(list(run)))
+    return group
 
 
 def _tokenized(parse: Callable[[Path], Dataset], path: Path) -> Dataset | None:
@@ -278,15 +270,17 @@ def parse_letor(path: str | Path, *, strict: bool = True) -> Dataset:
 
 
 def _letor_checked(texts: Iterable[str], k: int, codes: dict[str, int],
-                   group: list[np.ndarray]) -> Iterator[list[str]]:
+                   group: list[int]) -> Iterator[list[str]]:
     """Each chunk's lines with ':' for ' ', once its lines are checked and their queries coded."""
     for text in texts:
-        data = _structure(text, _LETOR_OTHER, b" :" * (k + 1))
-        spaces = np.flatnonzero(data == ord(" ")).reshape(-1, k + 1)
-        if not (data[spaces[:, :1] + np.arange(1, 5)] == np.frombuffer(b"qid:", np.uint8)).all():
+        _structure(text, _LETOR_OTHER, b" :" * (k + 1))
+        lines = text.replace(" ", ":").split("\n")
+        # rel, "qid", id, features; a line with no ':' has no second part (IndexError)
+        heads = [line.split(":", 3) for line in lines if line]
+        if any(head[1] != "qid" for head in heads):
             raise ValueError("a second token that is not qid:<id>")
-        group.append(_query_codes(data, spaces[:, 0] + 5, spaces[:, 1], codes))
-        yield text.replace(" ", ":").split("\n")
+        group += _query_codes([head[2] for head in heads], codes)
+        yield lines
 
 
 def _letor_tokenized(path: Path) -> Dataset:
@@ -306,7 +300,7 @@ def _letor_tokenized(path: Path) -> Dataset:
                           ndmin=1)
     if not (rows["f"]["i"] == np.arange(1, k + 1)).all():
         raise ValueError("feature indices are not 1..K on every line")
-    return _dataset(path, "letor", codes, np.concatenate(group), rows["f"]["v"], rows["rel"])
+    return _dataset(path, "letor", codes, group, rows["f"]["v"], rows["rel"])
 
 
 def _letor_lines(path: Path, strict: bool) -> Dataset:
@@ -466,19 +460,17 @@ def _scores_csv_tokenized(path: Path) -> Dataset:
         k, with_relevance = _csv_columns(next(csv.reader([fh.readline()])), path)
         width = 2 + k + with_relevance
         for text in _chunks(fh):
-            data = _structure(text, _CSV_OTHER, b"," * (width - 1))
-            bounds = np.append(0, np.flatnonzero(data == ord("\n")) + 1)  # where lines start
-            if np.diff(bounds).max() > csv.field_size_limit() + 1:
+            _structure(text, _CSV_OTHER, b"," * (width - 1))
+            lines = list(filter(None, text.split("\n")))
+            if max(map(len, lines), default=0) > csv.field_size_limit():
                 raise ValueError("a line past the csv module's field limit")
-            ends = np.flatnonzero(data == ord(",")).reshape(-1, width - 1)[:, 0]
-            starts = bounds[np.searchsorted(bounds, ends, side="right") - 1]
-            group.append(_query_codes(data, starts, ends, codes))
+            group += _query_codes([line.partition(",")[0] for line in lines], codes)
     fields = [("cand", "i8"), ("x", "f8", (k,))]
     if with_relevance:
         fields.append(("rel", "f8"))
     rows = np.loadtxt(path, dtype=fields, usecols=range(1, width), delimiter=",", skiprows=1,
                       comments=None, encoding="utf-8-sig", ndmin=1)
-    return _dataset(path, "csv", codes, np.concatenate(group), rows["x"],
+    return _dataset(path, "csv", codes, group, rows["x"],
                     rows["rel"] if with_relevance else None, cand=rows["cand"])
 
 

@@ -18,10 +18,10 @@ from lbrank.core import (
     weighted_average_scores,
 )
 
-from lbrank import linear
+from lbrank import linear, nested
 from lbrank.io import DataError, Dataset, write_letor
 from lbrank.lovasz import lb_bound, lb_divergence
-from lbrank.metrics import format_table, ndcg_at_k, ndcg_table
+from lbrank.metrics import borda_points, format_table, ndcg_at_k, ndcg_table
 from lbrank.nested import NestedModel, hidden_preactivation
 
 import oracles
@@ -222,6 +222,7 @@ class TestWeightedAverageScores:
 
 
 _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2 W1
+_FLAT = np.array([1.0, 2.0, 3.0])  # one score list, where a K x N matrix or a stack belongs
 
 
 @pytest.mark.parametrize("make, error, match", [
@@ -236,6 +237,15 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: ranking_from_scores(1.0), ValueError, "flat sequence or a stack of them"),
     (lambda: SimplexWeights.uniform(0), ValueError, "at least one ranker"),
     (lambda: QueryInstance("q", [1.0, 2.0]), ValueError, "must be 2-D"),
+    (lambda: weighted_average_scores(_FLAT, np.array([1.0])), ValueError,
+     "score matrices must be K x N"),
+    (lambda: linear.aggregate_scores(
+        linear.LinearModel(SimplexWeights([1.0]), ConcaveGain([1.0])), _FLAT),
+     ValueError, "score matrices must be K x N"),
+    (lambda: nested.aggregate_scores(
+        NestedModel(np.ones((1, 1)), SimplexWeights([1.0]), ConcaveGain([1.0])), _FLAT),
+     ValueError, "score matrices must be K x N"),
+    (lambda: borda_points(_FLAT), ValueError, "score matrices must be K x N"),
     (lambda: QueryInstance("q", np.zeros((2, 0))), ValueError, "empty ground set"),
     (lambda: linear.multiplicative_simplex_update(np.full(2, 0.5), np.zeros(3), 0.1),
      ValueError, "gradient shape"),
@@ -253,7 +263,8 @@ _TWO = [[1.0, 2.0], [2.0, 1.0]]  # a 2 x 2 score matrix; [[0.5, 0.5]] is a 1 x 2
     (lambda: write_letor(Dataset((QueryInstance("q", _TWO),)), "never-written.letor"),
      DataError, "requires relevance"),
 ], ids=["gain-empty", "gain-inf", "gain-nan", "custom-without-values", "capacity-0",
-        "weights-empty", "weights-nan", "scores-0d", "uniform-0", "matrix-1d", "matrix-k-by-0",
+        "weights-empty", "weights-nan", "scores-0d", "uniform-0", "matrix-1d",
+        "weighted-average-1d", "linear-scores-1d", "nested-scores-1d", "borda-1d", "matrix-k-by-0",
         "update-gradient-shape", "train-mixed-k", "nested-w1-1d", "nested-w2-short", "hidden-table-shape", "topk-0",
         "table-label-short", "letor-without-relevance"])
 def test_library_refuses_malformed_arguments(make, error, match):

@@ -432,12 +432,11 @@ class TestTokenizerAgreesWithLineParser:
         ("csv", "q0,0,0.5,1\nq0,0,0.25,2\n"),  # a duplicate candidate
         ("csv", "q0,0,0.5,1\nq1\n"),  # a line with no comma, all the check can tell from blank
         ("csv", "q 0,0,0.5,1\n"),  # whitespace, which Python's float() and csv take their way
-        # ids too uneven in length to pad to the longest
-        ("csv", "".join(f"a,{c},0.5,1\n" for c in range(40)) + "b" * 5000 + ",0,0.5,1\n"),
         ("letor", "1 qid:q0 1:0.5 2:0.5:7\n"),  # a value with a colon
         ("letor", "1 qid:q0 1:0.5\n1 qid:q0 1:0.25 9\n"),  # a token with no colon
         ("letor", "1 qid: 1:0.5\n"),  # an empty qid
         ("letor", "1 xid:q0 1:0.5\n"),  # no qid token
+        ("letor", "1 xid:a qid:5\n"),  # a qid token, but not the second
         ("letor", "1 qid:q\x00 1:0.5\n"),  # NUL
         ("letor", "1 qid:q0 2:0.5 1:0.25\n"),  # indices out of order
         ("letor", "1 qid:q0 1:0.5\n1\n"),  # a line with no space or colon
@@ -615,6 +614,23 @@ class TestChunkedReading:
         assert [(qid, shape) for qid, shape, *_ in outcome[2]] == [
             ("q1", (2, 7)), ("q0", (2, 3)), ("q2", (2, 5))]
         assert outcome == _outcome(line_parser, path, True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_ids_of_very_different_lengths_in_one_chunk(self, tmp_path, fmt):
+        rng = np.random.default_rng(5)
+        data = Dataset(tuple(
+            make_query(rng.normal(size=(2, n)), query_id=query_id,
+                       relevance=rng.integers(0, 3, size=n))
+            for query_id, n in [("a", 40), ("b" * 5000, 1), ("c", 3)]))
+        path = tmp_path / f"data.{fmt}"
+        if fmt == "csv":
+            write_scores_csv(data, path)
+            fast, line_parser = dataio._scores_csv_tokenized, dataio._scores_csv_lines
+        else:
+            write_letor(data, path)
+            fast, line_parser = dataio._letor_tokenized, dataio._letor_lines
+        assert path.stat().st_size < dataio._CHUNK
+        assert self.read_fast(fast, path) == _outcome(line_parser, path, True)
 
     @pytest.mark.parametrize("fmt", ["csv", "letor"])
     def test_bad_line_in_a_later_chunk_falls_back(self, tmp_path, fmt, small_chunks):
