@@ -1,6 +1,7 @@
 """Batch command-line front end: train, infer, eval, synth, bench.
 
-Configuration comes from flat ``key = value`` files with ``#`` comments;
+Configuration comes from flat ``key = value`` files with ``#`` comments,
+which ``io`` reads by the line rule of model files (``key: value``);
 every key a command reads can be overridden by the matching ``--key`` flag
 (flags win over the file, the file wins over built-in defaults). A command
 accepts only the flags it reads, plus ``--seed``, and takes no abbreviated
@@ -41,6 +42,7 @@ from .io import (
     DataError,
     Dataset,
     _is_scores_csv,
+    _key_values,
     _model_fields,
     _write_rankings_csv,
     _write_training_log,
@@ -116,30 +118,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` pairs, each key once; blank lines and ``#`` comments ignored."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    pairs: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path} line {lineno}: expected key = value")
-        key = key.strip()
-        if key in first_line:
-            raise ConfigError(f"{path} line {lineno}: key {key!r} was already set on line "
-                              f"{first_line[key]}")
-        first_line[key] = lineno
-        pairs[key] = value.strip()
-    return pairs
-
-
 def _require(cfg: argparse.Namespace, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) is None:
@@ -157,7 +135,13 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """
     merged = {key: default for key, (_, default) in _SCHEMA.items()}
     if getattr(args, "config", None):
-        for key, text in parse_config_file(args.config).items():
+        try:
+            pairs = _key_values(args.config, "=")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        except ValueError as exc:  # a line without '=', or a key set twice
+            raise ConfigError(f"{args.config} {exc}") from None
+        for key, text in pairs.items():
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
@@ -307,13 +291,13 @@ def _average_scores(k: int) -> Scores:
 def _model_scores(path: str | Path, k: int) -> Scores:
     """The scoring function of the model file at ``path``, checked to take ``k`` lists."""
     path = Path(path)
-    fields = _model_fields(path)
-    model_format = fields.get("format")
+    # the loader of its format reads the file again
+    model_format = _model_fields(path).get("format")
     if model_format == linear.MODEL_FORMAT:
-        model = linear.load_linear(path, fields)
+        model = linear.load_linear(path)
         module, model_k = linear, model.k
     elif model_format == nested.MODEL_FORMAT:
-        model = nested.load_nested(path, fields)
+        model = nested.load_nested(path)
         module, model_k = nested, model.k1
     else:
         raise DataError(f"{path}: unrecognized model format")

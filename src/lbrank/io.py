@@ -4,8 +4,10 @@ Two on-disk formats are supported: LETOR/SVMLight-style ranking files
 (``<relevance> qid:<id> 1:<v1> 2:<v2> ... # comment``) where each feature
 column acts as one ranker, and a dense CSV of per-candidate ranker scores.
 Candidate indices are 0-based internally; the 1-based feature indices of
-the LETOR format are converted at this boundary only. The ``key: value``
-model file codec and the training log writer live here too.
+the LETOR format are converted at this boundary only. The model file
+codec, the training log writer and the one ``key <sep> value`` line reader
+of model files (``key: value``) and config files (``key = value``) live
+here too: this is the one module that reads a file.
 """
 
 from __future__ import annotations
@@ -583,33 +585,45 @@ def _write_model_fields(path: str | Path, model_format: str,
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _key_values(path: str | Path, sep: str) -> dict[str, str]:
+    """The ``key <sep> value`` lines of a UTF-8 file, with an optional BOM, each key once.
+
+    ``#`` starts a comment anywhere on a line; blank lines are skipped and
+    each key and value stripped. A line without ``sep``, or a key set twice,
+    raises ValueError naming the line.
+    """
+    pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, found, value = line.partition(sep)
+        if not found:
+            raise ValueError(f"line {lineno}: expected key {sep} value")
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} was already set on line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
+        pairs[key] = value.strip()
+    return pairs
+
+
 def _model_fields(path: str | Path) -> dict[str, str]:
-    """A model file's ``key: value`` fields, each key once; any fault raises a DataError."""
+    """A model file's ``key: value`` fields (see ``_key_values``); any fault raises a DataError."""
     try:
-        fields: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = (part.strip() for part in line.partition(":"))
-            if not sep:
-                raise ValueError(f"malformed model line {line.strip()!r}")
-            if key in fields:
-                raise ValueError(f"repeated key {key!r}")
-            fields[key] = value
-        return fields
+        return _key_values(path, ":")
     except ValueError as exc:  # includes UnicodeDecodeError
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_model(path: str | Path, model_format: str,
-                build: Callable[[dict[str, str]], object],
-                fields: dict[str, str] | None = None):
+def _read_model(path: str | Path, model_format: str, build: Callable[[dict[str, str]], object]):
     """``build(fields)`` of the fields of a ``model_format`` file; any fault raises a DataError.
 
-    ``fields`` are those ``_model_fields(path)`` read, and are read if None.
     ``build`` pops each key it reads: a missing one raises KeyError, and one it leaves is unknown.
     """
-    fields = _model_fields(path) if fields is None else fields
+    fields = _model_fields(path)
     try:
         if fields.pop("format", None) != model_format:
             raise ValueError(f"not a {model_format} model file")

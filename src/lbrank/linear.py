@@ -194,8 +194,8 @@ def _run_epochs(queries: tuple[QueryInstance, ...], weights: tuple[np.ndarray, .
     Each epoch visits the queries in dataset order (or a permutation drawn
     from ``chain_seed(seed, "shuffle-epoch-<epoch>")``) and replaces the
     weights by ``step(q, *weights)``. It then logs ``objective_of(*weights)``
-    and a copy of every array, and stops early once no weight moved more
-    than ``EARLY_STOP_TOL`` in the pass.
+    and the weights tuple itself (each step returns new arrays), and stops
+    early once no weight moved more than ``EARLY_STOP_TOL`` in the pass.
     """
     log = TrainingLog()
     for epoch in range(epochs):
@@ -207,7 +207,7 @@ def _run_epochs(queries: tuple[QueryInstance, ...], weights: tuple[np.ndarray, .
         for qi in order:
             weights = step(queries[qi], *weights)
         log.objectives.append(objective_of(*weights))
-        log.snapshots.append(tuple(w.copy() for w in weights))
+        log.snapshots.append(weights)
         moved = max(float(np.max(np.abs(w - b))) for w, b in zip(weights, before))
         if moved < EARLY_STOP_TOL:
             log.converged = True
@@ -283,11 +283,11 @@ def save_linear(model: LinearModel, path: str | Path) -> None:
         ("lam", model.hyper.lam), ("epochs", model.hyper.epochs), ("w", model.weights.w)])
 
 
-def load_linear(path: str | Path, fields: dict[str, str] | None = None) -> LinearModel:
-    """Read a model file, or its ``fields`` already read; any malformed content raises DataError."""
+def load_linear(path: str | Path) -> LinearModel:
+    """Read a model file; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> LinearModel:
         hyper = LinearHyper(mu=float(fields.pop("mu")), lam=float(fields.pop("lam")),
                             epochs=int(fields.pop("epochs")))
         w = _parse_floats(fields.pop("w"), int(fields.pop("k")), "w")
         return LinearModel(SimplexWeights(w), gain_from_spec(fields.pop("gain")), hyper)
-    return _read_model(path, MODEL_FORMAT, build, fields)
+    return _read_model(path, MODEL_FORMAT, build)

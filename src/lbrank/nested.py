@@ -343,8 +343,8 @@ def save_nested(model: NestedModel, path: str | Path) -> None:
         ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))])
 
 
-def load_nested(path: str | Path, fields: dict[str, str] | None = None) -> NestedModel:
-    """Read a model file, or its ``fields`` already read; any malformed content raises DataError."""
+def load_nested(path: str | Path) -> NestedModel:
+    """Read a model file; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> NestedModel:
         k1, k2 = int(fields.pop("k1")), int(fields.pop("k2"))
         hyper = NestedHyper(mu=float(fields.pop("mu")), lam1=float(fields.pop("lam1")),
@@ -355,4 +355,4 @@ def load_nested(path: str | Path, fields: dict[str, str] | None = None) -> Neste
         w1 = [_parse_floats(fields.pop(f"w1[{i}]"), k1, f"w1[{i}]") for i in range(k2)]
         return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields.pop("gain")),
                            Activation(fields.pop("phi1")), Activation(fields.pop("phi2")), hyper)
-    return _read_model(path, MODEL_FORMAT, build, fields)
+    return _read_model(path, MODEL_FORMAT, build)

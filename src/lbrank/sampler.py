@@ -387,10 +387,11 @@ def sample_expectation(ctx: EnergyContext, cfg: ChainConfig) -> np.ndarray:
     states gathered. Otherwise the states are gathered and their gains
     summed per candidate. Both sums are ``_mean_gains``, so both give the
     same bits: per candidate, the same gains added in the same order.
-    Deterministic given the config seed.
+    One candidate has one order, whose h-vector ``delta`` is the mean, so
+    no chain runs. Deterministic given the config seed.
     """
     if ctx.n == 1:
-        return _from_mean_h(ctx, _mean_gains(sample_orders(ctx, cfg), ctx._delta))
+        return _from_mean_h(ctx, ctx._delta)
     plan, states, rejected = _walk(ctx, cfg)
     if rejected:
         hbar = _mean_gains(_retained(plan, states, rejected), ctx._delta)

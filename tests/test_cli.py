@@ -117,6 +117,57 @@ class TestConfigHandling:
                    "--gain", "sigmoid:3", "--topk", 3) == EXIT_OK
 
 
+# The pairs of _KEY_VALUE_LINES, each a config file key and a linear model file field.
+_KEY_VALUE_PAIRS = {"gain": "sigmoid:5", "mu": 0.25, "epochs": 3}
+_KEY_VALUE_LINES = {
+    "plain": "gain{sep}sigmoid:5\nmu{sep}0.25\nepochs{sep}3\n",
+    "bom": "\ufeffgain{sep}sigmoid:5\nmu{sep}0.25\nepochs{sep}3\n",
+    "blank-lines": "\ngain{sep}sigmoid:5\n\n   \nmu{sep}0.25\n\t\nepochs{sep}3\n\n",
+    "comments": "# a run\ngain{sep}sigmoid:5  # trailing\n  # indented\nmu{sep}0.25#tight\n"
+                "epochs{sep}3\n#\n",
+    "spaces": "  gain  {sep}  sigmoid:5  \n\tmu\t{sep}\t0.25\nepochs {sep}3 \r\n",
+}
+
+
+class TestKeyValueFiles:
+    """Config files (``key = value``) and model files (``key: value``) share one line grammar."""
+
+    @pytest.mark.parametrize("layout", _KEY_VALUE_LINES)
+    def test_config_and_model_files_read_the_same_pairs(self, tmp_path, layout):
+        lines = _KEY_VALUE_LINES[layout]
+        config = tmp_path / "run.cfg"
+        config.write_bytes(lines.format(sep="=").encode())
+        cfg = cli.build_config(cli.build_parser().parse_args(["train", "--config", str(config)]))
+        model = tmp_path / "model.txt"
+        model.write_bytes((lines.format(sep=":") + "format: lbrank-linear/1\nk: 2\nlam: 0.001\n"
+                           "w: 0.5 0.5\n").encode())
+        loaded = load_linear(model)
+        from_config = {key: getattr(cfg, key) for key in _KEY_VALUE_PAIRS}
+        from_model = {"gain": lbrank.gain_spec(loaded.gain), "mu": loaded.hyper.mu,
+                      "epochs": loaded.hyper.epochs}
+        assert from_config == from_model == _KEY_VALUE_PAIRS
+
+    @pytest.mark.parametrize("lines, named", [
+        ("mu{sep} 0.25\nepochs 3\n", "line 2: expected key {sep} value"),
+        ("mu{sep} 0.25\n# again\n mu {sep} 0.5\n", "line 3: key 'mu' was already set on line 1"),
+    ], ids=["no-separator", "key-set-twice"])
+    def test_a_syntax_fault_names_the_file_and_line(self, tmp_path, synth_csv, lines, named,
+                                                    capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines.format(sep="="))
+        assert run("train", "--config", config, "--data", synth_csv,
+                   "--out", tmp_path / "m.txt") == EXIT_USAGE
+        assert (f"configuration error: {config} {named.format(sep='=')}\n"
+                in capsys.readouterr().err)
+        # the same lines ahead of a model file's own
+        model = tmp_path / "model.txt"
+        save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5), LinearHyper()), model)
+        model.write_text(lines.format(sep=":") + model.read_text())
+        assert run("infer", "--data", synth_csv, "--model-file", model,
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert f"data error: {model}: {named.format(sep=':')}\n" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_model_and_log(self, tmp_path, synth_csv):
         out = tmp_path / "model.txt"
@@ -1210,7 +1261,7 @@ class TestMalformedInputs:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, line, named", [
-        ("linear.txt", "w: 0.5 0.25 0.25", "repeated key 'w'"),
+        ("linear.txt", "w: 0.5 0.25 0.25", "line 8: key 'w' was already set on line 7"),
         ("linear.txt", "bogus: 7", "unknown key 'bogus'"),
         ("linear.txt", "w1[0]: 0.5 0.25 0.25", "unknown key 'w1[0]'"),
         ("nested-k2-1.txt", "w1[1]: 0.5 0.25 0.25", "unknown key 'w1[1]'"),

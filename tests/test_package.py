@@ -1,5 +1,5 @@
-"""The package's export lists name only what exists, numpy is its one dependency, and
-private names cross modules only where a rule is shared."""
+"""The package's export lists name only what exists, numpy is its one dependency,
+private names cross modules only where a rule is shared, and only io reads files."""
 
 from __future__ import annotations
 
@@ -76,6 +76,28 @@ def test_private_names_cross_modules_only_where_a_rule_is_shared():
                      if name.startswith("_") and not name.startswith("__")
                      and module not in _OPEN_MODULES and (module, name) not in _EPOCH_LOOP]
     assert not crossing
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` reads a file: a read helper, or an ``open`` with no mode or a read mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("read_text", "read_bytes", "loadtxt"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (keyword.value for keyword in call.keywords if keyword.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+"))
+
+
+def test_only_io_reads_files():
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(lbrank.__file__).parent.glob("*.py")) if path.name != "io.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and _reads_a_file(node)]
+    assert not reads, f"only io reads files: {reads}"
 
 
 def test_cli_import_loads_no_third_party_package_but_numpy():
