@@ -253,11 +253,6 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         * _increments(gain, b.scores.shape[-1]).sum(),
         "its score spans overflow a double in training; rescale them, e.g. with "
         "--normalize true")))
-    # the weighted mean score of a candidate is at most its absolute scores' sum
-    _finite_per_query(
-        dataset, lambda b: np.abs(b.scores).sum(axis=-2).max(axis=-1),
-        "a candidate's absolute scores, summed over the lists, overflow a double, so "
-        "its weighted mean score can; rescale them, e.g. with --normalize true")
     if cfg.backend == "exact" and dataset.n_max > MAX_ENUMERATION_N:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")

@@ -588,14 +588,15 @@ def _write_model_fields(path: str | Path, model_format: str,
 def _key_values(path: str | Path, sep: str) -> dict[str, str]:
     """The ``key <sep> value`` lines of a UTF-8 file, with an optional BOM, each key once.
 
-    ``#`` starts a comment anywhere on a line; blank lines are skipped and
-    each key and value stripped. A line without ``sep``, or a key set twice,
+    ``#`` starts a comment at a line's start or after whitespace, so a value
+    such as ``runs/#3.csv`` keeps its ``#``; blank lines are skipped and each
+    key and value stripped. A line without ``sep``, or a key set twice,
     raises ValueError naming the line.
     """
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, found, value = line.partition(sep)

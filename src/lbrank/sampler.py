@@ -138,6 +138,8 @@ class EnergyContext:
     Built only by ``from_query``. Holds the weighted mean score vector
     ``ybar``, the only term that depends on the weights, so that chain steps
     touch O(1) values and expectations are a few matrix-vector products.
+    It averages the lists minus their minima, which the law ignores, so with
+    simplex weights it lies in [0, largest list span], up to rounding.
     The weight-free terms (see ``_weight_free_terms``) and the chains'
     replay plans live in ``memo``, the query's own, so they are computed
     once per query while its gain stays the same. Of the weights only the
@@ -161,10 +163,11 @@ class EnergyContext:
         k = q.matrix.shape[0]
         if weights.shape != (k,):
             raise ValueError(f"weights of shape {weights.shape} for {k} lists")
-        terms = _memoised(q._memo, "terms", gain, lambda: _weight_free_terms(q.matrix, gain))
-        ybar = weights @ q.matrix
+        delta, centred, top = _memoised(q._memo, "terms", gain,
+                                        lambda: _weight_free_terms(q.matrix, gain))
+        ybar = weights @ centred
         ybar.setflags(write=False)
-        return cls(q.matrix, weights, gain, q._memo, *terms, ybar)
+        return cls(q.matrix, weights, gain, q._memo, delta, centred, top, ybar)
 
     @property
     def n(self) -> int:

@@ -38,7 +38,7 @@ from lbrank.io import (
 )
 from lbrank.linear import LinearHyper, LinearModel, load_linear, save_linear
 from lbrank.nested import Activation, NestedHyper, init_nested, save_nested
-from lbrank.sampler import ChainConfig
+from lbrank.sampler import ChainConfig, EnergyContext
 
 import oracles
 
@@ -123,7 +123,7 @@ _KEY_VALUE_LINES = {
     "plain": "gain{sep}sigmoid:5\nmu{sep}0.25\nepochs{sep}3\n",
     "bom": "\ufeffgain{sep}sigmoid:5\nmu{sep}0.25\nepochs{sep}3\n",
     "blank-lines": "\ngain{sep}sigmoid:5\n\n   \nmu{sep}0.25\n\t\nepochs{sep}3\n\n",
-    "comments": "# a run\ngain{sep}sigmoid:5  # trailing\n  # indented\nmu{sep}0.25#tight\n"
+    "comments": "# a run\ngain{sep}sigmoid:5  # trailing\n  # indented\nmu{sep}0.25\t#tight\n"
                 "epochs{sep}3\n#\n",
     "spaces": "  gain  {sep}  sigmoid:5  \n\tmu\t{sep}\t0.25\nepochs {sep}3 \r\n",
 }
@@ -167,6 +167,31 @@ class TestKeyValueFiles:
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert f"data error: {model}: {named.format(sep=':')}\n" in capsys.readouterr().err
 
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path, synth_csv, capsys):
+        # only a '#' at a line's start or after whitespace starts a comment
+        data = tmp_path / "#3.csv"
+        data.write_bytes(Path(synth_csv).read_bytes())
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data = {data}  # a comment\n")
+        out = tmp_path / "r.csv"
+        assert run("infer", "--config", config, "--baseline", "averaging", "--out", out) == EXIT_OK
+        assert run("infer", "--data", synth_csv, "--baseline", "averaging",
+                   "--out", tmp_path / "want.csv") == EXIT_OK
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        # a number with a '#' in it is not a number
+        config.write_text("mu = 0.25#tight\n")
+        assert run("train", "--config", config, "--data", synth_csv,
+                   "--out", tmp_path / "m.txt") == EXIT_USAGE
+        assert ("configuration error: config key mu: could not convert string to float: "
+                "'0.25#tight'") in capsys.readouterr().err
+        model = tmp_path / "model.txt"
+        save_linear(LinearModel(SimplexWeights.uniform(3), sigmoid_gain(5), LinearHyper()), model)
+        _replace_line(model, "mu:", "mu: 0.25#tight")
+        assert run("infer", "--data", synth_csv, "--model-file", model,
+                   "--out", out) == EXIT_DATA
+        assert (f"data error: {model}: could not convert string to float: '0.25#tight'"
+                in capsys.readouterr().err)
+
 
 class TestTrain:
     def test_writes_model_and_log(self, tmp_path, synth_csv):
@@ -187,6 +212,26 @@ class TestTrain:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert ((tmp_path / "a.txt.log").read_bytes()
                 == (tmp_path / "b.txt.log").read_bytes())
+
+    @pytest.mark.parametrize("backend", ["mh", "exact"])
+    @pytest.mark.parametrize("model", ["linear", "nested"])
+    def test_a_constant_added_to_one_rankers_lists_changes_nothing(self, tmp_path, model,
+                                                                    backend):
+        # scores on a 1/64 grid, so adding 1024 to ranker 2 leaves every list
+        # minus its minimum the same to the bit
+        planted = synth_planted(12, 6, 4, [0.5, 1.0, 1.5, 2.0], seed=3).queries
+        grid = [np.round(q.matrix * 64.0) / 64.0 for q in planted]
+        moved = [m + np.array([[0.0], [0.0], [1024.0], [0.0]]) for m in grid]
+        outputs = []
+        for name, matrices in (("grid", grid), ("moved", moved)):
+            data = tmp_path / f"{name}.csv"
+            write_scores_csv(Dataset(tuple(QueryInstance(q.query_id, m, q.relevance)
+                                           for q, m in zip(planted, matrices))), data)
+            out = tmp_path / f"{name}.txt"
+            assert run("train", "--model", model, "--backend", backend, "--data", data,
+                       "--out", out, "--seed", 5) == EXIT_OK
+            outputs.append((out.read_bytes(), out.with_name(out.name + ".log").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_nested_with_one_hidden_unit_matches_linear(self, tmp_path, synth_csv):
         shared = ["--data", synth_csv, "--epochs", 2, "--seed", 5,
@@ -345,15 +390,18 @@ class TestAggregateScoresPastTheDoubleRange:
     @pytest.mark.parametrize("command, what", [
         ("infer", "the averaging scores overflow a double"),
         ("eval", "the averaging scores overflow a double"),
-        ("train", "a candidate's absolute scores, summed over the lists, overflow a double"),
+        ("train", "its score spans overflow a double in training"),
     ])
     def test_names_the_first_bad_query_in_file_order(self, tmp_path, command, what, capsys):
         # the commands check the queries a candidate count N at a time, N
         # ascending, yet name the first bad query in the file: q3 (N = 3)
-        # comes before q4 (N = 2), whose lines are not adjacent
+        # comes before q4 (N = 2), whose lines are not adjacent; each of the
+        # two holds the largest double and its negation, so both the
+        # averaging scores and the score spans overflow
         big = ",".join(["1.7976931348623157e308"] * 11)
+        low = ",".join(["-1.7976931348623157e308"] * 11)
         rows = [f"q1,0,{','.join(['1'] * 11)},1\n", f"q3,0,{big},1\n", f"q4,0,{big},0\n",
-                f"q3,1,{big},0\n", f"q1,1,{','.join(['2'] * 11)},0\n", f"q4,1,{big},1\n",
+                f"q3,1,{low},0\n", f"q1,1,{','.join(['2'] * 11)},0\n", f"q4,1,{low},1\n",
                 f"q3,2,{big},0\n"]
         rankers = ",".join(f"ranker_{i}" for i in range(11))
         data = tmp_path / "big.csv"
@@ -366,22 +414,41 @@ class TestAggregateScoresPastTheDoubleRange:
         assert f"data error: query 'q3': {what}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["linear", "nested"])
-    def test_train_refuses_a_weighted_mean_past_the_double_range(self, tmp_path, model,
-                                                                 capsys):
-        # each list's span is 0, but the mean of 11 lists rounds to infinity
+    def test_train_takes_lists_whose_mean_is_past_the_double_range(self, tmp_path, model):
+        # the mean of 11 lists at the largest double rounds to infinity, but
+        # each list's span is 0, and the chain reads the lists minus their minima
         data = _write_largest_scores(tmp_path / "big.csv", 11)
         out = tmp_path / "m.txt"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run("train", "--model", model, "--data", data, "--out", out,
-                       "--epochs", 2) == EXIT_DATA
-            err = capsys.readouterr().err
-            assert ("data error: query 'q2': a candidate's absolute scores, summed over "
-                    "the lists, overflow a double") in err
-            assert "--normalize true" in err
-            assert not list(tmp_path.glob("m.txt*"))
-            assert run("train", "--model", model, "--data", data, "--out", out,
-                       "--epochs", 2, "--normalize", "true") == EXIT_OK
+                       "--epochs", 2) == EXIT_OK
+        if model == "linear":
+            rows = [load_linear(out).weights.w]
+        else:
+            trained = nested.load_nested(out)
+            rows = [*trained.w1, trained.w2.w]
+        for w in rows:
+            assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("backend", ["mh", "exact"])
+    def test_train_takes_a_span_of_the_largest_double(self, tmp_path, backend):
+        # under the sigmoid gain g(4) < 1, so a list spanning [0, largest double]
+        # passes the span guard; the chain's weighted mean of the lists minus
+        # their minima stays within that span
+        big = np.finfo(np.float64).max
+        lists = np.array([[0.0, big, big / 2, big / 4], [big, 0.0, big / 4, big / 2]])
+        data = tmp_path / "span.csv"
+        write_scores_csv(Dataset((QueryInstance("q1", lists, np.array([0.0, 1.0, 0.0, 1.0])),)),
+                         data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("train", "--data", data, "--out", tmp_path / "m.txt", "--epochs", 2,
+                       "--backend", backend) == EXIT_OK
+            query = parse_scores_csv(data).queries[0]
+            for weights in ([0.5, 0.5], [0.25, 0.75], [1.0, 0.0]):
+                ybar = EnergyContext.from_query(query, weights, sigmoid_gain(4))._ybar
+                assert np.all((ybar >= 0.0) & (ybar <= big))
 
 
 def _float_kernels_fingerprint() -> str:

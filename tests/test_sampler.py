@@ -269,9 +269,10 @@ class TestReplayPlan:
     def test_matches_the_scalar_chain(self, case):
         rows, weight_sets, gain, cfg = case
         q = make_query(rows)
+        centred = q.matrix - q.matrix.min(axis=1, keepdims=True)  # the chain's input
         for weights in weight_sets:  # the second chain replays the query's plan
             ctx = EnergyContext.from_query(q, weights, gain)
-            ybar = (weights @ q.matrix).tolist()
+            ybar = (weights @ centred).tolist()
             want = oracles.chain_orders(ybar, gain.increments.tolist(), cfg.num_samples,
                                         cfg.burn_in, cfg.thinning, cfg.rng_seed)
             got = sample_orders(ctx, cfg)
@@ -397,9 +398,15 @@ class TestReplayPlan:
     @pytest.mark.parametrize("finite", [0, 1], ids=["nan-span", "inf-span"])
     @pytest.mark.parametrize("gain_name", ["sigmoid", "constant"])
     def test_non_finite_mean_scores_test_every_step(self, finite, gain_name):
-        # weights that sum to 1 + 1e-9 take a mean of the largest double past it
-        matrix = np.full((2, 4), np.finfo(np.float64).max)
+        # weights that sum to 1 + 1e-9 take a mean of the largest double past
+        # it; for a NaN span each list's minimum is its negation, in a column
+        # of its own, so every column of the lists minus their minima holds an
+        # infinity, and every mean is infinite
+        big = np.finfo(np.float64).max
+        matrix = np.full((2, 4), big)
         matrix[:, :finite] = 1.0
+        if not finite:
+            matrix[[0, 1], [0, 1]] = -big
         gain = GAINS[gain_name](4)
         cfg = ChainConfig(num_samples=30, burn_in=5, rng_seed=8)
         with np.errstate(over="ignore"):
