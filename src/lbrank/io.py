@@ -461,17 +461,18 @@ def _scores_csv_tokenized(path: Path) -> Dataset:
     with open(path, "r", encoding="utf-8-sig") as fh:
         k, with_relevance = _csv_columns(next(csv.reader([fh.readline()])), path)
         width = 2 + k + with_relevance
-        for text in _chunks(fh):
-            _structure(text, _CSV_OTHER, b"," * (width - 1))
-            lines = list(filter(None, text.split("\n")))
-            if max(map(len, lines), default=0) > csv.field_size_limit():
-                raise ValueError("a line past the csv module's field limit")
-            group += _query_codes([line.partition(",")[0] for line in lines], codes)
-    fields = [("cand", "i8"), ("x", "f8", (k,))]
-    if with_relevance:
-        fields.append(("rel", "f8"))
-    rows = np.loadtxt(path, dtype=fields, usecols=range(1, width), delimiter=",", skiprows=1,
-                      comments=None, encoding="utf-8-sig", ndmin=1)
+
+        def checked() -> Iterator[list[str]]:  # each chunk's non-blank lines, checked and coded
+            for text in _chunks(fh):
+                _structure(text, _CSV_OTHER, b"," * (width - 1))
+                lines = list(filter(None, text.split("\n")))
+                if max(map(len, lines), default=0) > csv.field_size_limit():
+                    raise ValueError("a line past the csv module's field limit")
+                group.extend(_query_codes([line.partition(",")[0] for line in lines], codes))
+                yield lines
+        fields = [("cand", "i8"), ("x", "f8", (k,))] + [("rel", "f8")] * with_relevance
+        rows = np.loadtxt(itertools.chain.from_iterable(checked()), dtype=fields,
+                          usecols=range(1, width), delimiter=",", comments=None, ndmin=1)
     return _dataset(path, "csv", codes, group, rows["x"],
                     rows["rel"] if with_relevance else None, cand=rows["cand"])
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import os
 import sys
 import tracemalloc
 
@@ -548,13 +549,42 @@ class TestTokenizerIsUsed:
         assert [q.query_id for q in parsed.queries] == ids
         assert datasets_equal(original, parsed)
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("fmt", ["csv", "letor"])
-    def test_leading_byte_order_mark(self, tmp_path, fmt, no_line_parser):
+    def test_leading_byte_order_mark(self, tmp_path, fmt, line_end):
+        # Python's text layer alone reads the BOM and the line ends, for both formats
         original = self.ragged()
         path = tmp_path / f"data.{fmt}"
         (write_scores_csv if fmt == "csv" else write_letor)(original, path)
-        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        assert datasets_equal(original, (parse_scores_csv if fmt == "csv" else parse_letor)(path))
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes().replace(b"\n", line_end.encode()))
+        fast, line_parser = ((dataio._scores_csv_tokenized, dataio._scores_csv_lines)
+                             if fmt == "csv" else (dataio._letor_tokenized, dataio._letor_lines))
+        dataset = dataio._tokenized(fast, path)
+        assert dataset is not None and datasets_equal(original, dataset)
+        assert (_outcome(lambda p, strict: dataset, path, True)
+                == _outcome(line_parser, path, True))
+
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_data_file_is_opened_once(self, tmp_path, fmt, no_line_parser, monkeypatch):
+        # numpy reads the lines the reader checked, so each row's id and scores come from
+        # one reading of the file
+        path = tmp_path / f"data.{fmt}"
+        (write_scores_csv if fmt == "csv" else write_letor)(self.ragged(), path)
+        opened, loaded, loadtxt = [], [], np.loadtxt
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        def recorded_loadtxt(fname, *args, **kwargs):
+            loaded.append(type(fname))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "open", counted_open, raising=False)
+        monkeypatch.setattr(np, "loadtxt", recorded_loadtxt)
+        (parse_scores_csv if fmt == "csv" else parse_letor)(path)
+        assert opened == [path]
+        assert len(loaded) == 1 and not issubclass(loaded[0], (str, bytes, os.PathLike))
 
 
 class TestChunkedReading:
@@ -686,19 +716,22 @@ class TestChunkedReading:
         assert datasets_equal(data, parsed) and rows > 25_000
         assert added[0] <= 1.6 * (rows * k + rows) * 8
 
-    def test_peak_memory_stays_well_below_twice_the_file_size(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "letor"])
+    def test_peak_memory_stays_well_below_twice_the_file_size(self, tmp_path, fmt):
         # a reader that held every line of the file would need about twice its size
         rng = np.random.default_rng(0)
-        path = tmp_path / "big.csv"
+        path = tmp_path / f"big.{fmt}"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("query_id,candidate_id,ranker_0\n")
+            if fmt == "csv":
+                fh.write("query_id,candidate_id,ranker_0\n")
             for i in range(2000):
-                fh.writelines(f"{'long-query-identifier-' * 3}{i:06d},{c},{rng.random()!r}\n"
-                              for c in range(25))
+                qid = f"{'long-query-identifier-' * 3}{i:06d}"
+                fh.writelines(f"{qid},{c},{rng.random()!r}\n" if fmt == "csv"
+                              else f"0 qid:{qid} 1:{rng.random()!r}\n" for c in range(25))
         size = path.stat().st_size
         tracemalloc.start()
         try:
-            dataset = parse_scores_csv(path)
+            dataset = (parse_scores_csv if fmt == "csv" else parse_letor)(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
