@@ -109,7 +109,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "n_candidates": (int, 10),
     "n_rankers": (int, 5),
     "noise_levels": (_parse_floats, None),
-    "bench_axes": (str, "n,k,k1k2"),
     "bench_doublings": (int, 3),
     "bench_queries": (int, 8),
     "bench_base_n": (int, 32),
@@ -128,9 +127,9 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Merge defaults, config file and explicit flags; build the library objects.
 
     Returns a copy of ``args`` holding every ``_SCHEMA`` key plus ``chain``
-    (:class:`ChainConfig`), ``linear_hyper``, ``nested_hyper``, ``activation``
-    and the parsed ``bench_axes`` list. Each value the library reads is
-    checked by the constructor that takes it, whose ``ValueError`` becomes a
+    (:class:`ChainConfig`), ``linear_hyper``, ``nested_hyper`` and
+    ``activation``. Each value the library reads is checked by the
+    constructor that takes it, whose ``ValueError`` becomes a
     :class:`ConfigError`; the values only the CLI reads are checked here.
     """
     merged = {key: default for key, (_, default) in _SCHEMA.items()}
@@ -177,9 +176,6 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("model must be linear or nested")
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
-    cfg.bench_axes = [a.strip() for a in cfg.bench_axes.split(",") if a.strip()]
-    if not cfg.bench_axes or not set(cfg.bench_axes) <= {"n", "k", "k1k2"}:
-        raise ConfigError("bench_axes must be a comma-separated list of n, k and k1k2")
     return cfg
 
 
@@ -301,12 +297,21 @@ def _model_scores(path: str | Path, k: int) -> Scores:
     return lambda block: module.aggregate_scores(model, block.scores)
 
 
+def _model_paths(cfg: argparse.Namespace) -> list[str]:
+    """The ``--model-file`` flags' paths, else the config file's ``model_file``, if set."""
+    return cfg.model_files or ([cfg.model_file] if cfg.model_file else [])
+
+
 def cmd_infer(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
     dataset = _load_dataset(cfg)
     if cfg.baseline is None:  # argparse admits only "averaging", without --model-file
-        _require(cfg, "model_file")
-        method, score_fn = Path(cfg.model_file).stem, _model_scores(cfg.model_file, dataset.k)
+        model_paths = _model_paths(cfg)
+        if not model_paths:
+            raise ConfigError("missing required option --model-file")
+        if len(model_paths) > 1:
+            raise ConfigError(f"infer ranks with one --model-file, got {len(model_paths)}")
+        method, score_fn = Path(model_paths[0]).stem, _model_scores(model_paths[0], dataset.k)
     else:
         method, score_fn = cfg.baseline, _average_scores(dataset.k)
     scores = _finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(method))
@@ -338,8 +343,7 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         "averaging": _average_scores(dataset.k),
         "borda": lambda block: metrics.borda_points(block.scores),
     }
-    # --model-file flags replace the config file's model_file
-    model_paths = cfg.model_files or ([cfg.model_file] if cfg.model_file else [])
+    model_paths = _model_paths(cfg)
     for model_path in model_paths:
         label = Path(model_path).stem
         if label in methods:
@@ -406,7 +410,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
             print(line)
 
         emit("axis,size,seconds_per_epoch,ratio,flag")
-        for axis in cfg.bench_axes:
+        for axis in ("n", "k", "k1k2"):
             for step in range(cfg.bench_doublings + 1):
                 scale = 2 ** step
                 n = cfg.bench_base_n * (scale if axis == "n" else 1)
@@ -471,18 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
                       "init_jitter", "sampling", "shuffle"])
     p_infer = command("infer", "write aggregated rankings as CSV", shared)
     source = p_infer.add_mutually_exclusive_group()
-    _add_schema_flags(source, ["model_file"])
     source.add_argument("--baseline", default=None, choices=["averaging"],
                         help="rank with a baseline instead of a model file")
     p_eval = command("eval", "NDCG report for baselines and models", shared + ["gain", "topk"])
-    p_eval.add_argument("--model-file", dest="model_files", action="append", default=None,
-                        help="model file to evaluate (repeatable)")
+    # one declaration: infer refuses a second path, eval scores every one (see _model_paths)
+    for takes_models in (source, p_eval):
+        takes_models.add_argument("--model-file", dest="model_files", action="append",
+                                  default=None, help="model file (infer: one; eval: repeatable)")
     command("synth", "generate a planted synthetic dataset",
             ["seed", "out", "n_queries", "n_candidates", "n_rankers", "noise_levels"])
     command("bench", "per-epoch training time across doublings",
             ["seed", "out", "samples", "burn_in", "thinning",
-             "bench_axes", "bench_doublings", "bench_queries", "bench_base_n",
-             "bench_base_k", "bench_repeats"])
+             "bench_doublings", "bench_queries", "bench_base_n", "bench_base_k",
+             "bench_repeats"])
     return parser
 
 

@@ -997,16 +997,18 @@ class TestBench:
         (2.5004, "2.500", "SUPER-LINEAR", True),
     ])
     def test_flag_boundary(self, tmp_path, monkeypatch, capsys, second, ratio, flag, warned):
-        times = iter([1.0, second])
+        times = iter([1.0, second] * 3)  # the same two timings on each axis
         monkeypatch.setattr(cli, "_time_epoch", lambda *args: next(times))
         out = tmp_path / "bench.csv"
-        assert run("bench", "--out", out, "--bench-axes", "n", "--bench-doublings", 1,
+        assert run("bench", "--out", out, "--bench-doublings", 1,
                    "--bench-queries", 1, "--bench-base-n", 2, "--bench-base-k", 1) == EXIT_OK
         lines = out.read_text().splitlines()
-        assert lines[2].endswith(f",{ratio},{flag}")
+        # each axis's second row holds its one ratio
+        assert [line.split(",")[0] for line in lines[2::2]] == ["n", "k", "k1k2"]
+        assert all(line.endswith(f",{ratio},{flag}") for line in lines[2::2])
         captured = capsys.readouterr()
         assert captured.out.splitlines() == lines
-        assert ("warning: 1 measurement(s) grew faster than x2.5" in captured.err) == warned
+        assert ("warning: 3 measurement(s) grew faster than x2.5" in captured.err) == warned
 
     def test_single_point_report(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -1063,11 +1065,19 @@ class TestUsage:
         (["train", "--data", "@data.csv", "--out", "@out.csv", "--thin", "2"],
          {}, EXIT_USAGE),
         (["eval", "--data", "@data.csv", "--out", "@out.csv", "--top", "3"], {}, EXIT_USAGE),
+        # infer ranks with one model; eval would score both
+        (["infer", "--data", "@data.csv", "--model-file", "@linear.txt",
+          "--model-file", "@nested.txt", "--out", "@out.csv"], {}, EXIT_USAGE),
+        # bench always times n, k and k1k2; no flag or config key picks the axes
+        (["bench", "--out", "@out.csv", "--bench-axes", "n"], {}, EXIT_USAGE),
+        (["bench", "--config", "@run.cfg", "--out", "@out.csv"],
+         {"run.cfg": "bench_axes = n\n"}, EXIT_USAGE),
     ], ids=["missing-data", "infer-without-model-file", "missing-model-file",
             "bogus-model", "bogus-backend", "bogus-format", "normalize-maybe",
             "config-line-without-equals", "config-unparseable-value", "letor-ragged-k",
             "letor-duplicate-index", "infer-model", "infer-gain", "infer-backend",
-            "eval-model", "eval-backend", "abbreviated-thinning", "abbreviated-topk"])
+            "eval-model", "eval-backend", "abbreviated-thinning", "abbreviated-topk",
+            "infer-two-model-files", "bench-axes-flag", "bench-axes-config-key"])
     def test_documented_exit_code(self, tmp_path, args, files, code, capsys):
         _write_base_files(tmp_path)
         for name, text in files.items():
@@ -1165,7 +1175,6 @@ class TestMalformedInputs:
         ("bench", ["--bench-base-k", "0"], "bench_base_k must be >= 1"),
         ("bench", ["--bench-repeats", "0"], "bench_repeats must be >= 1"),
         ("bench", ["--bench-doublings", "-1"], "bench_doublings must be >= 0"),
-        ("bench", ["--bench-axes", "n,bogus"], "bench_axes must be"),
     ])
     def test_bad_synth_or_bench_option(self, tmp_path, command, args, named, capsys,
                                        monkeypatch):

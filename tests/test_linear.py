@@ -371,8 +371,8 @@ class TestWhatTrainingConvergesTo:
         return model.weights.w
 
     @staticmethod
-    def planted():
-        return synth_planted(20, 6, 8, np.linspace(0.5, 3.0, 8), seed=11)
+    def planted(seed=11):
+        return synth_planted(20, 6, 8, np.linspace(0.5, 3.0, 8), seed=seed)
 
     def test_raw_data_ends_at_the_vertex_of_least_free_energy(self):
         # measured: eigenvalues 0.064-1.81; Phi(e_0) = -5.524, next -5.461; w[0] = 0.988
@@ -390,6 +390,39 @@ class TestWhatTrainingConvergesTo:
         assert eigenvalues.min() < 0.75 * self.LAM and eigenvalues.max() > 2 * self.LAM
         w = self.trained(data)
         assert w.min() > 0.02 and w.max() < 0.5
+
+    @pytest.mark.parametrize("seed, raw_ndcg, shrunk_ndcg", [(11, 0.990, 0.871),
+                                                             (12, 0.996, 0.841)])
+    def test_shrinking_a_ranker_moves_the_weight_to_it(self, seed, raw_ndcg, shrunk_ndcg):
+        # A vertex's free energy depends on its ranker's scores alone and falls as
+        # they shrink, so on raw data the scale of a list, not its rankings, picks it.
+        # measured: w[0] = 0.988 (seed 11) and 0.997 (seed 12); w[7] >= 0.999 once shrunk
+        data = self.planted(seed)
+        scale = np.array([1.0] * 7 + [0.3])[:, np.newaxis]  # ranker 7 is the noisiest
+        shrunk = Dataset(tuple(QueryInstance(q.query_id, q.matrix * scale, q.relevance)
+                               for q in data.queries))
+        for q, s in zip(data.queries, shrunk.queries):
+            assert np.array_equal(ranking_from_scores(q.matrix), ranking_from_scores(s.matrix))
+        for d, pick, least, ndcg5 in ((data, 0, 0.95, raw_ndcg), (shrunk, 7, 0.999, shrunk_ndcg)):
+            model, _ = train(d, LinearHyper(), ChainConfig(rng_seed=11), self.GAIN,
+                             backend="exact")
+            assert np.argmax(model.weights.w) == pick and model.weights.w[pick] >= least
+            got = np.mean([ndcg_at_k(infer(model, q), q.relevance, 5, log2_gain(6))
+                           for q in d.queries])
+            assert got == pytest.approx(ndcg5, abs=1e-3)
+
+    @pytest.mark.parametrize("gain", [sigmoid_gain(7), log2_gain(7)], ids=["sigmoid", "log2"])
+    def test_a_vertex_expectation_depends_only_on_the_values_of_its_list(self, gain):
+        # At e_i the law is exp(-d(x_i || pi)) / Z(x_i), and relabelling the
+        # candidates permutes the orders: so a permutation of x_i's values,
+        # as another list under its own vertex, has the same expected divergence.
+        rng = np.random.default_rng(7)
+        for n in range(2, 8):
+            x = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
+            q = make_query([x, rng.permutation(x), rng.standard_normal(n)], query_id=f"n{n}")
+            own = [sgd_gradient(e, gain, 0.0, q, ChainConfig(rng_seed=3), backend="exact")[i]
+                   for i, e in enumerate(np.eye(3)[:2])]
+            np.testing.assert_allclose(own[1], own[0], rtol=1e-12)
 
 
 class TestInfer:
