@@ -4,12 +4,13 @@ Configuration comes from flat ``key = value`` files with ``#`` comments,
 which ``io`` reads by the line rule of model files (``key: value``);
 every key a command reads can be overridden by the matching ``--key`` flag
 (flags win over the file, the file wins over built-in defaults). A command
-accepts only the flags it reads, plus ``--seed``, and takes no abbreviated
-flag. All randomness flows from one 64-bit seed; each query's chain seed
-is derived as ``seed XOR FNV-1a(query_id)``, so outputs are byte-identical
-across reruns. Every command runs in one thread; ``train``, ``infer`` and
-``eval`` also accept ``--threads``, which has no effect (the benchmark
-passes it to those three).
+accepts the flags of the keys it may read (``train`` checks both model
+structures' and reads its ``--model``'s), plus ``--seed``, and takes no
+abbreviated flag. All randomness flows from one 64-bit seed; each query's
+chain seed is derived as ``seed XOR FNV-1a(query_id)``, so outputs are
+byte-identical across reruns. Every command runs in one thread; ``train``,
+``infer`` and ``eval`` also accept ``--threads``, which has no effect (the
+benchmark passes it to those three).
 
 Data and model files are recognised by the rules in ``io`` that read them.
 
@@ -99,7 +100,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "thinning": (int, ChainConfig.thinning),
     "k2": (int, NestedHyper.k2),
     "init_jitter": (float, NestedHyper.init_jitter),
-    "sampling": (str, NestedHyper.sampling),
     "backend": (str, "mh"),
     "normalize": (_parse_bool, False),
     "strict": (_parse_bool, True),
@@ -159,7 +159,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         cfg.linear_hyper = LinearHyper(mu=cfg.mu, lam=cfg.lam, epochs=cfg.epochs)
         cfg.nested_hyper = NestedHyper(mu=cfg.mu, lam1=cfg.lam1, lam2=cfg.lam2,
                                        epochs=cfg.epochs, k2=cfg.k2,
-                                       init_jitter=cfg.init_jitter, sampling=cfg.sampling)
+                                       init_jitter=cfg.init_jitter)
         cfg.activation = Activation(cfg.phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", "fit a model and write it with its log",
             shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
                       "epochs", "samples", "burn_in", "thinning", "k2",
-                      "init_jitter", "sampling", "shuffle"])
+                      "init_jitter", "shuffle"])
     p_infer = command("infer", "write aggregated rankings as CSV", shared)
     source = p_infer.add_mutually_exclusive_group()
     source.add_argument("--baseline", default=None, choices=["averaging"],

@@ -674,7 +674,8 @@ def synth_planted(n_queries: int, n_candidates: int, n_rankers: int,
             raise ValueError(f"{name} must be >= 1")
     levels = np.asarray(noise_levels, dtype=np.float64)
     if levels.shape != (n_rankers,):
-        raise ValueError(f"need {n_rankers} noise levels, got {levels.shape}")
+        got = levels.size if levels.ndim == 1 else f"shape {levels.shape}"
+        raise ValueError(f"need {n_rankers} noise levels, got {got}")
     if not np.all(np.isfinite(levels) & (levels >= 0.0)):
         raise ValueError("noise levels must be finite and non-negative")
     rng = np.random.default_rng(seed)

@@ -5,8 +5,9 @@ through simplex-constrained rows of W1; an output unit mixes the activated
 hidden values through simplex weights W2. Both layers train feed-forward
 with the same multiplicative simplex update as the linear framework: the
 hidden layer updates first, then its refreshed activations drive the output
-layer update. One hidden unit, identity activations and zero init jitter
-reduce it exactly to the linear trainer, in both sampling modes.
+layer update. Each query's chain samples the one Gibbs law under W2 @ W1.
+One hidden unit, identity activations and zero init jitter reduce it
+exactly to the linear trainer.
 
 The step functions take and return plain arrays (W1 as a K2 x K1 matrix,
 W2 as a vector); training runs them in the linear trainer's epoch loop,
@@ -72,11 +73,6 @@ __all__ = [
 
 MODEL_FORMAT = "lbrank-nested/1"
 
-# sampling mode -> the weight rows its chains run under, given (W1, W2)
-_SAMPLED_ROWS = {"aggregate": lambda w1, w2: (w2 @ w1)[np.newaxis],
-                 "per_unit": lambda w1, w2: w1}
-SAMPLING_MODES = tuple(_SAMPLED_ROWS)
-
 
 # name -> (offset, scale) of offset + scale * tanh(t/2), or None for the identity.
 # logistic: sigma(t) = (1 + tanh(t/2)) / 2, which saturates instead of
@@ -135,7 +131,6 @@ class NestedHyper:
     epochs: int = 20
     k2: int | None = None
     init_jitter: float = 0.01
-    sampling: str = "aggregate"
 
     def __post_init__(self) -> None:
         _check_steps(self, "lam1", "lam2")
@@ -143,8 +138,6 @@ class NestedHyper:
             raise ValueError("k2 must be >= 1")
         if not 0.0 <= self.init_jitter < 1.0:
             raise ValueError("init_jitter must be in [0, 1)")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
 
     def hidden_units(self, k1: int) -> int:
         """K2 for K1 score lists: ``k2``, or max(10, 2 K1) capped at 64 if it is None."""
@@ -209,15 +202,14 @@ def per_list_expectation(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain,
                          backend: str = "mh") -> np.ndarray:
     """K2 x K1 table of expected divergences; row i feeds hidden unit i.
 
-    One chain runs per weight row the mode samples under: in ``aggregate``
-    mode the single row W2 @ W1, whose estimates every hidden unit shares;
-    in ``per_unit`` mode each W1 row, one per hidden unit. All chains share
-    the query's one replay plan.
+    One chain samples the law under the weights W2 @ W1, and every row
+    holds its estimate. ``sampling`` must be ``"aggregate"``, the one law.
     """
-    cfg = query_config(q, cfg)
+    if sampling != "aggregate":
+        raise ValueError(f"sampling must be 'aggregate', got {sampling!r}")
+    ctx = EnergyContext.from_query(q, w2 @ w1, gain)
     table = np.empty(w1.shape, dtype=np.float64)
-    table[:] = [expected_divergences(EnergyContext.from_query(q, w, gain), cfg, backend)
-                for w in _SAMPLED_ROWS[sampling](w1, w2)]
+    table[:] = expected_divergences(ctx, query_config(q, cfg), backend)
     return table
 
 
@@ -261,7 +253,7 @@ def objective(w1: np.ndarray, w2: np.ndarray, gain: ConcaveGain, phi1: Activatio
     queries = _queries(data)
     total = 0.0
     for q in queries:
-        table = per_list_expectation(w1, w2, gain, hyper.sampling, q, cfg, backend)
+        table = per_list_expectation(w1, w2, gain, "aggregate", q, cfg, backend)
         delta1 = hidden_preactivation(w1, table)
         total += float(phi2(output_preactivation(w2, phi1, delta1)))
     reg1 = 0.5 * hyper.lam1 * float(np.sum(w1 * w1))
@@ -295,7 +287,7 @@ def train(data,
     phi1, phi2 = model.phi1, model.phi2
 
     def step(q, w1, w2):
-        table = per_list_expectation(w1, w2, gain, hyper.sampling, q, cfg, backend)
+        table = per_list_expectation(w1, w2, gain, "aggregate", q, cfg, backend)
         delta1 = hidden_preactivation(w1, table)
         w1 = update_w1(w1, bottom_gradient(w1, phi1, hyper.lam1, table, delta1), hyper.mu)
         delta1_next = hidden_preactivation(w1, table)
@@ -339,18 +331,20 @@ def save_nested(model: NestedModel, path: str | Path) -> None:
         ("k1", model.k1), ("k2", model.k2), ("gain", gain_spec(model.gain)),
         ("phi1", model.phi1.name), ("phi2", model.phi2.name), ("mu", hyper.mu),
         ("lam1", hyper.lam1), ("lam2", hyper.lam2), ("epochs", hyper.epochs),
-        ("init_jitter", hyper.init_jitter), ("sampling", hyper.sampling),
+        ("init_jitter", hyper.init_jitter), ("sampling", "aggregate"),
         ("w2", model.w2.w), *((f"w1[{i}]", row) for i, row in enumerate(model.w1))])
 
 
 def load_nested(path: str | Path) -> NestedModel:
     """Read a model file; any malformed content raises DataError."""
     def build(fields: dict[str, str]) -> NestedModel:
+        if (sampling := fields.pop("sampling")) != "aggregate":
+            raise ValueError(f"sampling {sampling!r}: only 'aggregate' is read "
+                             "(a per_unit model must be retrained)")
         k1, k2 = int(fields.pop("k1")), int(fields.pop("k2"))
         hyper = NestedHyper(mu=float(fields.pop("mu")), lam1=float(fields.pop("lam1")),
                             lam2=float(fields.pop("lam2")), epochs=int(fields.pop("epochs")),
-                            k2=k2, init_jitter=float(fields.pop("init_jitter")),
-                            sampling=fields.pop("sampling"))
+                            k2=k2, init_jitter=float(fields.pop("init_jitter")))
         w2 = _parse_floats(fields.pop("w2"), k2, "w2")
         w1 = [_parse_floats(fields.pop(f"w1[{i}]"), k1, f"w1[{i}]") for i in range(k2)]
         return NestedModel(np.stack(w1), SimplexWeights(w2), gain_from_spec(fields.pop("gain")),

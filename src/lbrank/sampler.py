@@ -94,9 +94,9 @@ def query_config(q: QueryInstance, cfg: ChainConfig) -> ChainConfig:
     """``cfg`` reseeded for the chains of query ``q``.
 
     The seed is ``chain_seed(cfg.rng_seed, query_id)``; every chain of the
-    query, including each nested hidden unit's, uses this one config and so
-    replays one proposal stream. The derived config is memoised on the
-    query until a call passes another ``cfg``.
+    query, under whatever weights, uses this one config and so replays one
+    proposal stream. The derived config is memoised on the query until a
+    call passes another ``cfg``.
     """
     return _memoised(q._memo, "config", cfg,
                      lambda: replace(cfg, rng_seed=chain_seed(cfg.rng_seed, q.query_id)))

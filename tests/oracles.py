@@ -463,12 +463,9 @@ def train_linear(queries, hyper, cfg, gain, backend="mh", shuffle=False):
     return w, objectives, snapshots
 
 
-def _divergence_table(q, w1, w2, gain, sampling, cfg, backend) -> np.ndarray:
-    if sampling == "aggregate":
-        row = _expectation(q, w2 @ w1, gain, cfg, backend)
-        return np.tile(row, (w1.shape[0], 1))
-    return np.stack([_expectation(q, w1[i], gain, cfg, backend)
-                     for i in range(w1.shape[0])])
+def _divergence_table(q, w1, w2, gain, cfg, backend) -> np.ndarray:
+    """The expectations under W2 @ W1, one copy per hidden unit."""
+    return np.tile(_expectation(q, w2 @ w1, gain, cfg, backend), (w1.shape[0], 1))
 
 
 def train_nested(queries, model, cfg, backend="mh", shuffle=False):
@@ -486,7 +483,7 @@ def train_nested(queries, model, cfg, backend="mh", shuffle=False):
     for epoch in range(hyper.epochs):
         start1, start2 = w1, w2
         for qi in _visit_order(len(queries), cfg.rng_seed, epoch, shuffle):
-            table = _divergence_table(queries[qi], w1, w2, gain, hyper.sampling, cfg, backend)
+            table = _divergence_table(queries[qi], w1, w2, gain, cfg, backend)
             delta1 = np.einsum("ij,ij->i", w1, table)
             grad1 = phi1.deriv(delta1)[:, np.newaxis] * table + hyper.lam1 * w1
             w1 = multiplicative_simplex_update(w1, grad1, hyper.mu)
@@ -496,7 +493,7 @@ def train_nested(queries, model, cfg, backend="mh", shuffle=False):
             w2 = multiplicative_simplex_update(w2, grad2, hyper.mu)
         total = 0.0
         for q in queries:
-            table = _divergence_table(q, w1, w2, gain, hyper.sampling, cfg, backend)
+            table = _divergence_table(q, w1, w2, gain, cfg, backend)
             total += float(phi2(float(w2 @ phi1(np.einsum("ij,ij->i", w1, table)))))
         objectives.append(total / len(queries)
                           + 0.5 * hyper.lam1 * float(np.sum(w1 * w1))

@@ -66,12 +66,16 @@ class TestConfigHandling:
         assert model.hyper.mu == 0.2          # flag beats file
         assert model.hyper.epochs == 1        # file beats default
 
-    def test_unknown_config_key(self, tmp_path, synth_csv):
+    def test_unknown_config_key(self, tmp_path, synth_csv, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("muu = 0.5\n")
-        code = run("train", "--config", config, "--data", synth_csv,
-                   "--out", tmp_path / "m.txt")
-        assert code == EXIT_USAGE
+        # sampling: nested training samples one law, so no key selects it
+        for key, value in (("muu", "0.5"), ("sampling", "aggregate")):
+            config.write_text(f"{key} = {value}\n")
+            code = run("train", "--config", config, "--data", synth_csv,
+                       "--out", tmp_path / "m.txt")
+            assert code == EXIT_USAGE
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "m.txt").exists()
 
     def test_config_file_with_byte_order_mark(self, tmp_path, synth_csv):
         config = tmp_path / "run.cfg"
@@ -101,7 +105,7 @@ class TestConfigHandling:
                    "--mu", "abc")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("flag", ["--gain", "--phi", "--sampling"])
+    @pytest.mark.parametrize("flag", ["--gain", "--phi"])
     def test_unknown_choice_is_usage_error(self, tmp_path, synth_csv, flag):
         code = run("train", "--data", synth_csv, "--out", tmp_path / "m.txt",
                    flag, "bogus")
@@ -286,6 +290,17 @@ class TestTrain:
         lines = self._assert_matches_library(tmp_path, synth_csv, model, flags, gain, phi,
                                              epochs=3)
         assert set(recorded) <= set(lines)
+
+    @pytest.mark.parametrize("model, unread", [
+        ("linear", ["--k2", 3, "--lam1", 5, "--lam2", 5, "--phi", "identity",
+                    "--init-jitter", 0.5]),
+        ("nested", ["--lam", 5]),
+    ])
+    def test_the_other_structures_flags_are_not_read(self, tmp_path, synth_csv, model,
+                                                     unread):
+        # train takes both structures' flags and checks them, but reads only its own
+        self._assert_matches_library(tmp_path, synth_csv, model, ["--epochs", 3, *unread],
+                                     epochs=3)
 
     def test_missing_data_file(self, tmp_path):
         code = run("train", "--data", tmp_path / "nope.csv",
@@ -474,24 +489,18 @@ def _float_kernels_fingerprint() -> str:
 # walk that the replay plan replaced: on an x86-64 host with AVX-512 (numpy
 # 2.4.6, OpenBLAS's SkylakeX kernels), and on the same host with numpy's
 # AVX-512 paths disabled and OpenBLAS's Haswell kernels, as on an AVX2 CPU.
-# The per_unit digests (nested training with one chain per hidden unit) were
-# recorded later, with the replay plan, on the same two settings.
 GOLDEN_DIGESTS = {
     "eda6b5134966541d8d045a3fee724295796127bb22fb1079b6f86d67cd1ae064": {
         "linear.txt": "123b8a141966a3e5237711817519aa91cb850bd47cc1fb739c82b351ce6680ee",
         "linear.txt.log": "1289c0980630331f46237db5d03735775522cdb3ac2cc25dd4e6c11b15151711",
         "nested.txt": "83847815c09e461d6bbab5782957ebf3a920ddfe49f5d41e9beadc91cf66aca3",
         "nested.txt.log": "166dee5b275070e72ede038cb163b16199f1a3192b6e344e8efbea198162825d",
-        "per_unit.txt": "515fa291b87522fdd06cf298b00a835555e894f1b35b6b05e4390a54fbc7aafa",
-        "per_unit.txt.log": "b67ee6dce652f92f2c30fbd8e1af985cacd9c2c14ca266ccdc4b7086e61402c0",
     },
     "ae658b95f1eb8757bb5249c9bacd92eb5852587c53f12a686c61a4c8d42df0ae": {
         "linear.txt": "d099d4f897500c3bdd100f8c2c6afc64de20b990168474931097ce51fc4392c7",
         "linear.txt.log": "442aa6190bf7e0995837a2050e86822e9ace6fe9ef95e0d599a10d9d2ac67d80",
         "nested.txt": "550e2ed253e1ebc7b72040840275cef7ae74d1fac1d8e0af4f2fe34ae370ddc4",
         "nested.txt.log": "fd205fb9478f8e8aeb941ea2c0ff2ea06f6d4c4a31ac91d6666c922cf2ac472a",
-        "per_unit.txt": "0b368c2162c3fd64a86f98903f79920c1bfe5aee7922f2f8bc8a29eba5d9d616",
-        "per_unit.txt.log": "e0862c94cdcf98a020faa688b32ce5bbbda9d59628147e3ad1ddb6b8b9a41820",
     },
 }
 
@@ -506,8 +515,7 @@ class TestGoldenOutputs:
         data = tmp_path / "data.csv"
         write_scores_csv(synth_planted(20, 12, 5, [0.0, 0.5, 1.0, 1.5, 2.0], seed=13), data)
         got = {}
-        for name, flags in (("linear", ["--model", "linear"]), ("nested", ["--model", "nested"]),
-                            ("per_unit", ["--model", "nested", "--sampling", "per_unit"])):
+        for name, flags in (("linear", ["--model", "linear"]), ("nested", ["--model", "nested"])):
             out = tmp_path / f"{name}.txt"
             assert run("train", *flags, "--data", data, "--out", out,
                        "--epochs", 3, "--normalize", "true", "--seed", 7, "--k2", 4) == EXIT_OK
@@ -1135,6 +1143,9 @@ class TestMalformedInputs:
         (9, ["--backend", "exact"], "limited to N <= 8"),
         (5, ["--init-jitter", "-0.5"], "init_jitter must be in [0, 1)"),
         (5, ["--model", "nested", "--init-jitter", "2"], "init_jitter must be in [0, 1)"),
+        (5, ["--model", "nested", "--lam", "inf"], "lam must be finite"),
+        (5, ["--model", "nested", "--sampling", "per_unit"],
+         "unrecognized arguments: --sampling per_unit"),
     ])
     def test_bad_training_option(self, tmp_path, n, args, named, capsys):
         data = tmp_path / "data.csv"
@@ -1175,6 +1186,8 @@ class TestMalformedInputs:
         ("bench", ["--bench-base-k", "0"], "bench_base_k must be >= 1"),
         ("bench", ["--bench-repeats", "0"], "bench_repeats must be >= 1"),
         ("bench", ["--bench-doublings", "-1"], "bench_doublings must be >= 0"),
+        ("synth", ["--n-rankers", "3", "--noise-levels", "1,2"], "need 3 noise levels, got 2"),
+        ("synth", ["--n-rankers", "3", "--noise-levels="], "need 3 noise levels, got 0"),
     ])
     def test_bad_synth_or_bench_option(self, tmp_path, command, args, named, capsys,
                                        monkeypatch):
@@ -1335,6 +1348,15 @@ class TestMalformedInputs:
         assert run("infer", "--data", files["data.csv"], "--model-file", files[model],
                    "--out", tmp_path / "r.csv") == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    def test_per_unit_model_file_is_refused(self, tmp_path, files, capsys):
+        # nested training samples one law, and its files name it: aggregate
+        path = files["nested.txt"]
+        _replace_line(path, "sampling:", "sampling: per_unit")
+        assert run("eval", "--data", files["data.csv"], "--model-file", path,
+                   "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert f"data error: {path}: sampling 'per_unit'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("model, line, named", [
         ("linear.txt", "w: 0.5 0.25 0.25", "line 8: key 'w' was already set on line 7"),

@@ -501,10 +501,10 @@ class TestSerialization:
                              SimplexWeights([0.75, 0.25]), ConcaveGain([1.0, 0.5, 0.25]),
                              Activation("logistic"), Activation("identity"),
                              NestedHyper(mu=0.25, lam1=0.0, lam2=0.125, epochs=3, k2=2,
-                                         init_jitter=0.0, sampling="per_unit"))
+                                         init_jitter=0.0))
         save_nested(nested, tmp_path / "nested.txt")
         assert (tmp_path / "nested.txt").read_bytes() == (
             b"format: lbrank-nested/1\nk1: 3\nk2: 2\ngain: custom:1.0,0.5,0.25\n"
             b"phi1: logistic\nphi2: identity\nmu: 0.25\nlam1: 0.0\nlam2: 0.125\n"
-            b"epochs: 3\ninit_jitter: 0.0\nsampling: per_unit\nw2: 0.75 0.25\n"
+            b"epochs: 3\ninit_jitter: 0.0\nsampling: aggregate\nw2: 0.75 0.25\n"
             b"w1[0]: 0.5 0.25 0.25\nw1[1]: 0.0 0.375 0.625\n")

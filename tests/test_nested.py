@@ -10,7 +10,6 @@ import pytest
 from lbrank.core import QueryInstance, SimplexWeights, ranking_from_scores, sigmoid_gain
 from lbrank.linear import LinearHyper, multiplicative_simplex_update
 from lbrank.linear import train as train_linear
-from lbrank import sampler
 from lbrank.metrics import baseline_average
 from lbrank.nested import (
     Activation,
@@ -42,8 +41,8 @@ def simple_model(w1, w2, gain, phi1="identity", phi2="identity", **hyper) -> Nes
 
 
 def table_of(model: NestedModel, q, cfg, backend="mh") -> np.ndarray:
-    return per_list_expectation(model.w1, model.w2.w, model.gain, model.hyper.sampling,
-                                q, cfg, backend)
+    return per_list_expectation(model.w1, model.w2.w, model.gain, "aggregate", q, cfg,
+                                backend)
 
 
 class TestActivations:
@@ -133,8 +132,12 @@ class TestConfiguration:
             NestedHyper(lam1=-1.0)
         with pytest.raises(ValueError):
             NestedHyper(k2=0)
-        with pytest.raises(ValueError):
-            NestedHyper(sampling="both")
+
+    def test_the_table_samples_only_the_aggregate_law(self, gain6, rng):
+        model = init_nested(3, NestedHyper(k2=2), gain6)
+        q = make_query(rng.uniform(0, 1, size=(3, 5)))
+        with pytest.raises(ValueError, match="sampling must be 'aggregate', got 'per_unit'"):
+            per_list_expectation(model.w1, model.w2.w, gain6, "per_unit", q, ChainConfig())
 
     def test_hidden_units(self):
         assert NestedHyper().hidden_units(3) == 10
@@ -335,34 +338,6 @@ class TestTrain:
             np.testing.assert_allclose(nw1[0], lw, atol=1e-12)
             np.testing.assert_array_equal(nw2, [1.0])
 
-    def test_per_unit_reduces_to_linear_under_mh(self, rng):
-        # every chain of a query replays its one stream, so the lone hidden
-        # unit's chain is the linear trainer's chain (criterion 7 covers aggregate)
-        queries = [make_query(rng.uniform(0, 1, size=(4, 4)), query_id=f"q{i}")
-                   for i in range(5)]
-        gain = sigmoid_gain(4)
-        cfg = ChainConfig(num_samples=20, burn_in=50, rng_seed=99)
-        ident = Activation("identity")
-        _, linear_log = train_linear(queries, LinearHyper(epochs=6), cfg, gain)
-        _, nested_log = train(queries,
-                              NestedHyper(epochs=6, k2=1, init_jitter=0.0, sampling="per_unit"),
-                              cfg, gain, ident, ident)
-        assert len(linear_log.snapshots) == len(nested_log.snapshots)
-        for lw, (nw1, nw2) in zip(linear_log.snapshots, nested_log.snapshots):
-            np.testing.assert_allclose(nw1[0], lw, rtol=0.0, atol=1e-12)
-            np.testing.assert_array_equal(nw2, [1.0])
-
-    def test_per_unit_chains_share_the_query_stream(self, gain6, rng, monkeypatch):
-        drawn = []
-        draw = sampler._proposal_stream
-        monkeypatch.setattr(sampler, "_proposal_stream",
-                            lambda *args: drawn.append(args) or draw(*args))
-        q = make_query(rng.uniform(0, 1, size=(3, 5)), query_id="shared")
-        model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
-                            gain6, seed=2)
-        table_of(model, q, ChainConfig(rng_seed=4, num_samples=30))
-        assert len(drawn) == 1  # the three hidden units replay one stream
-
     def test_single_input_ranker_rows_stay_one(self, rng):
         queries = [make_query(rng.uniform(0, 1, size=(1, 4)), query_id=f"q{i}")
                    for i in range(3)]
@@ -384,10 +359,9 @@ class TestTrain:
         assert np.all(model.w1 >= 0)
         assert abs(model.w2.w.sum() - 1.0) <= 1e-9
 
-    def test_per_unit_table_on_a_warm_query_equals_a_fresh_query(self, gain6, rng):
+    def test_table_on_a_warm_query_equals_a_fresh_query(self, gain6, rng):
         q = make_query(rng.uniform(0, 1, size=(3, 5)), query_id="warm")
-        model = init_nested(3, NestedHyper(k2=3, sampling="per_unit", init_jitter=0.5),
-                            gain6, seed=2)
+        model = init_nested(3, NestedHyper(k2=3, init_jitter=0.5), gain6, seed=2)
         cfg = ChainConfig(rng_seed=4, num_samples=30)
         table_of(model, q, cfg)  # draws the query's stream
         model = replace(model, w1=update_w1(model.w1, np.full((3, 3), 0.5) + np.eye(3),
@@ -395,14 +369,6 @@ class TestTrain:
         fresh = make_query(q.matrix, query_id="warm")
         np.testing.assert_array_equal(table_of(model, q, cfg),
                                       table_of(model, fresh, cfg))
-
-    def test_per_unit_sampling_mode_runs(self, rng):
-        queries = [make_query(rng.uniform(0, 1, size=(3, 4)), query_id=f"q{i}")
-                   for i in range(2)]
-        hyper = NestedHyper(epochs=2, k2=2, sampling="per_unit")
-        model, log = train(queries, hyper, ChainConfig(rng_seed=6, num_samples=20))
-        assert log.epochs_run >= 1
-        np.testing.assert_allclose(model.w1.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestInfer:

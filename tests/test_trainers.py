@@ -65,14 +65,12 @@ def test_linear_train_equals_reference(backend, shuffle, kind):
     assert log.converged == (kind == "constant")
 
 
-@pytest.mark.parametrize("sampling", ["aggregate", "per_unit"])
 @pytest.mark.parametrize("kind", ["planted", "constant"])
 @pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("backend", ["mh", "exact"])
-def test_nested_train_equals_reference(backend, shuffle, kind, sampling):
+def test_nested_train_equals_reference(backend, shuffle, kind):
     lam = 0.0 if kind == "constant" else 0.01
-    hyper = NestedHyper(epochs=3, k2=3, lam1=lam, lam2=lam, init_jitter=0.3,
-                        sampling=sampling)
+    hyper = NestedHyper(epochs=3, k2=3, lam1=lam, lam2=lam, init_jitter=0.3)
     gain = sigmoid_gain(5)
     phi1, phi2 = Activation("shifted_logistic"), Activation("logistic")
     model, log = nested.train(queries(kind), hyper, CHAIN, gain, phi1, phi2,
