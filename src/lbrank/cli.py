@@ -21,6 +21,8 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -103,7 +105,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "backend": (str, "mh"),
     "normalize": (_parse_bool, False),
     "strict": (_parse_bool, True),
-    "shuffle": (_parse_bool, False),
     "topk": (int, 10),
     "n_queries": (int, 100),
     "n_candidates": (int, 10),
@@ -239,8 +240,22 @@ def _check_training_range(cfg: argparse.Namespace, k: int, divergence: float) ->
             raise ConfigError(f"{what}, from the score spans and {flags}, overflows a double")
 
 
+def _check_out_path(out: Path) -> None:
+    """Raise the OSError a write to ``out`` would, for a path that is a directory or lies in none.
+
+    A path that fails only for its permissions still fails at the write.
+    """
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out))
+
+
 def cmd_train(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
+    out = Path(cfg.out)
+    _check_out_path(out)  # before the data is read and every epoch run
     dataset = _load_dataset(cfg)
     gain = _gain_covering(cfg, dataset, dataset.n_max)
     # a list's largest divergence is its score span times g(N)
@@ -253,15 +268,13 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         raise ConfigError(f"backend exact enumerates all N! rankings and is limited to "
                           f"N <= {MAX_ENUMERATION_N}; the data has N = {dataset.n_max}")
     _check_training_range(cfg, dataset.k, divergence)
-    out = Path(cfg.out)
     if cfg.model == "linear":
         model, log = linear.train(dataset, cfg.linear_hyper, cfg.chain, gain,
-                                  backend=cfg.backend, shuffle=cfg.shuffle)
+                                  backend=cfg.backend)
         linear.save_linear(model, out)
     else:
         model, log = nested.train(dataset, cfg.nested_hyper, cfg.chain, gain,
-                                  cfg.activation, cfg.activation,
-                                  backend=cfg.backend, shuffle=cfg.shuffle)
+                                  cfg.activation, cfg.activation, backend=cfg.backend)
         nested.save_nested(model, out)
     _write_training_log(out.with_name(out.name + ".log"), log)
     print(f"trained {cfg.model} model on {len(dataset.queries)} queries "
@@ -355,7 +368,11 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     scores = [_finite_per_query(dataset, score_fn, _SCORES_OVERFLOW.format(label))
               for label, score_fn in methods.items()]
     # per block, every method's NDCG at once: one (methods, Q_N, topk) array
-    tables = np.empty((len(methods), len(dataset.queries), cfg.topk))
+    try:
+        tables = np.empty((len(methods), len(dataset.queries), cfg.topk))
+    except (MemoryError, ValueError):  # ValueError: past the largest array numpy addresses
+        raise ConfigError(f"--topk {cfg.topk} is too large: its NDCG table cannot be "
+                          "allocated") from None
     for block, *block_scores in zip(dataset.blocks, *scores):
         tables[:, block.index] = metrics.ndcg_table(np.stack(block_scores), block.relevance,
                                                     cfg.topk, discount)
@@ -472,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", "fit a model and write it with its log",
             shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
                       "epochs", "samples", "burn_in", "thinning", "k2",
-                      "init_jitter", "shuffle"])
+                      "init_jitter"])
     p_infer = command("infer", "write aggregated rankings as CSV", shared)
     source = p_infer.add_mutually_exclusive_group()
     source.add_argument("--baseline", default=None, choices=["averaging"],

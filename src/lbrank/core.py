@@ -128,7 +128,8 @@ def gain_from_spec(spec: str, capacity: int | None = None) -> ConcaveGain:
 
     Accepted forms: ``sigmoid``, ``log2``, ``linear`` (capacity taken from
     the ``capacity`` argument), ``sigmoid:40`` (explicit capacity), and
-    ``custom:<v1>,<v2>,...`` with full-precision increment values.
+    ``custom:<v1>,<v2>,...`` with full-precision increment values. A
+    capacity whose increments cannot be allocated raises ValueError.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip()
@@ -148,7 +149,10 @@ def gain_from_spec(spec: str, capacity: int | None = None) -> ConcaveGain:
         raise ValueError(f"gain spec {spec!r} needs an explicit or implied capacity")
     if cap < 1:
         raise ValueError("gain capacity must be >= 1")
-    return _GAIN_BUILDERS[kind](cap)
+    try:
+        return _GAIN_BUILDERS[kind](cap)
+    except MemoryError:
+        raise ValueError(f"gain capacity {cap} is too large to allocate") from None
 
 
 def gain_spec(gain: ConcaveGain) -> str:

@@ -3,7 +3,7 @@
 Training minimizes the sampled expectation of the weighted divergences plus
 an L2 penalty, using per-query stochastic gradients and a multiplicative
 simplex update. The step functions take and return plain arrays; the epoch
-loop they run in (visit order, objective log, snapshots and stop rule) is
+loop they run in (objective log, snapshots and stop rule) is
 shared with the nested trainer, and a :class:`LinearModel` is built and
 validated once, when training ends. Inference has a closed form: sort the
 weighted mean of the score lists. The model file codec is in ``io``.
@@ -32,7 +32,6 @@ from .io import _parse_floats, _read_model, _write_model_fields
 from .sampler import (
     ChainConfig,
     EnergyContext,
-    chain_seed,
     expected_divergences,
     query_config,
 )
@@ -187,25 +186,19 @@ def objective(w: np.ndarray, gain: ConcaveGain, lam: float, data: Iterable[Query
 def _run_epochs(queries: tuple[QueryInstance, ...], weights: tuple[np.ndarray, ...],
                 step: Callable[..., tuple[np.ndarray, ...]],
                 objective_of: Callable[..., float],
-                epochs: int, seed: int, shuffle: bool
-                ) -> tuple[tuple[np.ndarray, ...], TrainingLog]:
+                epochs: int) -> tuple[tuple[np.ndarray, ...], TrainingLog]:
     """The epoch loop of both trainers, on a tuple of weight arrays.
 
-    Each epoch visits the queries in dataset order (or a permutation drawn
-    from ``chain_seed(seed, "shuffle-epoch-<epoch>")``) and replaces the
+    Each epoch visits the queries in dataset order and replaces the
     weights by ``step(q, *weights)``. It then logs ``objective_of(*weights)``
     and the weights tuple itself (each step returns new arrays), and stops
     early once no weight moved more than ``EARLY_STOP_TOL`` in the pass.
     """
     log = TrainingLog()
-    for epoch in range(epochs):
+    for _ in range(epochs):
         before = weights
-        order = range(len(queries))
-        if shuffle:
-            rng = np.random.default_rng(chain_seed(seed, f"shuffle-epoch-{epoch}"))
-            order = rng.permutation(len(queries)).tolist()
-        for qi in order:
-            weights = step(queries[qi], *weights)
+        for q in queries:
+            weights = step(q, *weights)
         log.objectives.append(objective_of(*weights))
         log.snapshots.append(weights)
         moved = max(float(np.max(np.abs(w - b))) for w, b in zip(weights, before))
@@ -219,13 +212,12 @@ def train(data,
           hyper: LinearHyper | None = None,
           cfg: ChainConfig | None = None,
           gain: ConcaveGain | None = None,
-          backend: str = "mh",
-          shuffle: bool = False) -> tuple[LinearModel, TrainingLog]:
+          backend: str = "mh") -> tuple[LinearModel, TrainingLog]:
     """Fit the weight vector by per-query multiplicative updates.
 
-    Starts from uniform weights, visits queries in dataset order (or a
-    seeded shuffle per epoch), and stops after ``hyper.epochs`` passes or
-    as soon as no weight moved more than ``EARLY_STOP_TOL`` in a full pass.
+    Starts from uniform weights, visits queries in dataset order, and
+    stops after ``hyper.epochs`` passes or as soon as no weight moved more
+    than ``EARLY_STOP_TOL`` in a full pass.
     The objective recorded per epoch is evaluated with the same per-query
     seeds, so a rerun with the same configuration reproduces the log. The
     weights are a plain array throughout; the model is built once, at the
@@ -253,7 +245,7 @@ def train(data,
     (w,), log = _run_epochs(
         queries, (SimplexWeights.uniform(queries[0].k).w,), step,
         lambda w: objective(w, gain, hyper.lam, queries, cfg, backend),
-        hyper.epochs, cfg.rng_seed, shuffle)
+        hyper.epochs)
     log.snapshots = [snapshot for (snapshot,) in log.snapshots]
     return LinearModel(SimplexWeights(w), gain, hyper), log
 

@@ -267,8 +267,7 @@ def train(data,
           gain: ConcaveGain | None = None,
           phi1: Activation | None = None,
           phi2: Activation | None = None,
-          backend: str = "mh",
-          shuffle: bool = False) -> tuple[NestedModel, TrainingLog]:
+          backend: str = "mh") -> tuple[NestedModel, TrainingLog]:
     """Feed-forward training pass over both layers.
 
     Per query: estimate the divergence table once, update every W1 row, then
@@ -299,7 +298,7 @@ def train(data,
     (w1, w2), log = _run_epochs(
         queries, (model.w1, model.w2.w), step,
         lambda w1, w2: objective(w1, w2, gain, phi1, phi2, hyper, queries, cfg, backend),
-        hyper.epochs, cfg.rng_seed, shuffle)
+        hyper.epochs)
     return NestedModel(w1, SimplexWeights(w2), gain, phi1, phi2, hyper), log
 
 

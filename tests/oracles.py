@@ -420,15 +420,6 @@ def simplex_update_row(w, grad, mu: float):
     return scaled / scaled.sum()
 
 
-def _visit_order(n_queries: int, seed: int, epoch: int, shuffle: bool) -> list[int]:
-    if not shuffle:
-        return list(range(n_queries))
-    from lbrank.sampler import chain_seed
-
-    rng = np.random.default_rng(chain_seed(seed, f"shuffle-epoch-{epoch}"))
-    return rng.permutation(n_queries).tolist()
-
-
 def _expectation(q, weights, gain, cfg, backend) -> np.ndarray:
     """The library's E[d(x_i || pi)] for one query under ``weights``."""
     from lbrank.sampler import EnergyContext, expected_divergences, query_config
@@ -437,10 +428,10 @@ def _expectation(q, weights, gain, cfg, backend) -> np.ndarray:
     return expected_divergences(ctx, query_config(q, cfg), backend)
 
 
-def train_linear(queries, hyper, cfg, gain, backend="mh", shuffle=False):
+def train_linear(queries, hyper, cfg, gain, backend="mh"):
     """Reference linear training: (final w, per-epoch objectives, snapshots).
 
-    Per query in visit order: gradient E[d] + lam w, then the multiplicative
+    Per query in dataset order: gradient E[d] + lam w, then the multiplicative
     simplex step. After each epoch: the sampled objective and a copy of w;
     stop once no weight moved 1e-5 or more in the epoch.
     """
@@ -448,10 +439,10 @@ def train_linear(queries, hyper, cfg, gain, backend="mh", shuffle=False):
 
     w = np.full(queries[0].k, 1.0 / queries[0].k)
     objectives, snapshots = [], []
-    for epoch in range(hyper.epochs):
+    for _ in range(hyper.epochs):
         start = w
-        for qi in _visit_order(len(queries), cfg.rng_seed, epoch, shuffle):
-            grad = _expectation(queries[qi], w, gain, cfg, backend) + hyper.lam * w
+        for q in queries:
+            grad = _expectation(q, w, gain, cfg, backend) + hyper.lam * w
             w = multiplicative_simplex_update(w, grad, hyper.mu)
         total = 0.0
         for q in queries:
@@ -468,10 +459,10 @@ def _divergence_table(q, w1, w2, gain, cfg, backend) -> np.ndarray:
     return np.tile(_expectation(q, w2 @ w1, gain, cfg, backend), (w1.shape[0], 1))
 
 
-def train_nested(queries, model, cfg, backend="mh", shuffle=False):
+def train_nested(queries, model, cfg, backend="mh"):
     """Reference nested training from ``model``: (W1, W2, objectives, snapshots).
 
-    Per query in visit order: the divergence table, the W1 step on
+    Per query in dataset order: the divergence table, the W1 step on
     phi1'(delta1) E[d] + lam1 W1, the hidden preactivations again under the
     new W1, then the W2 step on phi2'(delta2) phi1(delta1) + lam2 W2.
     """
@@ -480,10 +471,10 @@ def train_nested(queries, model, cfg, backend="mh", shuffle=False):
     hyper, gain, phi1, phi2 = model.hyper, model.gain, model.phi1, model.phi2
     w1, w2 = model.w1, model.w2.w
     objectives, snapshots = [], []
-    for epoch in range(hyper.epochs):
+    for _ in range(hyper.epochs):
         start1, start2 = w1, w2
-        for qi in _visit_order(len(queries), cfg.rng_seed, epoch, shuffle):
-            table = _divergence_table(queries[qi], w1, w2, gain, cfg, backend)
+        for q in queries:
+            table = _divergence_table(q, w1, w2, gain, cfg, backend)
             delta1 = np.einsum("ij,ij->i", w1, table)
             grad1 = phi1.deriv(delta1)[:, np.newaxis] * table + hyper.lam1 * w1
             w1 = multiplicative_simplex_update(w1, grad1, hyper.mu)

@@ -68,8 +68,9 @@ class TestConfigHandling:
 
     def test_unknown_config_key(self, tmp_path, synth_csv, capsys):
         config = tmp_path / "run.cfg"
-        # sampling: nested training samples one law, so no key selects it
-        for key, value in (("muu", "0.5"), ("sampling", "aggregate")):
+        # sampling: nested training samples one law, so no key selects it;
+        # shuffle: both trainers visit the queries in dataset order
+        for key, value in (("muu", "0.5"), ("sampling", "aggregate"), ("shuffle", "false")):
             config.write_text(f"{key} = {value}\n")
             code = run("train", "--config", config, "--data", synth_csv,
                        "--out", tmp_path / "m.txt")
@@ -1080,12 +1081,18 @@ class TestUsage:
         (["bench", "--out", "@out.csv", "--bench-axes", "n"], {}, EXIT_USAGE),
         (["bench", "--config", "@run.cfg", "--out", "@out.csv"],
          {"run.cfg": "bench_axes = n\n"}, EXIT_USAGE),
+        # sizes whose allocation is refused at once, never one that could be touched
+        (["eval", "--data", "@data.csv", "--out", "@out.csv", "--gain", f"sigmoid:{10 ** 12}"],
+         {}, EXIT_USAGE),
+        (["eval", "--data", "@data.csv", "--out", "@out.csv", "--topk", str(10 ** 12)],
+         {}, EXIT_USAGE),
     ], ids=["missing-data", "infer-without-model-file", "missing-model-file",
             "bogus-model", "bogus-backend", "bogus-format", "normalize-maybe",
             "config-line-without-equals", "config-unparseable-value", "letor-ragged-k",
             "letor-duplicate-index", "infer-model", "infer-gain", "infer-backend",
             "eval-model", "eval-backend", "abbreviated-thinning", "abbreviated-topk",
-            "infer-two-model-files", "bench-axes-flag", "bench-axes-config-key"])
+            "infer-two-model-files", "bench-axes-flag", "bench-axes-config-key",
+            "eval-gain-capacity-unallocatable", "eval-topk-unallocatable"])
     def test_documented_exit_code(self, tmp_path, args, files, code, capsys):
         _write_base_files(tmp_path)
         for name, text in files.items():
@@ -1107,6 +1114,24 @@ class TestUsage:
         argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
         assert run(*argv, "--out", tmp_path / "out") == EXIT_DATA
         assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, fault", [
+        ("missing/m.txt", "No such file or directory"),
+        ("data.csv/m.txt", "Not a directory"),
+        ("out", "Is a directory"),
+    ], ids=["missing-parent", "parent-is-a-file", "directory"])
+    def test_train_checks_its_output_path_before_reading_the_data(self, tmp_path, out, fault,
+                                                                  capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        monkeypatch.setattr(linear, "train", refuse)
+        paths = _write_base_files(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert run("train", "--data", paths["data.csv"], "--out", tmp_path / out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert fault in err and str(tmp_path / out) in err
 
 
 def _write_base_files(directory: Path) -> dict[str, Path]:
@@ -1146,6 +1171,7 @@ class TestMalformedInputs:
         (5, ["--model", "nested", "--lam", "inf"], "lam must be finite"),
         (5, ["--model", "nested", "--sampling", "per_unit"],
          "unrecognized arguments: --sampling per_unit"),
+        (5, ["--shuffle", "true"], "unrecognized arguments: --shuffle true"),
     ])
     def test_bad_training_option(self, tmp_path, n, args, named, capsys):
         data = tmp_path / "data.csv"
@@ -1342,6 +1368,7 @@ class TestMalformedInputs:
         ("nested.txt", "phi1:", "phi1: relu"),
         ("nested.txt", "sampling:", "sampling: bogus"),
         ("nested.txt", "k2:", "k2: many"),
+        ("linear.txt", "gain:", f"gain: log2:{10 ** 12}"),  # refused at once
     ])
     def test_bad_model_file(self, tmp_path, files, model, prefix, new, capsys):
         _replace_line(files[model], prefix, new)

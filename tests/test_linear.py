@@ -300,15 +300,6 @@ class TestTrain:
             assert abs(w.sum() - 1.0) <= 1e-9
             assert np.all(w >= 0.0)
 
-    def test_shuffle_is_deterministic(self, rng):
-        queries = [make_query(rng.uniform(0, 1, size=(3, 4)), query_id=f"q{i}")
-                   for i in range(5)]
-        m1, _ = train(queries, LinearHyper(epochs=3), ChainConfig(rng_seed=4),
-                      shuffle=True)
-        m2, _ = train(queries, LinearHyper(epochs=3), ChainConfig(rng_seed=4),
-                      shuffle=True)
-        np.testing.assert_array_equal(m1.weights.w, m2.weights.w)
-
     def test_a_query_keeps_one_memo_entry_of_each_kind(self):
         # each run replaces the config, stream and terms the last run left
         data = synth_planted(20, 5, 3, [0.0, 0.5, 1.0], seed=2)

@@ -51,6 +51,7 @@ def test_readme_quickstart_runs(tmp_path):
 
 
 def test_readme_names_every_option_of_every_subcommand():
+    # and names no other: pip's flag, and the abbreviation it shows refused
     parser = build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
@@ -62,3 +63,8 @@ def test_readme_names_every_option_of_every_subcommand():
                       # the option itself, not a longer one it begins
                       and not re.search(rf"{re.escape(option)}(?![\w-])", README)})
     assert not missing, f"options missing from README.md: {missing}"
+    options = {option for sub in commands.choices.values() for action in sub._actions
+               for option in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z0-9]+(?:-[a-z0-9]+)*", README))
+    unknown = sorted(named - options - {"--no-build-isolation", "--thin"})
+    assert not unknown, f"README.md names options no subcommand takes: {unknown}"

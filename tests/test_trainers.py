@@ -50,14 +50,12 @@ CHAIN = ChainConfig(num_samples=20, burn_in=30, rng_seed=7)
 
 
 @pytest.mark.parametrize("kind", ["planted", "constant"])
-@pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("backend", ["mh", "exact"])
-def test_linear_train_equals_reference(backend, shuffle, kind):
+def test_linear_train_equals_reference(backend, kind):
     hyper = LinearHyper(epochs=4, lam=0.0 if kind == "constant" else 0.01)
     gain = sigmoid_gain(5)
-    model, log = linear.train(queries(kind), hyper, CHAIN, gain, backend, shuffle)
-    w, objectives, snapshots = oracles.train_linear(queries(kind), hyper, CHAIN, gain,
-                                                    backend, shuffle)
+    model, log = linear.train(queries(kind), hyper, CHAIN, gain, backend)
+    w, objectives, snapshots = oracles.train_linear(queries(kind), hyper, CHAIN, gain, backend)
     np.testing.assert_array_equal(model.weights.w, w)
     np.testing.assert_array_equal(log.objectives, objectives)
     assert_logs_equal(log.snapshots, snapshots)
@@ -66,18 +64,15 @@ def test_linear_train_equals_reference(backend, shuffle, kind):
 
 
 @pytest.mark.parametrize("kind", ["planted", "constant"])
-@pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("backend", ["mh", "exact"])
-def test_nested_train_equals_reference(backend, shuffle, kind):
+def test_nested_train_equals_reference(backend, kind):
     lam = 0.0 if kind == "constant" else 0.01
     hyper = NestedHyper(epochs=3, k2=3, lam1=lam, lam2=lam, init_jitter=0.3)
     gain = sigmoid_gain(5)
     phi1, phi2 = Activation("shifted_logistic"), Activation("logistic")
-    model, log = nested.train(queries(kind), hyper, CHAIN, gain, phi1, phi2,
-                              backend, shuffle)
+    model, log = nested.train(queries(kind), hyper, CHAIN, gain, phi1, phi2, backend)
     start = init_nested(3, hyper, gain, phi1, phi2, seed=CHAIN.rng_seed)
-    w1, w2, objectives, snapshots = oracles.train_nested(queries(kind), start, CHAIN,
-                                                         backend, shuffle)
+    w1, w2, objectives, snapshots = oracles.train_nested(queries(kind), start, CHAIN, backend)
     np.testing.assert_array_equal(model.w1, w1)
     np.testing.assert_array_equal(model.w2.w, w2)
     np.testing.assert_array_equal(log.objectives, objectives)
