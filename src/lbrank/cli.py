@@ -99,7 +99,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "epochs": (int, LinearHyper.epochs),
     "samples": (int, ChainConfig.num_samples),
     "burn_in": (int, ChainConfig.burn_in),
-    "thinning": (int, ChainConfig.thinning),
     "k2": (int, NestedHyper.k2),
     "init_jitter": (float, NestedHyper.init_jitter),
     "backend": (str, "mh"),
@@ -156,7 +155,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
 
     try:
         cfg.chain = ChainConfig(num_samples=cfg.samples, burn_in=cfg.burn_in,
-                                thinning=cfg.thinning, rng_seed=cfg.seed)
+                                rng_seed=cfg.seed)
         cfg.linear_hyper = LinearHyper(mu=cfg.mu, lam=cfg.lam, epochs=cfg.epochs)
         cfg.nested_hyper = NestedHyper(mu=cfg.mu, lam1=cfg.lam1, lam2=cfg.lam2,
                                        epochs=cfg.epochs, k2=cfg.k2,
@@ -317,6 +316,7 @@ def _model_paths(cfg: argparse.Namespace) -> list[str]:
 
 def cmd_infer(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
+    _check_out_path(Path(cfg.out))  # before the data is read and scored
     dataset = _load_dataset(cfg)
     if cfg.baseline is None:  # argparse admits only "averaging", without --model-file
         model_paths = _model_paths(cfg)
@@ -342,6 +342,10 @@ def cmd_infer(cfg: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: argparse.Namespace) -> int:
     _require(cfg, "data", "out")
+    out = Path(cfg.out)
+    _check_out_path(out)  # before the data is read and scored
+    report = out.with_suffix(out.suffix + ".txt")  # the table beside it
+    _check_out_path(report)
     dataset = _load_dataset(cfg)
     if not dataset.has_relevance():
         raise DataError("evaluation requires relevance judgments on every query")
@@ -378,11 +382,10 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
                                                     cfg.topk, discount)
     labels = list(methods)
     columns = [f"Top-{k}" for k in range(1, cfg.topk + 1)]
-    out = Path(cfg.out)
     means = metrics.write_metric_csv(out, columns, labels,
                                      [q.query_id for q in dataset.queries], tables)
     table = metrics.format_table(columns, labels, means)
-    out.with_suffix(out.suffix + ".txt").write_text(table + "\n", encoding="utf-8")
+    report.write_text(table + "\n", encoding="utf-8")
     print(table)
     return EXIT_OK
 
@@ -488,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = ["seed", "threads", "data", "out", "normalize", "strict"]
     command("train", "fit a model and write it with its log",
             shared + ["model", "gain", "backend", "phi", "mu", "lam", "lam1", "lam2",
-                      "epochs", "samples", "burn_in", "thinning", "k2",
-                      "init_jitter"])
+                      "epochs", "samples", "burn_in", "k2", "init_jitter"])
     p_infer = command("infer", "write aggregated rankings as CSV", shared)
     source = p_infer.add_mutually_exclusive_group()
     source.add_argument("--baseline", default=None, choices=["averaging"],
@@ -502,9 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("synth", "generate a planted synthetic dataset",
             ["seed", "out", "n_queries", "n_candidates", "n_rankers", "noise_levels"])
     command("bench", "per-epoch training time across doublings",
-            ["seed", "out", "samples", "burn_in", "thinning",
-             "bench_doublings", "bench_queries", "bench_base_n", "bench_base_k",
-             "bench_repeats"])
+            ["seed", "out", "samples", "burn_in", "bench_doublings", "bench_queries",
+             "bench_base_n", "bench_base_k", "bench_repeats"])
     return parser
 
 

@@ -178,24 +178,19 @@ def _proposal_stream(cfg: ChainConfig, delta: np.ndarray,
                      n: int) -> tuple[np.ndarray, ...]:
     """The whole chain's proposals: a, b, gain gap, threshold and retained flag per step.
 
-    Per block of at most 8192 steps, ``a`` is drawn uniform over N
-    positions, then ``b`` over N - 1 (shifted past ``a``), then the
-    uniforms, all from ``default_rng(cfg.rng_seed)``. Each uniform u is
-    stored as ``log u``, the threshold the step's log acceptance ratio must
-    exceed (u = 0 gives -inf, so the step accepts). Step j + 1 is retained
-    when it lies past burn-in on the thinning grid.
+    For all steps at once, ``a`` is drawn uniform over N positions, then
+    ``b`` over N - 1 (shifted past ``a``), then the uniforms, all from
+    ``default_rng(cfg.rng_seed)``. Each uniform u is stored as ``log u``,
+    the threshold the step's log acceptance ratio must exceed (u = 0 gives
+    -inf, so the step accepts). Step j + 1 is retained when it lies past
+    burn-in on the thinning grid.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     total = cfg.burn_in + cfg.num_samples * cfg.thinning
-    blocks = []
-    for done in range(0, total, 8192):
-        size = min(8192, total - done)
-        pos_a = rng.integers(0, n, size=size)
-        pos_b = rng.integers(0, n - 1, size=size)
-        uniforms = rng.random(size)
-        pos_b += pos_b >= pos_a
-        blocks.append((pos_a, pos_b, uniforms))
-    pos_a, pos_b, uniforms = (np.concatenate(parts) for parts in zip(*blocks))
+    pos_a = rng.integers(0, n, size=total)
+    pos_b = rng.integers(0, n - 1, size=total)
+    uniforms = rng.random(total)
+    pos_b += pos_b >= pos_a
     with np.errstate(divide="ignore"):
         cuts = np.log(uniforms)
     past = np.arange(1 - cfg.burn_in, total + 1 - cfg.burn_in)

@@ -223,10 +223,10 @@ def chain_orders(ybar: Sequence[float], increments: Sequence[float],
                  seed: int) -> list[list[int]]:
     """Retained states of the transposition chain, one scalar step at a time.
 
-    The draw order is the sampler's contract: per block of at most 8192
-    steps, ``a`` uniform over N positions, then ``b`` over N - 1 (shifted
-    past ``a``), then the uniforms, all from ``default_rng(seed)``. The walk
-    starts at the stable descending sort of ``ybar``.
+    The draw order is the sampler's contract: for all steps at once, ``a``
+    uniform over N positions, then ``b`` over N - 1 (shifted past ``a``),
+    then the uniforms, all from ``default_rng(seed)``. The walk starts at
+    the stable descending sort of ``ybar``.
     """
     n = len(ybar)
     if n == 1:
@@ -234,23 +234,19 @@ def chain_orders(ybar: Sequence[float], increments: Sequence[float],
     rng = np.random.default_rng(seed)
     state = sorted(range(n), key=lambda j: (-ybar[j], j))
     total = burn_in + num_samples * thinning
+    pos_a = rng.integers(0, n, size=total).tolist()
+    pos_b = rng.integers(0, n - 1, size=total).tolist()
+    uniforms = rng.random(total).tolist()
     kept: list[list[int]] = []
-    done = 0
-    while done < total:
-        size = min(8192, total - done)
-        pos_a = rng.integers(0, n, size=size).tolist()
-        pos_b = rng.integers(0, n - 1, size=size).tolist()
-        uniforms = rng.random(size).tolist()
-        for a, b, u in zip(pos_a, pos_b, uniforms):
-            if b >= a:
-                b += 1
-            ca, cb = state[a], state[b]
-            log_alpha = (increments[a] - increments[b]) * (ybar[cb] - ybar[ca])
-            if log_alpha >= 0.0 or u < math.exp(log_alpha):
-                state[a], state[b] = cb, ca
-            done += 1
-            if done > burn_in and (done - burn_in) % thinning == 0:
-                kept.append(list(state))
+    for done, (a, b, u) in enumerate(zip(pos_a, pos_b, uniforms), start=1):
+        if b >= a:
+            b += 1
+        ca, cb = state[a], state[b]
+        log_alpha = (increments[a] - increments[b]) * (ybar[cb] - ybar[ca])
+        if log_alpha >= 0.0 or u < math.exp(log_alpha):
+            state[a], state[b] = cb, ca
+        if done > burn_in and (done - burn_in) % thinning == 0:
+            kept.append(list(state))
     return kept
 
 

@@ -69,8 +69,10 @@ class TestConfigHandling:
     def test_unknown_config_key(self, tmp_path, synth_csv, capsys):
         config = tmp_path / "run.cfg"
         # sampling: nested training samples one law, so no key selects it;
-        # shuffle: both trainers visit the queries in dataset order
-        for key, value in (("muu", "0.5"), ("sampling", "aggregate"), ("shuffle", "false")):
+        # shuffle: both trainers visit the queries in dataset order;
+        # thinning: a user who wants a better gradient raises samples
+        for key, value in (("muu", "0.5"), ("sampling", "aggregate"), ("shuffle", "false"),
+                           ("thinning", "1")):
             config.write_text(f"{key} = {value}\n")
             code = run("train", "--config", config, "--data", synth_csv,
                        "--out", tmp_path / "m.txt")
@@ -1071,7 +1073,7 @@ class TestUsage:
          {}, EXIT_USAGE),
         (["eval", "--data", "@data.csv", "--out", "@out.csv", "--backend", "mh"],
          {}, EXIT_USAGE),
-        (["train", "--data", "@data.csv", "--out", "@out.csv", "--thin", "2"],
+        (["train", "--data", "@data.csv", "--out", "@out.csv", "--sample", "5"],
          {}, EXIT_USAGE),
         (["eval", "--data", "@data.csv", "--out", "@out.csv", "--top", "3"], {}, EXIT_USAGE),
         # infer ranks with one model; eval would score both
@@ -1090,7 +1092,7 @@ class TestUsage:
             "bogus-model", "bogus-backend", "bogus-format", "normalize-maybe",
             "config-line-without-equals", "config-unparseable-value", "letor-ragged-k",
             "letor-duplicate-index", "infer-model", "infer-gain", "infer-backend",
-            "eval-model", "eval-backend", "abbreviated-thinning", "abbreviated-topk",
+            "eval-model", "eval-backend", "abbreviated-samples", "abbreviated-topk",
             "infer-two-model-files", "bench-axes-flag", "bench-axes-config-key",
             "eval-gain-capacity-unallocatable", "eval-topk-unallocatable"])
     def test_documented_exit_code(self, tmp_path, args, files, code, capsys):
@@ -1133,6 +1135,39 @@ class TestUsage:
         err = capsys.readouterr().err
         assert fault in err and str(tmp_path / out) in err
 
+    @pytest.mark.parametrize("out, fault", [
+        ("missing/r.csv", "No such file or directory"),
+        ("data.csv/r.csv", "Not a directory"),
+        ("out", "Is a directory"),
+    ], ids=["missing-parent", "parent-is-a-file", "directory"])
+    @pytest.mark.parametrize("args", [
+        ["infer", "--baseline", "averaging"],
+        ["eval"],
+    ], ids=["infer", "eval"])
+    def test_infer_and_eval_check_their_output_path_before_reading_the_data(
+            self, tmp_path, args, out, fault, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        paths = _write_base_files(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert run(*args, "--data", paths["data.csv"], "--out", tmp_path / out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert fault in err and str(tmp_path / out) in err
+
+    def test_eval_checks_its_report_path_before_reading_the_data(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called before the --out check")
+
+        monkeypatch.setattr(cli, "_load_dataset", refuse)
+        paths = _write_base_files(tmp_path)
+        (tmp_path / "r.csv.txt").mkdir()
+        assert run("eval", "--data", paths["data.csv"], "--out", tmp_path / "r.csv") == EXIT_DATA
+        assert f"Is a directory: '{tmp_path / 'r.csv.txt'}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 def _write_base_files(directory: Path) -> dict[str, Path]:
     """A small CSV, the same data as LETOR, and one linear and one nested model."""
@@ -1172,6 +1207,7 @@ class TestMalformedInputs:
         (5, ["--model", "nested", "--sampling", "per_unit"],
          "unrecognized arguments: --sampling per_unit"),
         (5, ["--shuffle", "true"], "unrecognized arguments: --shuffle true"),
+        (5, ["--thinning", "2"], "unrecognized arguments: --thinning 2"),
     ])
     def test_bad_training_option(self, tmp_path, n, args, named, capsys):
         data = tmp_path / "data.csv"
@@ -1214,6 +1250,7 @@ class TestMalformedInputs:
         ("bench", ["--bench-doublings", "-1"], "bench_doublings must be >= 0"),
         ("synth", ["--n-rankers", "3", "--noise-levels", "1,2"], "need 3 noise levels, got 2"),
         ("synth", ["--n-rankers", "3", "--noise-levels="], "need 3 noise levels, got 0"),
+        ("bench", ["--thinning", "2"], "unrecognized arguments: --thinning 2"),
     ])
     def test_bad_synth_or_bench_option(self, tmp_path, command, args, named, capsys,
                                        monkeypatch):

@@ -66,5 +66,5 @@ def test_readme_names_every_option_of_every_subcommand():
     options = {option for sub in commands.choices.values() for action in sub._actions
                for option in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z0-9]+(?:-[a-z0-9]+)*", README))
-    unknown = sorted(named - options - {"--no-build-isolation", "--thin"})
+    unknown = sorted(named - options - {"--no-build-isolation", "--sample"})
     assert not unknown, f"README.md names options no subcommand takes: {unknown}"

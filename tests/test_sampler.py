@@ -182,8 +182,8 @@ class TestMeanHVector:
                 assert value == 0.0
 
     def test_chain_states_match_scalar_stepper(self):
-        # burn-in plus M * thinning = 9300 steps spans two draw blocks of 8192;
-        # after the first chain, each one replays the query's memoised stream.
+        # burn-in plus M * thinning = 9300 steps, drawn as one stream; after
+        # the first chain, each one replays the query's memoised stream.
         # The second matrix is unnormalised, with a span of 2,000: under the
         # Metropolis rule about 90% of proposals are rejected, and on about 15%
         # exp(log_alpha) underflows to 0.
@@ -205,6 +205,31 @@ class TestMeanHVector:
                 want = oracles.chain_orders(ybar, increments, cfg.num_samples, cfg.burn_in,
                                             cfg.thinning, cfg.rng_seed)
                 np.testing.assert_array_equal(sample_orders(ctx, cfg), want)
+
+
+class TestProposalStream:
+    @pytest.mark.parametrize("cfg", [
+        ChainConfig(num_samples=50, burn_in=100, rng_seed=chain_seed(5, "pin")),
+        ChainConfig(num_samples=2100, burn_in=3000, thinning=3, rng_seed=chain_seed(5, "pin")),
+    ], ids=["150-steps", "9300-steps"])
+    def test_is_one_draw_of_each_array(self, cfg):
+        n = 7
+        delta = sigmoid_gain(n).increments
+        total = cfg.burn_in + cfg.num_samples * cfg.thinning
+        rng = np.random.default_rng(cfg.rng_seed)
+        pos_a = rng.integers(0, n, size=total)
+        pos_b = rng.integers(0, n - 1, size=total)
+        uniforms = rng.random(total)
+        pos_b += pos_b >= pos_a
+        got_a, got_b, gap, cut, keep = sampler._proposal_stream(cfg, delta, n)
+        np.testing.assert_array_equal(got_a, pos_a)
+        np.testing.assert_array_equal(got_b, pos_b)
+        np.testing.assert_array_equal(gap, delta[pos_a] - delta[pos_b])
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(cut, np.log(uniforms))
+        steps = np.arange(1, total + 1) - cfg.burn_in
+        np.testing.assert_array_equal(keep, (steps > 0) & (steps % cfg.thinning == 0))
+        assert keep.sum() == cfg.num_samples
 
 
 class TestQueryMemo:
